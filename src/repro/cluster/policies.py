@@ -37,6 +37,7 @@ Registry (:data:`POLICY_REGISTRY`, addressable by name from a
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -252,6 +253,13 @@ class _FleetState:
             else sorted(machine.name for machine in machines)
         )
         self.assignment = current_assignment(machines)
+        # Host → VMs index, each list in assignment order (a VM's position
+        # in ``assignment`` never changes, since ``move`` rebinds in place),
+        # so ``vms_on`` answers without scanning the whole fleet.
+        self._position = {vm: index for index, vm in enumerate(self.assignment)}
+        self._hosted: dict[str, list[str]] = {name: [] for name in self._machines}
+        for vm_name, machine_name in self.assignment.items():
+            self._hosted[machine_name].append(vm_name)
         self._loads: dict[str, float] = {name: 0.0 for name in self._machines}
         self._capacity_scale: dict[str, float] = {
             name: machine.capacity_percent / 100.0
@@ -268,10 +276,13 @@ class _FleetState:
         return list(self._machines)
 
     def used_hosts(self) -> int:
-        return len(set(self.assignment.values()))
+        return sum(1 for vms in self._hosted.values() if vms)
+
+    def is_used(self, machine_name: str) -> bool:
+        return bool(self._hosted[machine_name])
 
     def vms_on(self, machine_name: str) -> list[str]:
-        return [vm for vm, host in self.assignment.items() if host == machine_name]
+        return list(self._hosted[machine_name])
 
     def demand(self, vm_name: str) -> float:
         return self._demands[vm_name]
@@ -300,6 +311,8 @@ class _FleetState:
         self._loads[dest] += self._demands[vm_name]
         self._free_mb[dest] -= self._vms[vm_name].memory_mb
         self.assignment[vm_name] = dest
+        self._hosted[source].remove(vm_name)
+        insort(self._hosted[dest], vm_name, key=self._position.__getitem__)
 
     def host_with_headroom(
         self,
@@ -317,8 +330,8 @@ class _FleetState:
         a small blade fills up (proportionally) as fast as a big one.
         """
         share = self._demands[vm_name]
-        used = [n for n in self._order if n != exclude and self.vms_on(n)]
-        empty = [n for n in self._order if n != exclude and not self.vms_on(n)]
+        used = [n for n in self._order if n != exclude and self._hosted[n]]
+        empty = [n for n in self._order if n != exclude and not self._hosted[n]]
         for name in used + ([] if powered_only else empty):
             budget = limit_percent * self._capacity_scale[name] - self.overhead(name)
             if self.fits(vm_name, name) and self._loads[name] + share <= budget:
@@ -461,7 +474,7 @@ class ConsolidatePolicy(OrchestrationPolicy):
 
     def _drain(self, state: "_FleetState") -> bool:
         """Empty the least-loaded host into the others; False if it won't fit."""
-        used = [name for name in state.hosts() if state.vms_on(name)]
+        used = [name for name in state.hosts() if state.is_used(name)]
         if len(used) < 2:
             return False
         coldest = min(used, key=lambda name: (state.relative_load(name), name))
@@ -554,8 +567,9 @@ class PowerBudgetPolicy(ConsolidatePolicy):
     frequency is pinned per host (floor = ceiling), so delivered power is
     never above the prediction: delivered utilisation can only fall short
     of the demand the prediction assumes, and hosts touched by this
-    epoch's own migrations are predicted at full utilisation so dirty-page
-    copy overhead cannot push them past the admitted draw.
+    epoch's own migrations (drained sources included) are predicted at
+    full utilisation so dirty-page copy overhead cannot push them past the
+    admitted draw.
     """
 
     name = "power-budget"
@@ -607,6 +621,11 @@ class PowerBudgetPolicy(ConsolidatePolicy):
         hosted: dict[str, float] = {}
         for vm_name, machine_name in assignment.items():
             hosted[machine_name] = hosted.get(machine_name, 0.0) + demands[vm_name]
+        # A source drained by this epoch's migrations hosts nothing in the
+        # new assignment, yet stays powered through the epoch sending its
+        # dirty pages: it must be budgeted (and pinned) like the rest.
+        for machine_name in migrating:
+            hosted.setdefault(machine_name, 0.0)
         by_name = {machine.name: machine for machine in machines}
         chosen: dict[str, int] = {}
         for machine_name, demand in sorted(hosted.items()):
@@ -626,14 +645,18 @@ class PowerBudgetPolicy(ConsolidatePolicy):
                 full_util=machine_name in migrating,
             )
 
-        while sum(predicted(name) for name in chosen) > self.budget_w:
+        # Each host is predicted once, then again only when it steps down;
+        # summing in ``chosen`` order keeps the float total bit-stable.
+        watts = {name: predicted(name) for name in chosen}
+        while sum(watts.values()) > self.budget_w:
             candidates = [
                 name for name in chosen if chosen[name] > by_name[name].min_freq_mhz
             ]
             if not candidates:
                 break  # cap infeasible even at the floor; nothing left to shed
-            hottest = max(candidates, key=lambda name: (predicted(name), name))
+            hottest = max(candidates, key=lambda name: (watts[name], name))
             chosen[hottest] = by_name[hottest].step_down_choice(chosen[hottest])
+            watts[hottest] = predicted(hottest)
         return EpochPlan(
             assignment=placement.assignment,
             freq_floors=dict(chosen),

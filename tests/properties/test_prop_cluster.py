@@ -11,6 +11,7 @@ from repro.cluster import (
     PlacementError,
     spread_round_robin,
 )
+from repro.cluster.policies import _FleetState
 
 
 @st.composite
@@ -100,3 +101,75 @@ def test_served_never_exceeds_demand(vms):
     for stat in sim.stats:
         assert stat.served_percent <= stat.demand_percent + 1e-9
         assert 0.0 <= stat.sla_fraction <= 1.0 + 1e-9
+
+
+@st.composite
+def fleet_walks(draw):
+    """A placed fleet, a host preference order and a random walk of moves."""
+    vms = draw(populations())
+    machines = fleet(n=5, memory=32768)
+    for vm in vms:
+        start = draw(st.integers(min_value=0, max_value=len(machines) - 1))
+        # First fit from the drawn host; 10 VMs of at most 8 GB always fit.
+        host = next(
+            m for m in machines[start:] + machines[:start] if m.fits(vm)
+        )
+        host.place(vm)
+    order = draw(st.permutations(machines))
+    moves = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=len(vms) - 1),
+                st.integers(min_value=0, max_value=len(machines) - 1),
+            ),
+            max_size=25,
+        )
+    )
+    limit = draw(st.sampled_from([20.0, 40.0, 75.0, 150.0]))
+    return machines, vms, order, moves, limit
+
+
+def _headroom_by_scan(state, order, vm, limit, *, exclude, powered_only):
+    """``host_with_headroom`` with "is this host used" read off ``assignment``."""
+    used_hosts = set(state.assignment.values())
+    used = [m.name for m in order if m.name != exclude and m.name in used_hosts]
+    empty = [m.name for m in order if m.name != exclude and m.name not in used_hosts]
+    for name in used + ([] if powered_only else empty):
+        budget = limit * state.capacity_scale(name) - state.overhead(name)
+        if state.fits(vm, name) and state.load(name) + state.demand(vm) <= budget:
+            return name
+    return None
+
+
+@given(walk=fleet_walks())
+@settings(max_examples=60, deadline=None)
+def test_fleet_state_index_matches_assignment_scan(walk):
+    machines, vms, order, moves, limit = walk
+    demands = {vm.name: vm.demand_at(0.0) for vm in vms}
+    state = _FleetState(machines, vms, demands, order=order)
+    names = [machine.name for machine in machines]
+
+    def check():
+        for name in names:
+            scanned = [vm for vm, host in state.assignment.items() if host == name]
+            assert state.vms_on(name) == scanned
+            assert state.is_used(name) == bool(scanned)
+        assert state.used_hosts() == len(set(state.assignment.values()))
+        for vm in state.assignment:
+            for exclude in names:
+                for powered_only in (False, True):
+                    assert state.host_with_headroom(
+                        vm, limit, exclude=exclude, powered_only=powered_only
+                    ) == _headroom_by_scan(
+                        state,
+                        order,
+                        vm,
+                        limit,
+                        exclude=exclude,
+                        powered_only=powered_only,
+                    )
+
+    check()
+    for vm_index, host_index in moves:
+        state.move(vms[vm_index].name, names[host_index])
+        check()
