@@ -13,20 +13,19 @@ Runs without pytest-benchmark (plain assertions) so CI can invoke it with
 a bare ``python -m pytest benchmarks/bench_cluster.py``.
 """
 
-from repro.cluster.scenario import run_cluster_scenario
+from repro.cluster import ORCHESTRATION_POLICIES, run_cluster_scenario
 from repro.experiments import preset_config
 from repro.experiments.report import ExperimentReport
 from repro.sweep.metrics import cluster_metrics
 
 from .conftest import emit
 
-POLICIES = ("static", "consolidate", "load-balance", "power-budget")
 
 
 def test_orchestration_policies_on_the_diurnal_fleet():
     config = preset_config("dc-diurnal")
     metrics = {}
-    for policy in POLICIES:
+    for policy in ORCHESTRATION_POLICIES:
         sim = run_cluster_scenario(config.with_changes(policy=policy))
         metrics[policy] = cluster_metrics(sim)
 
@@ -34,7 +33,7 @@ def test_orchestration_policies_on_the_diurnal_fleet():
         experiment="Cluster benchmark",
         title="orchestration policies on the dc-diurnal fleet (24 VMs / 10 machines)",
     )
-    for policy in POLICIES:
+    for policy in ORCHESTRATION_POLICIES:
         m = metrics[policy]
         report.add_row(
             policy,

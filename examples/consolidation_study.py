@@ -11,36 +11,23 @@ Run:  python examples/consolidation_study.py
 """
 
 from repro import TimeSeries, render_chart
-from repro.cluster import (
-    ClusterScenarioConfig,
-    ClusterSim,
-    consolidate_first_fit,
-    make_population,
-    MachineSpec,
-    spread_round_robin,
-)
-from repro.cpu import catalog
+from repro.cluster import ClusterScenarioConfig, Orchestrator, run_cluster_scenario
 from repro.telemetry import table_to_text
 
+#: Eight 16 GB i7-3770 machines, a dozen 5 GB VMs, one 600 s day.
+FLEET = ClusterScenarioConfig(n_machines=8, n_vms=12, duration=600.0, seed=7)
 
-def run(policy, dvfs: bool) -> ClusterSim:
-    sim = ClusterSim(
-        n_machines=8,
-        machine_spec=MachineSpec(processor=catalog.CORE_I7_3770, memory_mb=16384),
-        vms=make_population(ClusterScenarioConfig(n_vms=12, seed=7)),
-        policy=policy,
-        dvfs=dvfs,
-    )
-    sim.run(600.0)
-    return sim
+
+def run(policy: str, dvfs: bool) -> Orchestrator:
+    return run_cluster_scenario(FLEET.with_changes(policy=policy, dvfs=dvfs))
 
 
 def main() -> None:
     strategies = {
-        "spread, no DVFS": run(spread_round_robin, False),
-        "spread + DVFS": run(spread_round_robin, True),
-        "consolidation, no DVFS": run(consolidate_first_fit, False),
-        "consolidation + DVFS": run(consolidate_first_fit, True),
+        "spread, no DVFS": run("spread", False),
+        "spread + DVFS": run("spread", True),
+        "consolidation, no DVFS": run("consolidate-ffd", False),
+        "consolidation + DVFS": run("consolidate-ffd", True),
     }
     baseline = strategies["spread, no DVFS"].fleet_energy_joules
     print(

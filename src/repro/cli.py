@@ -1279,7 +1279,8 @@ def _format_ci(mean: float, ci95: float, digits: int, *, scale: float = 1.0) -> 
 
 
 def _cmd_cluster_compare(args: argparse.Namespace) -> int:
-    from .cluster.scenario import orchestration_policy_names, run_cluster_scenario
+    from .cluster.policies import policy_names
+    from .cluster.scenario import run_cluster_scenario
     from .sweep.metrics import cluster_metrics
     from .sweep.store import _mean_std_ci
     from .telemetry.export import records_to_csv
@@ -1298,7 +1299,7 @@ def _cmd_cluster_compare(args: argparse.Namespace) -> int:
                     "sets no power_budget_w"
                 )
         else:
-            policies = list(orchestration_policy_names())
+            policies = list(policy_names())
             if config.power_budget_w is None and "power-budget" in policies:
                 policies.remove("power-budget")
                 print(

@@ -23,14 +23,14 @@ Pieces:
   processor, finite memory and policy-clampable frequency;
 * :class:`~repro.cluster.vm.ClusterVM` — a VM with booked credit, a memory
   footprint and a demand trace;
-* :mod:`~repro.cluster.policies` — the orchestration policy registry
-  (``static``, ``consolidate``, ``load-balance``, ``power-budget``);
+* :mod:`~repro.cluster.policies` — the policy registry: the orchestration
+  policies (``static``, ``consolidate``, ``load-balance``,
+  ``power-budget``) and the §2.3 placement baselines (``spread`` vs
+  memory-bound first-fit ``consolidate-ffd``);
 * :mod:`~repro.cluster.migration` — downtime + dirty-page-copy pricing of
   one live migration;
-* legacy placement callables (:mod:`~repro.cluster.placement`) — spread vs
-  memory-bound first-fit consolidation;
-* :class:`~repro.cluster.orchestrator.Orchestrator` (alias ``ClusterSim``)
-  — the epoch loop, producing fleet *and* per-host telemetry series;
+* :class:`~repro.cluster.orchestrator.Orchestrator` — the epoch loop,
+  producing fleet *and* per-host telemetry series;
 * :class:`~repro.cluster.scenario.ClusterScenarioConfig` — the declarative,
   sweepable fleet spec (day-shape populations, migration pricing, watt
   caps).
@@ -44,25 +44,27 @@ from .migration import (
     MigrationEvent,
     MigrationModel,
 )
-from .placement import consolidate_first_fit, PlacementError, spread_round_robin
 from .policies import (
     ConsolidatePolicy,
     current_assignment,
     EpochPlan,
+    FirstFitPolicy,
     LoadBalancePolicy,
     make_policy,
+    ORCHESTRATION_POLICIES,
     OrchestrationPolicy,
+    PlacementError,
     POLICY_REGISTRY,
     policy_names,
     PowerBudgetPolicy,
+    SpreadPolicy,
     StaticPolicy,
 )
-from .orchestrator import ClusterSim, EpochStats, Orchestrator
+from .orchestrator import EpochStats, Orchestrator
 from .scenario import (
     build_cluster,
     ClusterScenarioConfig,
     make_population,
-    POLICIES,
     run_cluster_scenario,
 )
 
@@ -74,8 +76,6 @@ __all__ = [
     "MigrationEvent",
     "DEFAULT_MIGRATION",
     "FREE_MIGRATION",
-    "consolidate_first_fit",
-    "spread_round_robin",
     "PlacementError",
     "OrchestrationPolicy",
     "EpochPlan",
@@ -83,12 +83,13 @@ __all__ = [
     "ConsolidatePolicy",
     "LoadBalancePolicy",
     "PowerBudgetPolicy",
+    "SpreadPolicy",
+    "FirstFitPolicy",
     "POLICY_REGISTRY",
-    "POLICIES",
+    "ORCHESTRATION_POLICIES",
     "policy_names",
     "make_policy",
     "current_assignment",
-    "ClusterSim",
     "Orchestrator",
     "EpochStats",
     "ClusterScenarioConfig",

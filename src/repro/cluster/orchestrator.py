@@ -13,19 +13,16 @@ lists flow straight through :func:`repro.telemetry.export.records_to_csv`,
 so a fleet run exports per-epoch series exactly like a single-host run
 exports time series.
 
-Legacy placement callables (``(machines, vms) -> int``, the PR-0 API) are
-still accepted: they are invoked every ``repack_every`` epochs exactly as
-before, with migrations counted — and, when a migration model is set,
-priced — from the assignment diff.
-
-``ClusterSim`` remains the public name (``Orchestrator`` is its alias):
-every existing construction site keeps working unchanged.
+Every policy, the §2.3 placement baselines (``spread``,
+``consolidate-ffd``) included, goes through this one loop: the
+orchestrator executes only the diff between the plan's assignment and the
+live one, and powers off the machines the plan leaves empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..errors import ConfigurationError
 from ..obs import hooks as _obs
@@ -34,9 +31,6 @@ from .machine import Machine, MachineSpec
 from .migration import MigrationEvent, MigrationModel
 from .policies import current_assignment, EpochPlan, make_policy, OrchestrationPolicy
 from .vm import ClusterVM
-
-#: A legacy placement policy: (machines, vms) -> machines powered on.
-Policy = Callable[[Sequence[Machine], Sequence[ClusterVM]], int]
 
 #: Served shortfalls below this (absolute percent) are float noise, not
 #: SLA violations.
@@ -100,32 +94,21 @@ class Orchestrator:
 
     Parameters
     ----------
-    n_machines:
-        Fleet size.
-    machine_spec:
-        Hardware of every machine (homogeneous fleet, like the paper's
-        Grid'5000 clusters).
     machine_specs:
-        Machine *groups* for mixed fleets: each
+        The fleet as machine groups: each
         :class:`~repro.cluster.machine.MachineSpec` contributes ``count``
-        machines, in group order (``m000``, ``m001``, ...).  Overrides
-        ``n_machines``/``machine_spec`` when given; a single group with
-        ``count=n`` behaves identically to the homogeneous form.
+        machines, in group order (``m000``, ``m001``, ...).  A homogeneous
+        fleet, like the paper's Grid'5000 clusters, is one group.
     vms:
         The VM population.
     policy:
-        An :class:`~repro.cluster.policies.OrchestrationPolicy`, a registry
-        name (``"static"``, ``"consolidate"``, ``"load-balance"``,
-        ``"power-budget"``), or a legacy placement callable
-        (:mod:`repro.cluster.placement`).
+        An :class:`~repro.cluster.policies.OrchestrationPolicy` or a
+        :data:`~repro.cluster.policies.POLICY_REGISTRY` name.
     dvfs:
         Whether machines scale frequency to their load (Listing 1.1) or pin
         the maximum.
     epoch_s:
         Seconds per epoch (placement + frequency decisions cadence).
-    repack_every:
-        Legacy callables only: re-run the policy every N epochs
-        (orchestration policies are consulted every epoch and self-limit).
     migration:
         Cost model priced per executed migration; ``None`` = free moves
         (the pre-orchestration behaviour).
@@ -145,23 +128,16 @@ class Orchestrator:
     def __init__(
         self,
         *,
-        n_machines: int,
+        machine_specs: Sequence[MachineSpec],
         vms: Sequence[ClusterVM],
-        policy: OrchestrationPolicy | Policy | str,
+        policy: OrchestrationPolicy | str,
         dvfs: bool,
-        machine_spec: MachineSpec | None = None,
-        machine_specs: Sequence[MachineSpec] | None = None,
         epoch_s: float = 10.0,
-        repack_every: int = 1,
         migration: MigrationModel | None = None,
         power_budget_w: float | None = None,
         placement: str | None = None,
         qos: str = "none",
     ) -> None:
-        if machine_specs is None and n_machines < 1:
-            raise ConfigurationError(f"need at least one machine, got {n_machines}")
-        if repack_every < 1:
-            raise ConfigurationError(f"repack_every must be >= 1, got {repack_every}")
         names = {vm.name for vm in vms}
         if len(names) != len(vms):
             raise ConfigurationError("duplicate VM names in the population")
@@ -169,17 +145,14 @@ class Orchestrator:
             policy = make_policy(
                 policy, power_budget_w=power_budget_w, placement=placement
             )
-        if not isinstance(policy, OrchestrationPolicy) and not callable(policy):
+        if not isinstance(policy, OrchestrationPolicy):
             raise ConfigurationError(
-                f"policy must be an OrchestrationPolicy, a registry name or a "
-                f"placement callable, got {type(policy).__name__}"
+                f"policy must be an OrchestrationPolicy or a registry name, "
+                f"got {type(policy).__name__}"
             )
-        if machine_specs is not None:
-            expanded = [spec for spec in machine_specs for _ in range(spec.count)]
-            if not expanded:
-                raise ConfigurationError("machine_specs expands to an empty fleet")
-        else:
-            expanded = [machine_spec or MachineSpec()] * n_machines
+        expanded = [spec for spec in machine_specs for _ in range(spec.count)]
+        if not expanded:
+            raise ConfigurationError("machine_specs expands to an empty fleet")
         self.machines = [
             Machine(f"m{i:03d}", spec) for i, spec in enumerate(expanded)
         ]
@@ -187,7 +160,6 @@ class Orchestrator:
         self.policy = policy
         self.dvfs = dvfs
         self.epoch_s = check_positive(epoch_s, "epoch_s")
-        self.repack_every = repack_every
         self.migration_model = migration
         self.power_budget_w = power_budget_w
         if qos != "none":
@@ -216,51 +188,36 @@ class Orchestrator:
 
     def _plan_epoch(self) -> tuple[EpochPlan, list[MigrationEvent]]:
         """Consult the policy and execute its placement decision."""
-        if isinstance(self.policy, OrchestrationPolicy):
-            plan = self.policy.plan(
-                self.machines,
-                self.vms,
-                time=self._time,
-                epoch_index=self._epoch_index,
-                epoch_s=self.epoch_s,
-                dvfs=self.dvfs,
-            )
-            events = (
-                [] if plan.assignment is None else self._apply_assignment(plan.assignment)
-            )
-            # Machines the plan leaves empty power down *before* serving:
-            # an orchestration decision takes effect this epoch, not after
-            # one epoch of idle burn.  Hosts party to one of this epoch's
-            # migrations stay on through it — a drained source still burns
-            # CPU sending dirty pages — and power off next epoch.  (Legacy
-            # callables keep the old post-epoch shutdown so their fleets
-            # behave bit-identically.)
-            migrating = {event.source for event in events} | {
-                event.dest for event in events
-            }
-            for machine in self.machines:
-                if machine.name not in migrating:
-                    machine.power_off_if_empty()
-            return plan, events
-        # Legacy callable: clear-and-replace every repack interval, with
-        # migrations recovered from the assignment diff (as before).
-        if self._epoch_index % self.repack_every != 0:
-            return EpochPlan(), []
-        before = current_assignment(self.machines)
-        self.policy(self.machines, self.vms)
-        after = current_assignment(self.machines)
-        events = [
-            MigrationEvent(time=self._time, vm=name, source=before[name], dest=machine)
-            for name, machine in sorted(after.items())
-            if name in before and before[name] != machine
-        ]
-        return EpochPlan(), events
+        plan = self.policy.plan(
+            self.machines,
+            self.vms,
+            time=self._time,
+            epoch_index=self._epoch_index,
+            epoch_s=self.epoch_s,
+            dvfs=self.dvfs,
+        )
+        events = (
+            [] if plan.assignment is None else self._apply_assignment(plan.assignment)
+        )
+        # Machines the plan leaves empty power down *before* serving: an
+        # orchestration decision takes effect this epoch, not after one
+        # epoch of idle burn.  Hosts party to one of this epoch's
+        # migrations stay on through it — a drained source still burns CPU
+        # sending dirty pages — and power off next epoch.
+        migrating = {event.source for event in events} | {
+            event.dest for event in events
+        }
+        for machine in self.machines:
+            if machine.name not in migrating:
+                machine.power_off_if_empty()
+        return plan, events
 
     def _apply_assignment(self, desired: Mapping[str, str]) -> list[MigrationEvent]:
         """Move the fleet to *desired*; returns the executed migrations.
 
-        Placements of brand-new VMs are not migrations (nothing moved);
-        only previously-placed VMs changing hosts are counted and priced.
+        Placements of brand-new VMs are not migrations (nothing moved), nor
+        are evictions of VMs gone from the population; only
+        previously-placed VMs changing hosts are counted and priced.
         """
         machines = {machine.name: machine for machine in self.machines}
         vms = {vm.name: vm for vm in self.vms}
@@ -280,6 +237,9 @@ class Orchestrator:
                 f"policy assigned unknown machine(s): {', '.join(unknown_machines)}"
             )
         before = current_assignment(self.machines)
+        for name in sorted(before.keys() - vms.keys()):
+            host = machines[before.pop(name)]
+            host.evict(next(vm for vm in host.vms if vm.name == name))
         moves = [
             (name, desired[name])
             for name in sorted(desired)
@@ -407,9 +367,6 @@ class Orchestrator:
             metrics.inc("cluster.migrations_executed", len(events))
             metrics.record_max("cluster.peak_power_w", stat.power_w)
 
-    def _assignment(self) -> dict[str, str]:
-        return current_assignment(self.machines)
-
     # -------------------------------------------------------------- queries
 
     @property
@@ -495,7 +452,3 @@ class Orchestrator:
             for name, seconds in machine.cstate_residency().items():
                 totals[name] = totals.get(name, 0.0) + seconds
         return totals
-
-
-#: The historical public name; every existing call site keeps working.
-ClusterSim = Orchestrator

@@ -33,22 +33,34 @@ Registry (:data:`POLICY_REGISTRY`, addressable by name from a
     the highest-drawing host is stepped down one P-state.  Delivered
     utilisation can only be lower than the demand the prediction assumes,
     so the delivered per-epoch fleet power never exceeds the cap.
+``spread``
+    The pre-consolidation hosting centre: VMs dealt round-robin over the
+    whole fleet, memory permitting.  A §2.3 baseline, out of
+    :data:`ORCHESTRATION_POLICIES`.
+``consolidate-ffd``
+    First-fit-decreasing by memory, recomputed every epoch; empty hosts
+    power off.  The memory-bound packer of the §2.3 ablation, blind to
+    CPU demand, so packed hosts stay CPU-underloaded and DVFS still pays.
+    Also a baseline, out of :data:`ORCHESTRATION_POLICIES`.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ReproError
 from ..units import check_positive
 from .machine import Machine
-from .placement import PlacementError
 from .vm import ClusterVM
 
 #: A VM→host assignment: ``{vm name: machine name}``.
 Assignment = Mapping[str, str]
+
+
+class PlacementError(ReproError):
+    """The fleet cannot host the VM set (memory-infeasible)."""
 
 
 def current_assignment(machines: Sequence[Machine]) -> dict[str, str]:
@@ -664,18 +676,82 @@ class PowerBudgetPolicy(ConsolidatePolicy):
         )
 
 
-#: Orchestration policies addressable by name, in documentation order.
+def _memory_fit(
+    vm: ClusterVM, candidates: Iterable[Machine], free_mb: dict[str, int]
+) -> str:
+    """Claim *vm*'s memory on the first candidate it fits; that host's name."""
+    for machine in candidates:
+        if vm.memory_mb <= free_mb[machine.name]:
+            free_mb[machine.name] -= vm.memory_mb
+            return machine.name
+    raise PlacementError(f"VM {vm.name!r} ({vm.memory_mb} MB) fits no machine")
+
+
+class SpreadPolicy(OrchestrationPolicy):
+    """Round-robin placement over the whole fleet (no consolidation).
+
+    VM *i*, in name order, goes to the first machine from ``machines[i %
+    n]`` onwards that has memory left for it, so every machine hosts a VM
+    whenever the population is at least as large as the fleet.  The plan
+    is recomputed every epoch and moves nothing unless the population
+    changes; a machine left empty powers off like under any other policy.
+    """
+
+    name = "spread"
+
+    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
+        free_mb = {machine.name: machine.spec.memory_mb for machine in machines}
+        count = len(machines)
+        assignment = {
+            vm.name: _memory_fit(
+                vm,
+                (machines[(index + offset) % count] for offset in range(count)),
+                free_mb,
+            )
+            for index, vm in enumerate(sorted(vms, key=lambda v: v.name))
+        }
+        return EpochPlan(assignment=assignment)
+
+
+class FirstFitPolicy(OrchestrationPolicy):
+    """First-fit-decreasing by memory: the classic consolidation packer.
+
+    VMs, largest footprint first (name-tiebroken), go to the first machine
+    in fleet order with memory left for them; every machine left empty
+    powers off.  CPU demand plays no part, which is the §2.3 point: the
+    packing is memory-bound, so packed hosts stay CPU-underloaded.
+    """
+
+    name = "consolidate-ffd"
+
+    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
+        free_mb = {machine.name: machine.spec.memory_mb for machine in machines}
+        assignment = {
+            vm.name: _memory_fit(vm, machines, free_mb)
+            for vm in sorted(vms, key=lambda v: (-v.memory_mb, v.name))
+        }
+        return EpochPlan(assignment=assignment)
+
+
+#: Every policy addressable by name, in documentation order.
 POLICY_REGISTRY: dict[str, type[OrchestrationPolicy]] = {
     StaticPolicy.name: StaticPolicy,
     ConsolidatePolicy.name: ConsolidatePolicy,
     LoadBalancePolicy.name: LoadBalancePolicy,
     PowerBudgetPolicy.name: PowerBudgetPolicy,
+    SpreadPolicy.name: SpreadPolicy,
+    FirstFitPolicy.name: FirstFitPolicy,
 }
+
+#: The orchestration policies proper — the ones ``cluster compare`` and the
+#: ``dc-*`` presets compare.  ``spread`` and ``consolidate-ffd`` are §2.3
+#: placement baselines: registered, but left out of the comparison.
+ORCHESTRATION_POLICIES = ("static", "consolidate", "load-balance", "power-budget")
 
 
 def policy_names() -> tuple[str, ...]:
-    """Registered orchestration policy names, in documentation order."""
-    return tuple(POLICY_REGISTRY)
+    """The orchestration policy names (:data:`ORCHESTRATION_POLICIES`)."""
+    return ORCHESTRATION_POLICIES
 
 
 def make_policy(
@@ -689,8 +765,9 @@ def make_policy(
     ``power_budget_w`` feeds the ``power-budget`` policy (required there,
     ignored elsewhere); ``placement`` overrides the policy's default
     heterogeneity preference (``"efficiency"`` / ``"performance"``,
-    ``None`` keeps each policy's own default).  Unknown names raise a
-    :class:`ConfigurationError` listing the registry.
+    ``None`` keeps each policy's own default; policies without one ignore
+    it).  Unknown names raise a :class:`ConfigurationError` listing the
+    registry.
     """
     if name not in POLICY_REGISTRY:
         raise ConfigurationError(
@@ -699,6 +776,6 @@ def make_policy(
         )
     if name == PowerBudgetPolicy.name:
         return PowerBudgetPolicy(budget_w=power_budget_w, placement=placement)
-    if name == LoadBalancePolicy.name:
-        return LoadBalancePolicy()
-    return POLICY_REGISTRY[name](placement=placement)
+    if name in (StaticPolicy.name, ConsolidatePolicy.name):
+        return POLICY_REGISTRY[name](placement=placement)
+    return POLICY_REGISTRY[name]()

@@ -8,9 +8,9 @@ sweep subsystem (:mod:`repro.sweep`) exactly like single-host
 axis a grid can vary, and :func:`run_cluster_scenario` is the one-shot
 executor a worker process can call.
 
-Since the orchestration subsystem landed, a config also names its
-orchestration policy (:mod:`repro.cluster.policies` registry, plus the
-legacy ``"spread"``/``"consolidate-ffd"`` placement callables), prices live
+Since the orchestration subsystem landed, a config also names its policy
+(any :data:`~repro.cluster.policies.POLICY_REGISTRY` name, the §2.3
+``"spread"``/``"consolidate-ffd"`` placement baselines included), prices live
 migration through a :class:`~repro.cluster.migration.MigrationModel`,
 optionally caps the fleet under a cluster-wide watt budget
 (``power_budget_w``, the ``power-budget`` policy's input), and can draw its
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from ..cpu import catalog
 from ..cpu.processor import ProcessorSpec
@@ -35,30 +35,16 @@ from ..workloads.dayshapes import dayshape_points, require_dayshape
 from .machine import MachineSpec
 from .migration import DEFAULT_MIGRATION, MigrationModel
 from .orchestrator import Orchestrator
-from .placement import consolidate_first_fit, spread_round_robin
-from .policies import make_policy, POLICY_REGISTRY, policy_names
+from .policies import make_policy, POLICY_REGISTRY
 from .vm import ClusterVM
-
-#: Legacy placement callables still addressable by name (clear-and-replace
-#: repacking, no frequency steering).  ``"consolidate"`` now names the
-#: hysteretic orchestration policy; the old every-epoch FFD packer stays
-#: reachable as ``"consolidate-ffd"``.
-LEGACY_POLICIES: dict[str, Callable] = {
-    "spread": spread_round_robin,
-    "consolidate-ffd": consolidate_first_fit,
-}
-
-#: Every policy name a config may carry (orchestration registry + legacy).
-POLICIES = {**{name: cls for name, cls in POLICY_REGISTRY.items()}, **LEGACY_POLICIES}
 
 
 @dataclass(frozen=True)
 class ClusterScenarioConfig:
     """Parameters of a fleet run (machine groups, synthetic traces).
 
-    ``policy`` is a name from :data:`POLICIES` (the orchestration registry
-    — ``static``, ``consolidate``, ``load-balance``, ``power-budget`` — or
-    a legacy placement callable) so configs stay picklable and
+    ``policy`` is a :data:`~repro.cluster.policies.POLICY_REGISTRY` name
+    (checked on construction) so configs stay picklable and
     JSON-describable.  The trace fields parameterize the per-VM
     :class:`~repro.workloads.trace.SyntheticTrace` demand; ``dayshapes``
     replaces them with named catalog shapes dealt round-robin across VMs.
@@ -128,6 +114,11 @@ class ClusterScenarioConfig:
             )
         for shape in self.dayshapes:
             require_dayshape(shape)
+        if self.policy not in POLICY_REGISTRY:
+            raise ConfigurationError(
+                f"unknown cluster policy {self.policy!r}; "
+                f"use one of: {', '.join(POLICY_REGISTRY)}"
+            )
         if self.placement not in ("", "efficiency", "performance"):
             raise ConfigurationError(
                 f"unknown placement preference {self.placement!r}; "
@@ -319,24 +310,14 @@ def make_population(config: ClusterScenarioConfig) -> list[ClusterVM]:
 
 def build_cluster(config: ClusterScenarioConfig) -> Orchestrator:
     """Construct (but do not run) the fleet described by *config*."""
-    if config.policy in LEGACY_POLICIES:
-        policy = LEGACY_POLICIES[config.policy]
-    elif config.policy in POLICY_REGISTRY:
-        policy = make_policy(
+    return Orchestrator(
+        machine_specs=config.effective_machines(),
+        vms=make_population(config),
+        policy=make_policy(
             config.policy,
             power_budget_w=config.power_budget_w,
             placement=config.placement or None,
-        )
-    else:
-        raise ConfigurationError(
-            f"unknown placement policy {config.policy!r}; "
-            f"use one of: {', '.join(sorted(POLICIES))}"
-        )
-    return Orchestrator(
-        n_machines=config.total_machines,
-        machine_specs=config.effective_machines(),
-        vms=make_population(config),
-        policy=policy,
+        ),
         dvfs=config.dvfs,
         epoch_s=config.epoch_s,
         migration=config.migration,
@@ -350,8 +331,3 @@ def run_cluster_scenario(config: ClusterScenarioConfig) -> Orchestrator:
     sim = build_cluster(config)
     sim.run(config.duration)
     return sim
-
-
-def orchestration_policy_names() -> tuple[str, ...]:
-    """Policy names ``cluster compare`` iterates (the orchestration registry)."""
-    return policy_names()

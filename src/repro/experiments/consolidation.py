@@ -22,7 +22,7 @@ every strategy delivers the full SLA (demand never exceeds booked credits).
 
 from __future__ import annotations
 
-from ..cluster import ClusterScenarioConfig, ClusterSim
+from ..cluster import ClusterScenarioConfig, Orchestrator
 from ..sweep import run_cells, SweepGrid
 from ..sweep.metrics import fleet_metrics
 from .report import ExperimentReport
@@ -54,7 +54,7 @@ def run_consolidation_ablation(
         "consolidation, no DVFS": base.with_changes(policy="consolidate", dvfs=False),
         "consolidation + DVFS": base.with_changes(policy="consolidate", dvfs=True),
     }
-    sims: dict[str, ClusterSim] = run_cells(SweepGrid.from_variants(strategies))
+    sims: dict[str, Orchestrator] = run_cells(SweepGrid.from_variants(strategies))
     energy: dict[str, float] = {}
     for label, sim in sims.items():
         metrics = fleet_metrics(sim)

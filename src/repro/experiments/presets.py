@@ -84,7 +84,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..cluster import ClusterScenarioConfig
+from ..cluster import ClusterScenarioConfig, ORCHESTRATION_POLICIES
 from ..cluster.machine import MachineSpec
 from ..core import laws
 from ..cpu import catalog
@@ -429,9 +429,6 @@ _DC_DAYSHAPES = (
     "weekend",
 )
 
-#: Policy axis shared by the datacenter presets (the orchestration registry).
-_DC_POLICIES = ("static", "consolidate", "load-balance", "power-budget")
-
 
 def _dc_config(**changes) -> ClusterScenarioConfig:
     """The common datacenter base: day-shape mix, CPU-bound packing.
@@ -461,7 +458,7 @@ def _dc_diurnal() -> Preset:
         name="dc-diurnal",
         description="24-VM day-shape mix on 10 machines, all policies, 200W cap",
         config=_dc_config(n_machines=10, n_vms=24, power_budget_w=200.0),
-        axes={"policy": _DC_POLICIES},
+        axes={"policy": ORCHESTRATION_POLICIES},
         metrics=("fleet", "cluster"),
     )
 
@@ -477,7 +474,7 @@ def _dc_diurnal_small() -> Preset:
             day_length=200.0,
             power_budget_w=80.0,
         ),
-        axes={"policy": _DC_POLICIES},
+        axes={"policy": ORCHESTRATION_POLICIES},
         metrics=("fleet", "cluster"),
     )
 
@@ -490,7 +487,7 @@ def _dc_fleet_medium() -> Preset:
             n_machines=16, n_vms=40, duration=300.0, day_length=300.0,
             power_budget_w=330.0,
         ),
-        axes={"policy": _DC_POLICIES},
+        axes={"policy": ORCHESTRATION_POLICIES},
         metrics=("fleet", "cluster"),
     )
 
@@ -530,7 +527,7 @@ def _dc_fleet_large() -> Preset:
             n_machines=32, n_vms=96, duration=200.0, day_length=200.0,
             power_budget_w=800.0,
         ),
-        axes={"policy": _DC_POLICIES},
+        axes={"policy": ORCHESTRATION_POLICIES},
         metrics=("fleet", "cluster"),
     )
 

@@ -136,12 +136,7 @@ class PhaseProfiler:
         (assignment application), ``serving`` (per-machine epoch serving),
         ``epoch`` (the remaining per-epoch bookkeeping).
         """
-        from ..cluster.policies import OrchestrationPolicy
-
-        if isinstance(sim.policy, OrchestrationPolicy):
-            sim.policy.plan = self.wrap_phase("planning", sim.policy.plan)
-        else:
-            sim.policy = self.wrap_phase("planning", sim.policy)
+        sim.policy.plan = self.wrap_phase("planning", sim.policy.plan)
         sim._apply_assignment = self.wrap_phase("migration", sim._apply_assignment)
         for machine in sim.machines:
             machine.run_epoch = self.wrap_phase("serving", machine.run_epoch)

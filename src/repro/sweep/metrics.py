@@ -3,7 +3,7 @@
 Every reducer is a module-level function (picklable by reference, so pool
 workers can apply them in-process) taking the cell's outcome — a
 :class:`~repro.experiments.scenario.ScenarioResult` for single-host cells,
-a :class:`~repro.cluster.simulator.ClusterSim` for fleet cells — and
+an :class:`~repro.cluster.orchestrator.Orchestrator` for fleet cells — and
 returning JSON-safe ``{name: value}`` pairs.  Metrics that cannot be
 computed (a phase window with no samples on a compressed timeline, a
 latency query with no completed requests) come back as ``None`` rather

@@ -308,7 +308,7 @@ def run_cells(grid: SweepGrid) -> dict[str, Any]:
     """Run a grid serially, keeping each cell's *full* outcome by label.
 
     For reductions that need the raw :class:`ScenarioResult` /
-    :class:`ClusterSim` (series for charts, packed-host introspection)
+    :class:`~repro.cluster.orchestrator.Orchestrator` (series for charts, packed-host introspection)
     rather than flat metrics.  Serial only, and never store-cached: full
     outcomes carry live engine state and are not worth shipping across
     process or disk boundaries.

@@ -4,13 +4,14 @@ import pytest
 
 from repro.cluster import (
     ClusterScenarioConfig,
-    ClusterSim,
     ClusterVM,
     DEFAULT_MIGRATION,
     EpochPlan,
     FREE_MIGRATION,
+    MachineSpec,
     MigrationModel,
     OrchestrationPolicy,
+    Orchestrator,
     run_cluster_scenario,
 )
 from repro.errors import ConfigurationError
@@ -57,8 +58,8 @@ class _PingPong(OrchestrationPolicy):
 
 def _churny_sim(migration):
     vm = ClusterVM("vm0", credit=30.0, memory_mb=2048, demand=lambda t: 20.0)
-    sim = ClusterSim(
-        n_machines=2,
+    sim = Orchestrator(
+        machine_specs=[MachineSpec(count=2)],
         vms=[vm],
         policy=_PingPong(),
         dvfs=True,
@@ -101,8 +102,12 @@ def test_copy_overhead_costs_energy():
 
 def test_none_migration_model_is_free():
     vm = ClusterVM("vm0", credit=30.0, memory_mb=2048, demand=lambda t: 20.0)
-    sim = ClusterSim(
-        n_machines=2, vms=[vm], policy=_PingPong(), dvfs=True, epoch_s=10.0
+    sim = Orchestrator(
+        machine_specs=[MachineSpec(count=2)],
+        vms=[vm],
+        policy=_PingPong(),
+        dvfs=True,
+        epoch_s=10.0,
     )
     sim.run(50.0)
     assert sim.total_migrations == 4

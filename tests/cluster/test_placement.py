@@ -1,14 +1,15 @@
-"""Unit tests for placement policies."""
+"""Unit tests for the §2.3 placement baselines: ``spread`` and ``consolidate-ffd``."""
 
 import pytest
 
 from repro.cluster import (
     ClusterVM,
-    consolidate_first_fit,
+    FirstFitPolicy,
     Machine,
     MachineSpec,
+    Orchestrator,
     PlacementError,
-    spread_round_robin,
+    SpreadPolicy,
 )
 
 
@@ -23,61 +24,82 @@ def vms(n, memory=4096, credit=30.0):
     ]
 
 
+def plan(policy, machines, population):
+    return policy.plan(
+        machines, population, time=0.0, epoch_index=0, epoch_s=10.0, dvfs=True
+    ).assignment
+
+
+def hosts_used(assignment):
+    return len(set(assignment.values()))
+
+
 def test_consolidation_packs_minimum_machines():
-    machines = fleet(6)
-    used = consolidate_first_fit(machines, vms(8, memory=4096))  # 4 per 16GB host
-    assert used == 2
-    assert sum(1 for m in machines if m.powered_on) == 2
+    assignment = plan(FirstFitPolicy(), fleet(6), vms(8, memory=4096))  # 4 per 16GB host
+    assert hosts_used(assignment) == 2
 
 
 def test_consolidation_powers_off_empty_machines():
-    machines = fleet(4)
-    consolidate_first_fit(machines, vms(2))
-    assert [m.powered_on for m in machines] == [True, False, False, False]
+    sim = Orchestrator(
+        machine_specs=[MachineSpec(count=4)],
+        vms=vms(2),
+        policy="consolidate-ffd",
+        dvfs=True,
+    )
+    sim.run(10.0)
+    assert [m.powered_on for m in sim.machines] == [True, False, False, False]
 
 
 def test_consolidation_memory_bound():
-    machines = fleet(2, memory=8192)
     with pytest.raises(PlacementError):
-        consolidate_first_fit(machines, vms(5, memory=4096))  # needs 2.5 hosts
+        plan(FirstFitPolicy(), fleet(2, memory=8192), vms(5, memory=4096))  # needs 2.5 hosts
 
 
 def test_spread_uses_whole_fleet():
-    machines = fleet(4)
-    used = spread_round_robin(machines, vms(4))
-    assert used == 4
-    assert all(m.powered_on for m in machines)
-    assert [len(m.vms) for m in machines] == [1, 1, 1, 1]
+    assignment = plan(SpreadPolicy(), fleet(4), vms(4))
+    assert sorted(assignment.values()) == ["m0", "m1", "m2", "m3"]
 
 
 def test_spread_overflows_to_next_machine():
-    machines = fleet(2, memory=8192)
-    spread_round_robin(machines, vms(4, memory=4096))
-    assert [len(m.vms) for m in machines] == [2, 2]
+    assignment = plan(SpreadPolicy(), fleet(2, memory=8192), vms(4, memory=4096))
+    assert sorted(assignment.values()) == ["m0", "m0", "m1", "m1"]
 
 
 def test_spread_memory_infeasible_raises():
-    machines = fleet(1, memory=4096)
     with pytest.raises(PlacementError):
-        spread_round_robin(machines, vms(2, memory=4096))
+        plan(SpreadPolicy(), fleet(1, memory=4096), vms(2, memory=4096))
+
+
+def test_plans_ignore_the_live_placement():
+    machines = fleet(3)
+    population = vms(3)
+    for machine, vm in zip(reversed(machines), population):
+        machine.place(vm)
+    for policy in (SpreadPolicy(), FirstFitPolicy()):
+        assert plan(policy, machines, population) == plan(policy, fleet(3), population)
 
 
 def test_repacking_clears_previous_assignment():
-    machines = fleet(3)
-    population = vms(3)
-    consolidate_first_fit(machines, population)
-    consolidate_first_fit(machines, population[:1])
-    assert sum(len(m.vms) for m in machines) == 1
+    sim = Orchestrator(
+        machine_specs=[MachineSpec(count=3)],
+        vms=vms(3),
+        policy="consolidate-ffd",
+        dvfs=True,
+    )
+    sim.run(10.0)
+    sim.vms = sim.vms[:1]
+    sim.run(10.0)
+    assert sum(len(m.vms) for m in sim.machines) == 1
 
 
 def test_first_fit_decreasing_order():
-    machines = fleet(2, memory=10240)
     big = ClusterVM("big", credit=10, memory_mb=8192, demand=lambda t: 1.0)
     small = [
         ClusterVM(f"s{i}", credit=10, memory_mb=2048, demand=lambda t: 1.0)
         for i in range(5)
     ]
     # FFD places the 8GB VM first; the small ones fill the gaps.
-    used = consolidate_first_fit(machines, [*small, big])
-    assert used == 2
-    assert sum(len(m.vms) for m in machines) == 6
+    assignment = plan(FirstFitPolicy(), fleet(2, memory=10240), [*small, big])
+    assert hosts_used(assignment) == 2
+    assert len(assignment) == 6
+    assert assignment["big"] == "m0"

@@ -1,20 +1,28 @@
 """Orchestration policies: registry, placement behaviour, cap compliance."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cluster import (
     ClusterScenarioConfig,
-    ClusterSim,
     ClusterVM,
     ConsolidatePolicy,
     current_assignment,
+    FirstFitPolicy,
+    MachineSpec,
     make_policy,
+    Orchestrator,
+    POLICY_REGISTRY,
     policy_names,
     PowerBudgetPolicy,
     run_cluster_scenario,
+    SpreadPolicy,
     StaticPolicy,
 )
 from repro.errors import ConfigurationError
+from repro.experiments import preset_config
 
 #: A heterogeneous diurnal fleet where packing decisions actually differ.
 BASE = ClusterScenarioConfig(
@@ -46,9 +54,19 @@ def test_unknown_policy_lists_the_registry():
         make_policy("bin-pack-9000")
 
 
-def test_unknown_config_policy_lists_all_names():
-    with pytest.raises(ConfigurationError, match="spread"):
-        run_cluster_scenario(BASE.with_changes(policy="warp"))
+def test_registry_holds_the_placement_baselines():
+    assert tuple(POLICY_REGISTRY) == (*policy_names(), "spread", "consolidate-ffd")
+    assert isinstance(make_policy("spread", placement="performance"), SpreadPolicy)
+    assert isinstance(make_policy("consolidate-ffd"), FirstFitPolicy)
+
+
+def test_unknown_config_policy_fails_at_spec_time_listing_all_names():
+    with pytest.raises(ConfigurationError) as raised:
+        ClusterScenarioConfig.from_dict({"kind": "cluster", "policy": "warp"})
+    for name in POLICY_REGISTRY:
+        assert name in str(raised.value)
+    with pytest.raises(ConfigurationError, match="consolidate-ffd"):
+        BASE.with_changes(policy="warp")
 
 
 def test_power_budget_requires_a_cap():
@@ -87,8 +105,8 @@ def test_consolidate_hysteresis_delays_the_drain():
         ClusterVM(name, credit=50.0, memory_mb=2048, demand=demand(name))
         for name in ("vm0", "vm1")
     ]
-    sim = ClusterSim(
-        n_machines=2,
+    sim = Orchestrator(
+        machine_specs=[MachineSpec(count=2)],
         vms=vms,
         policy=ConsolidatePolicy(target_percent=75.0, hysteresis_epochs=3),
         dvfs=True,
@@ -115,8 +133,8 @@ def test_consolidate_spills_overloaded_hosts_immediately():
         ClusterVM(name, credit=60.0, memory_mb=2048, demand=demand(name))
         for name in ("vm0", "vm1", "vm2")
     ]
-    sim = ClusterSim(
-        n_machines=3,
+    sim = Orchestrator(
+        machine_specs=[MachineSpec(count=3)],
         vms=vms,
         policy=ConsolidatePolicy(target_percent=75.0, spill_percent=88.0),
         dvfs=True,
@@ -186,12 +204,81 @@ def test_policies_pin_frequencies_under_power_budget():
     assert sim.fleet_energy_joules < free.fleet_energy_joules
 
 
-def test_legacy_callables_still_run_through_the_orchestrator():
+def test_placement_baselines_run_through_the_orchestrator():
     for policy in ("spread", "consolidate-ffd"):
         sim = run_cluster_scenario(
             BASE.with_changes(policy=policy, n_vms=6, vm_memory_mb=5120)
         )
         assert len(sim.stats) == 20
+
+
+def _run_digest(config):
+    sim = run_cluster_scenario(config)
+    records = [
+        sim.epoch_records(),
+        sim.host_records(),
+        sim.migration_records(),
+        sim.domain_records(),
+    ]
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+
+
+_ABLATION_FLEET = ClusterScenarioConfig(n_machines=8, n_vms=12)
+
+
+#: Epoch, host, migration and domain record digests, pinned from the
+#: placement-callable implementation the two baselines replaced.
+_BASELINE_DIGESTS = [
+    (
+        _ABLATION_FLEET.with_changes(policy="spread", dvfs=False),
+        "74ea58d62484bb3d10b564e4740659b16cc3081622d975a620e372205930fd04",
+    ),
+    (
+        _ABLATION_FLEET.with_changes(policy="spread", dvfs=True),
+        "3e2b301ef0af4d78bf1ad36e32bf53b019f8b62731a41db21558d0052e8452aa",
+    ),
+    (
+        _ABLATION_FLEET.with_changes(policy="consolidate-ffd", dvfs=False),
+        "e2d668828b057f4ad81014ee86d14b9534ce9df06f974d38f853f34c858a3949",
+    ),
+    (
+        _ABLATION_FLEET.with_changes(policy="consolidate-ffd", dvfs=True),
+        "cf6c3b297c9da0e5407ef98b384fffbdb000e78d20d598db61bc7c19042d9142",
+    ),
+    (
+        preset_config("dc-hetero").with_changes(policy="spread"),
+        "f9f7ec2df38406fbdd4b44841a590efee9c21cc3b11bca3998cdd419783e7aa8",
+    ),
+    (
+        preset_config("dc-hetero").with_changes(policy="consolidate-ffd"),
+        "7f622130fe658cb3df4d168399cbaeb7869db3a06e25f1d0411a384ab7491b88",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    ("config", "digest"),
+    _BASELINE_DIGESTS,
+    ids=[config.describe() for config, _ in _BASELINE_DIGESTS],
+)
+def test_placement_baselines_reproduce_their_records(config, digest):
+    assert _run_digest(config) == digest
+
+
+def test_spread_bills_nothing_to_hosts_it_leaves_empty():
+    sim = run_cluster_scenario(
+        ClusterScenarioConfig(
+            n_machines=8, n_vms=4, policy="spread", dvfs=False, duration=200.0
+        )
+    )
+    ever_used = {
+        record["machine"] for record in sim.host_records() if record["vms"]
+    }
+    assert len(ever_used) == 4
+    assert sim.mean_machines_on == 4.0
+    for machine in sim.machines:
+        if machine.name not in ever_used:
+            assert machine.energy_joules == 0.0
 
 
 def test_static_policy_is_reusable_object():
@@ -200,7 +287,13 @@ def test_static_policy_is_reusable_object():
         ClusterVM(f"vm{i}", credit=30.0, memory_mb=4096, demand=lambda t: 10.0)
         for i in range(4)
     ]
-    sim = ClusterSim(n_machines=2, vms=vms, policy=policy, dvfs=True, epoch_s=10.0)
+    sim = Orchestrator(
+        machine_specs=[MachineSpec(count=2)],
+        vms=vms,
+        policy=policy,
+        dvfs=True,
+        epoch_s=10.0,
+    )
     sim.run(50.0)
     assert current_assignment(sim.machines) == {
         "vm0": "m000",

@@ -1,13 +1,8 @@
-"""Unit tests for the cluster simulator."""
+"""Unit tests for the orchestrator's epoch loop under ``consolidate-ffd``."""
 
 import pytest
 
-from repro.cluster import (
-    ClusterSim,
-    ClusterVM,
-    consolidate_first_fit,
-    spread_round_robin,
-)
+from repro.cluster import ClusterVM, MachineSpec, Orchestrator
 from repro.errors import ConfigurationError
 
 
@@ -18,58 +13,49 @@ def population(n, demand=15.0):
     ]
 
 
-def test_run_produces_one_stat_per_epoch():
-    sim = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=True, epoch_s=10.0
+def fleet(n_machines, vms, policy="consolidate-ffd", **kwargs):
+    return Orchestrator(
+        machine_specs=[MachineSpec(count=n_machines)], vms=vms, policy=policy, **kwargs
     )
+
+
+def test_run_produces_one_stat_per_epoch():
+    sim = fleet(4, population(4), dvfs=True, epoch_s=10.0)
     stats = sim.run(100.0)
     assert len(stats) == 10
     assert stats[-1].time == pytest.approx(100.0)
 
 
 def test_sla_fraction_full_when_capacity_sufficient():
-    sim = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=True
-    )
+    sim = fleet(4, population(4), dvfs=True)
     sim.run(100.0)
     assert sim.mean_sla_fraction == pytest.approx(1.0)
 
 
 def test_consolidation_uses_fewer_machines_than_spread():
-    packed = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=False
-    )
-    spread = ClusterSim(
-        n_machines=4, vms=population(4), policy=spread_round_robin, dvfs=False
-    )
+    packed = fleet(4, population(4), dvfs=False)
+    spread = fleet(4, population(4), policy="spread", dvfs=False)
     packed.run(50.0)
     spread.run(50.0)
     assert packed.mean_machines_on < spread.mean_machines_on
 
 
 def test_dvfs_reduces_fleet_energy():
-    with_dvfs = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=True
-    )
-    without = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=False
-    )
+    with_dvfs = fleet(4, population(4), dvfs=True)
+    without = fleet(4, population(4), dvfs=False)
     with_dvfs.run(100.0)
     without.run(100.0)
     assert with_dvfs.fleet_energy_joules < without.fleet_energy_joules * 0.9
 
 
 def test_stable_demand_causes_no_migrations():
-    sim = ClusterSim(
-        n_machines=4, vms=population(4), policy=consolidate_first_fit, dvfs=True
-    )
+    sim = fleet(4, population(4), dvfs=True)
     sim.run(100.0)
     assert sim.total_migrations == 0
 
 
 def test_migrations_counted_when_population_shifts():
-    vms = population(4)
-    sim = ClusterSim(n_machines=4, vms=vms, policy=consolidate_first_fit, dvfs=True)
+    sim = fleet(4, population(4), dvfs=True)
     sim.run(10.0)
     # Make the biggest VM bigger so FFD reorders the packing.
     sim.vms[0] = ClusterVM("vm0", credit=30.0, memory_mb=8192, demand=lambda t: 15.0)
@@ -77,23 +63,8 @@ def test_migrations_counted_when_population_shifts():
     assert sim.total_migrations > 0
 
 
-def test_repack_every_skips_policy_runs():
-    sim = ClusterSim(
-        n_machines=4,
-        vms=population(4),
-        policy=consolidate_first_fit,
-        dvfs=True,
-        repack_every=5,
-        epoch_s=10.0,
-    )
-    sim.run(100.0)
-    assert sim.mean_machines_on < 4
-
-
 def test_queries_require_run():
-    sim = ClusterSim(
-        n_machines=2, vms=population(2), policy=consolidate_first_fit, dvfs=True
-    )
+    sim = fleet(2, population(2), dvfs=True)
     with pytest.raises(ConfigurationError):
         _ = sim.mean_sla_fraction
 
@@ -102,13 +73,21 @@ def test_duplicate_vm_names_rejected():
     vms = population(2)
     vms[1] = ClusterVM("vm0", credit=10, memory_mb=1024, demand=lambda t: 1.0)
     with pytest.raises(ConfigurationError):
-        ClusterSim(n_machines=2, vms=vms, policy=consolidate_first_fit, dvfs=True)
+        fleet(2, vms, dvfs=True)
+
+
+def test_policy_must_be_registered_or_an_orchestration_policy():
+    with pytest.raises(ConfigurationError, match="OrchestrationPolicy"):
+        fleet(2, population(2), policy=lambda machines, vms: 1, dvfs=True)
+
+
+def test_empty_fleet_rejected():
+    with pytest.raises(ConfigurationError, match="empty fleet"):
+        Orchestrator(machine_specs=[], vms=population(1), policy="spread", dvfs=True)
 
 
 def test_epoch_stats_fields():
-    sim = ClusterSim(
-        n_machines=2, vms=population(2), policy=consolidate_first_fit, dvfs=True
-    )
+    sim = fleet(2, population(2), dvfs=True)
     stats = sim.run(20.0)
     for stat in stats:
         assert stat.machines_on >= 1

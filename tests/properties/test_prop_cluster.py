@@ -3,13 +3,13 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
-    ClusterSim,
     ClusterVM,
-    consolidate_first_fit,
+    FirstFitPolicy,
     Machine,
     MachineSpec,
+    Orchestrator,
     PlacementError,
-    spread_round_robin,
+    SpreadPolicy,
 )
 from repro.cluster.policies import _FleetState
 
@@ -36,16 +36,32 @@ def fleet(n=6, memory=16384):
     return [Machine(f"m{i}", MachineSpec(memory_mb=memory)) for i in range(n)]
 
 
+def plan(policy, machines, vms):
+    return policy.plan(
+        machines, vms, time=0.0, epoch_index=0, epoch_s=10.0, dvfs=True
+    ).assignment
+
+
+def orchestrator(vms, *, dvfs):
+    return Orchestrator(
+        machine_specs=[MachineSpec(count=6)],
+        vms=vms,
+        policy="consolidate-ffd",
+        dvfs=dvfs,
+    )
+
+
 @given(vms=populations())
 @settings(max_examples=40, deadline=None)
 def test_consolidation_never_violates_memory(vms):
     machines = fleet()
     try:
-        consolidate_first_fit(machines, vms)
+        assignment = plan(FirstFitPolicy(), machines, vms)
     except PlacementError:
         return
     for machine in machines:
-        assert machine.memory_used_mb <= machine.spec.memory_mb
+        used = sum(vm.memory_mb for vm in vms if assignment[vm.name] == machine.name)
+        assert used <= machine.spec.memory_mb
 
 
 @given(vms=populations())
@@ -53,36 +69,31 @@ def test_consolidation_never_violates_memory(vms):
 def test_every_vm_placed_exactly_once(vms):
     machines = fleet()
     try:
-        consolidate_first_fit(machines, vms)
+        assignment = plan(FirstFitPolicy(), machines, vms)
     except PlacementError:
         return
-    placed = [vm.name for machine in machines for vm in machine.vms]
-    assert sorted(placed) == sorted(vm.name for vm in vms)
+    assert sorted(assignment) == sorted(vm.name for vm in vms)
+    assert set(assignment.values()) <= {machine.name for machine in machines}
 
 
 @given(vms=populations())
 @settings(max_examples=40, deadline=None)
 def test_consolidation_uses_no_more_machines_than_spread(vms):
-    packed, spread = fleet(), fleet()
+    machines = fleet()
     try:
-        used_packed = consolidate_first_fit(packed, vms)
-        spread_round_robin(spread, vms)
+        packed = plan(FirstFitPolicy(), machines, vms)
+        spread = plan(SpreadPolicy(), machines, vms)
     except PlacementError:
         return
-    used_spread = sum(1 for machine in spread if machine.powered_on)
-    assert used_packed <= used_spread
+    assert len(set(packed.values())) <= len(set(spread.values()))
 
 
 @given(vms=populations())
 @settings(max_examples=25, deadline=None)
 def test_fleet_energy_with_dvfs_never_exceeds_without(vms):
     try:
-        with_dvfs = ClusterSim(
-            n_machines=6, vms=vms, policy=consolidate_first_fit, dvfs=True
-        )
-        without = ClusterSim(
-            n_machines=6, vms=vms, policy=consolidate_first_fit, dvfs=False
-        )
+        with_dvfs = orchestrator(vms, dvfs=True)
+        without = orchestrator(vms, dvfs=False)
         with_dvfs.run(50.0)
         without.run(50.0)
     except PlacementError:
@@ -94,7 +105,7 @@ def test_fleet_energy_with_dvfs_never_exceeds_without(vms):
 @settings(max_examples=25, deadline=None)
 def test_served_never_exceeds_demand(vms):
     try:
-        sim = ClusterSim(n_machines=6, vms=vms, policy=consolidate_first_fit, dvfs=True)
+        sim = orchestrator(vms, dvfs=True)
         sim.run(50.0)
     except PlacementError:
         return
