@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import ConfigurationError, ReproError
@@ -172,29 +173,34 @@ def pack_first_fit(
     empty machine — so overloads degrade to clipped service rather than
     unplaceable fleets.  Machines are tried in the order given: pass an
     :func:`efficiency_order` / :func:`performance_order` view to steer
-    heterogeneous packing.
+    heterogeneous packing.  A machine whose free memory drops below the
+    smallest VM's footprint can take no further VM and is no longer
+    visited.
     """
     loads: dict[str, float] = {machine.name: 0.0 for machine in machines}
     free_mb: dict[str, int] = {machine.name: machine.spec.memory_mb for machine in machines}
+    budgets: dict[str, float] = {
+        machine.name: limit_percent * (machine.capacity_percent / 100.0)
+        - machine.spec.overhead_percent
+        for machine in machines
+    }
+    smallest_mb = min((vm.memory_mb for vm in vms), default=0)
+    open_names = [machine.name for machine in machines]
     assignment: dict[str, str] = {}
     for vm in sorted(vms, key=lambda v: (-weight(v), v.name)):
         share = weight(vm)
-        placed = False
-        for machine in machines:
-            if vm.memory_mb > free_mb[machine.name]:
+        for position, name in enumerate(open_names):
+            if vm.memory_mb > free_mb[name]:
                 continue
-            budget = (
-                limit_percent * (machine.capacity_percent / 100.0)
-                - machine.spec.overhead_percent
-            )
-            if loads[machine.name] + share > budget and loads[machine.name] > 0.0:
+            if loads[name] + share > budgets[name] and loads[name] > 0.0:
                 continue
-            assignment[vm.name] = machine.name
-            loads[machine.name] += share
-            free_mb[machine.name] -= vm.memory_mb
-            placed = True
+            assignment[vm.name] = name
+            loads[name] += share
+            free_mb[name] -= vm.memory_mb
+            if free_mb[name] < smallest_mb:
+                del open_names[position]
             break
-        if not placed:
+        else:
             raise PlacementError(
                 f"VM {vm.name!r} ({vm.memory_mb} MB) fits no machine"
             )
@@ -210,23 +216,37 @@ def pack_balanced(
 
     Load is measured relative to each machine's capacity, so a half-full
     big.LITTLE blade is "hotter" than a half-full i7 of twice its size.
+    Hosts sit in a heap keyed ``(relative load, name)``: each pick pops
+    past the hosts too full for the VM, sets them aside and pushes them
+    back afterwards, so it equals the ``min`` over the feasible hosts.  A
+    host whose free memory drops below the smallest VM's footprint leaves
+    the heap for good.
     """
     loads: dict[str, float] = {machine.name: 0.0 for machine in machines}
     free_mb: dict[str, int] = {machine.name: machine.spec.memory_mb for machine in machines}
+    scales: dict[str, float] = {
+        machine.name: machine.capacity_percent / 100.0 for machine in machines
+    }
+    smallest_mb = min((vm.memory_mb for vm in vms), default=0)
+    heap = [(loads[name] / scales[name], name) for name in loads]
+    heapify(heap)
     assignment: dict[str, str] = {}
     for vm in sorted(vms, key=lambda v: (-weight(v), v.name)):
-        feasible = [m for m in machines if vm.memory_mb <= free_mb[m.name]]
-        if not feasible:
+        too_full = []
+        while heap and vm.memory_mb > free_mb[heap[0][1]]:
+            too_full.append(heappop(heap))
+        if not heap:
             raise PlacementError(
                 f"VM {vm.name!r} ({vm.memory_mb} MB) fits no machine"
             )
-        target = min(
-            feasible,
-            key=lambda m: (loads[m.name] / (m.capacity_percent / 100.0), m.name),
-        )
-        assignment[vm.name] = target.name
-        loads[target.name] += weight(vm)
-        free_mb[target.name] -= vm.memory_mb
+        _, name = heappop(heap)
+        assignment[vm.name] = name
+        loads[name] += weight(vm)
+        free_mb[name] -= vm.memory_mb
+        if free_mb[name] >= smallest_mb:
+            heappush(heap, (loads[name] / scales[name], name))
+        for entry in too_full:
+            heappush(heap, entry)
     return assignment
 
 

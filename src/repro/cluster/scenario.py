@@ -31,7 +31,7 @@ from ..cpu.processor import ProcessorSpec
 from ..errors import ConfigurationError
 from ..sim import RngStreams
 from ..workloads import SyntheticTrace, TraceLoad
-from ..workloads.dayshapes import dayshape_points, require_dayshape
+from ..workloads.dayshapes import dayshape_series, require_dayshape
 from .machine import MachineSpec
 from .migration import DEFAULT_MIGRATION, MigrationModel
 from .orchestrator import Orchestrator
@@ -271,14 +271,28 @@ def make_population(config: ClusterScenarioConfig) -> list[ClusterVM]:
     the config's :class:`~repro.workloads.trace.SyntheticTrace` parameters.
     Either way each VM has its own named RNG stream, so populations are
     deterministic per seed and adding VMs never perturbs existing ones.
+    Each VM's day is generated as a ``(starts, percents)`` series and
+    replayed by :meth:`~repro.workloads.trace.TraceLoad.from_series` — the
+    same validation as trace points, without a point object per sample.
     """
     streams = RngStreams(config.seed)
+    synthetic = None
+    if not config.dayshapes:
+        synthetic = SyntheticTrace(
+            base_percent=config.base_percent,
+            swing_percent=config.swing_percent,
+            noise_percent=config.noise_percent,
+            burst_percent=config.burst_percent,
+            bursts=config.bursts,
+            day_length=config.day_length,
+            step=config.trace_step,
+        )
     vms = []
     for index in range(config.n_vms):
         rng = streams.stream(f"vm{index}")
-        if config.dayshapes:
+        if synthetic is None:
             shape = config.dayshapes[index % len(config.dayshapes)]
-            points = dayshape_points(
+            starts, percents = dayshape_series(
                 shape,
                 rng,
                 day_length=config.day_length,
@@ -286,16 +300,8 @@ def make_population(config: ClusterScenarioConfig) -> list[ClusterVM]:
                 scale=config.dayshape_scale,
             )
         else:
-            points = SyntheticTrace(
-                base_percent=config.base_percent,
-                swing_percent=config.swing_percent,
-                noise_percent=config.noise_percent,
-                burst_percent=config.burst_percent,
-                bursts=config.bursts,
-                day_length=config.day_length,
-                step=config.trace_step,
-            ).generate(rng)
-        trace = TraceLoad(points, repeat=True)
+            starts, percents = synthetic.series(rng)
+        trace = TraceLoad.from_series(starts, percents, repeat=True)
         vms.append(
             ClusterVM(
                 f"vm{index:02d}",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from ..errors import ConfigurationError
@@ -23,7 +24,9 @@ class ClusterVM:
         bottleneck: this is owed even when the VM idles).
     demand:
         ``demand(epoch_time) -> percent`` of max-frequency capacity the VM
-        wants at that time.  Delivery is capped at the booked credit.
+        wants at that time — a function of time alone, since repeated
+        queries at the same time reuse the last sample.  Delivery is capped
+        at the booked credit.
     service_class:
         QoS class (``lc`` / ``be``); fleet QoS throttles only ``be`` VMs on
         machines whose ``lc`` VMs are short-served.  Inert without a fleet
@@ -50,20 +53,33 @@ class ClusterVM:
         self.memory_mb = int(check_positive(memory_mb, "memory_mb"))
         self.service_class = service_class
         self._demand = demand
+        # One-slot memo of the last (time, clamped demand) sample: planning
+        # and serving query every VM at the same epoch time several times.
+        self._sampled_at = math.nan
+        self._sample = 0.0
 
     def demand_at(self, time: float) -> float:
         """Demand in percent at *time*, clamped to [0, credit].
 
         The clamp encodes fix-credit semantics at fleet scale: a VM can ask
         for at most what it bought (the thrashing case is a single-host
-        scheduling problem, handled by :mod:`repro.core`).
+        scheduling problem, handled by :mod:`repro.core`).  A negative,
+        NaN or infinite demand is a broken trace, not a request, and raises
+        a :class:`~repro.errors.ConfigurationError`.  The demand callable
+        runs once per distinct query time: a repeat query at the time of
+        the previous one returns that sample.
         """
+        if time == self._sampled_at:
+            return self._sample
         demand = self._demand(time)
-        if demand < 0:
+        if not 0.0 <= demand < math.inf:
+            kind = "negative" if demand < 0 else "non-finite"
             raise ConfigurationError(
-                f"VM {self.name!r} returned negative demand {demand} at t={time}"
+                f"VM {self.name!r} returned {kind} demand {demand} at t={time}"
             )
-        return min(demand, self.credit)
+        self._sample = min(demand, self.credit)
+        self._sampled_at = time
+        return self._sample
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClusterVM({self.name!r}, credit={self.credit}%, mem={self.memory_mb}MB)"

@@ -24,6 +24,7 @@ from .dayshapes import (
     dayshape_csv,
     dayshape_names,
     dayshape_points,
+    dayshape_series,
     DayShape,
 )
 from .latency import LatencyTracker
@@ -39,6 +40,7 @@ __all__ = [
     "dayshape_csv",
     "dayshape_names",
     "dayshape_points",
+    "dayshape_series",
     "Workload",
     "ConstantLoad",
     "LatencyTracker",

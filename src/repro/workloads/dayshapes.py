@@ -23,13 +23,15 @@ so heterogeneous fleets are one config line instead of a page of
     A moderate base with frequent random bursts — the co-tenant nobody
     wants.
 
-Every shape yields :class:`~repro.workloads.trace.TracePoint` lists ending
-in a zero tail at ``day_length`` (so :class:`~repro.workloads.trace.
-TraceLoad` can repeat them as whole days), plugs into cluster populations
-(``ClusterScenarioConfig.dayshapes``) and single-host scenarios
-(``WorkloadSpec(kind="trace", dayshape=...)``), and can be materialised as
-a CSV (:func:`dayshape_csv`) for the ``trace_file`` path — the catalog sits
-*on top of* :func:`~repro.workloads.trace.load_trace_csv`, not beside it.
+Every shape yields a ``(starts, percents)`` series (:func:`dayshape_series`)
+ending in a zero tail at ``day_length`` (so :class:`~repro.workloads.trace.
+TraceLoad` can repeat it as whole days).  Cluster populations
+(``ClusterScenarioConfig.dayshapes``) replay the series directly; single-host
+scenarios (``WorkloadSpec(kind="trace", dayshape=...)``) take it as
+:class:`~repro.workloads.trace.TracePoint` lists (:func:`dayshape_points`),
+and it can be materialised as a CSV (:func:`dayshape_csv`) for the
+``trace_file`` path — the catalog sits *on top of*
+:func:`~repro.workloads.trace.load_trace_csv`, not beside it.
 """
 
 from __future__ import annotations
@@ -180,6 +182,34 @@ def require_dayshape(name: str) -> DayShape:
         ) from None
 
 
+def dayshape_series(
+    name: str,
+    rng: random.Random,
+    *,
+    day_length: float = 400.0,
+    step: float = 5.0,
+    scale: float = 1.0,
+) -> tuple[list[float], list[float]]:
+    """One day of *name*-shaped demand as ``(starts, percents)`` lists.
+
+    Percents are clamped to [0, 100]; ``scale`` multiplies the shape's
+    demand (an intensity knob: the same day at 0.5x or 2x traffic).  The
+    series ends in a zero point at ``day_length`` so
+    :class:`~repro.workloads.trace.TraceLoad` repeats it as whole days;
+    :meth:`~repro.workloads.trace.TraceLoad.from_series` replays it as is.
+    """
+    shape = require_dayshape(name)
+    check_positive(day_length, "day_length")
+    check_positive(step, "step")
+    check_positive(scale, "scale")
+    demands = shape.build(rng, day_length, step)
+    starts = [index * step for index in range(len(demands))]
+    percents = [_clamp(demand * scale) for demand in demands]
+    starts.append(day_length)
+    percents.append(0.0)
+    return starts, percents
+
+
 def dayshape_points(
     name: str,
     rng: random.Random,
@@ -188,24 +218,11 @@ def dayshape_points(
     step: float = 5.0,
     scale: float = 1.0,
 ) -> list[TracePoint]:
-    """One day of *name*-shaped trace points (clamped to [0, 100]).
-
-    ``scale`` multiplies the shape's demand (an intensity knob: the same
-    day at 0.5x or 2x traffic).  The list ends in a zero point at
-    ``day_length`` so :class:`~repro.workloads.trace.TraceLoad` repeats it
-    as whole days.
-    """
-    shape = require_dayshape(name)
-    check_positive(day_length, "day_length")
-    check_positive(step, "step")
-    check_positive(scale, "scale")
-    demands = shape.build(rng, day_length, step)
-    points = [
-        TracePoint(start=index * step, percent=_clamp(demand * scale))
-        for index, demand in enumerate(demands)
-    ]
-    points.append(TracePoint(start=day_length, percent=0.0))
-    return points
+    """:func:`dayshape_series` as trace points (one per sample)."""
+    starts, percents = dayshape_series(
+        name, rng, day_length=day_length, step=step, scale=scale
+    )
+    return list(map(TracePoint, starts, percents))
 
 
 def dayshape_csv(

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import pathlib
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from ..errors import ConfigurationError, WorkloadError
 from ..sim import PeriodicTimer
@@ -108,8 +111,45 @@ def load_trace_csv(path: str | pathlib.Path) -> list[TracePoint]:
     return points
 
 
+def _check_series(starts: list[float], percents: list[float]) -> None:
+    """Reject an invalid trace series: the one validation path of traces.
+
+    Every start and percent must be finite and >= 0 (the
+    :class:`TracePoint` rule, with the same error type and message), and
+    the starts strictly increasing.  The common all-valid case is settled
+    by C-level passes over the two lists; only a failing series is walked
+    point by point to name the offending value.
+    """
+    if not starts:
+        raise WorkloadError("a trace needs at least one point")
+    if len(starts) != len(percents):
+        raise WorkloadError(
+            f"a trace needs one percent per start, got {len(starts)} starts "
+            f"and {len(percents)} percents"
+        )
+    if not (
+        all(map(math.isfinite, starts))
+        and all(map(math.isfinite, percents))
+        and min(starts) >= 0
+        and min(percents) >= 0
+    ):
+        for start, percent in zip(starts, percents):
+            check_non_negative(start, "start")
+            check_non_negative(percent, "percent")
+    if not all(map(operator.lt, starts, islice(starts, 1, None))):
+        raise WorkloadError(
+            f"trace point times must be strictly increasing (no duplicates): {starts}"
+        )
+
+
 class TraceLoad(Workload):
     """Replays a piecewise-constant demand trace onto a domain.
+
+    The trace is held as two parallel lists (point starts and percents),
+    so :meth:`demand_at` is a binary search rather than a scan and large
+    populations (:func:`~repro.cluster.scenario.make_population`) can be
+    built from generated series via :meth:`from_series` without creating a
+    :class:`TracePoint` per sample.
 
     Parameters
     ----------
@@ -130,14 +170,52 @@ class TraceLoad(Workload):
         injection_period: float = 0.05,
         repeat: bool = False,
     ) -> None:
-        super().__init__()
-        if not points:
-            raise WorkloadError("a trace needs at least one point")
         ordered = sorted(points, key=lambda point: point.start)
-        starts = [point.start for point in ordered]
-        if len(set(starts)) != len(starts):
-            raise WorkloadError(f"duplicate trace point times: {starts}")
-        self._points: tuple[TracePoint, ...] = tuple(ordered)
+        self._init_series(
+            [point.start for point in ordered],
+            [point.percent for point in ordered],
+            injection_period=injection_period,
+            repeat=repeat,
+        )
+
+    @classmethod
+    def from_series(
+        cls,
+        starts: Iterable[float],
+        percents: Iterable[float],
+        *,
+        injection_period: float = 0.05,
+        repeat: bool = False,
+    ) -> "TraceLoad":
+        """A trace from parallel start/percent series (starts increasing).
+
+        Equivalent to ``TraceLoad([TracePoint(s, p) for s, p in ...])`` on
+        valid input and checked by the same validation, but unlike the
+        points form the starts are not sorted: out-of-order starts are
+        rejected like duplicate ones.
+        """
+        trace = cls.__new__(cls)
+        trace._init_series(
+            list(starts),
+            list(percents),
+            injection_period=injection_period,
+            repeat=repeat,
+        )
+        return trace
+
+    def _init_series(
+        self,
+        starts: list[float],
+        percents: list[float],
+        *,
+        injection_period: float,
+        repeat: bool,
+    ) -> None:
+        super().__init__()
+        _check_series(starts, percents)
+        self._starts = starts
+        self._percents = percents
+        self._duration = starts[-1]
         self.injection_period = check_positive(injection_period, "injection_period")
         self.repeat = repeat
         self._timer: PeriodicTimer | None = None
@@ -146,24 +224,24 @@ class TraceLoad(Workload):
     @property
     def points(self) -> tuple[TracePoint, ...]:
         """The trace, sorted by time."""
-        return self._points
+        return tuple(map(TracePoint, self._starts, self._percents))
 
     @property
     def duration(self) -> float:
         """Trace length (start of the final point)."""
-        return self._points[-1].start
+        return self._duration
 
     def demand_at(self, time: float) -> float:
-        """Demand in percent at *time* (with wrap-around when repeating)."""
-        if self.repeat and self.duration > 0:
-            time = time % self.duration
-        demand = 0.0
-        for point in self._points:
-            if time >= point.start:
-                demand = point.percent
-            else:
-                break
-        return demand
+        """Demand in percent at *time* (with wrap-around when repeating).
+
+        The percent of the last point whose start is <= *time* (after the
+        modulo wrap when ``repeat`` is set), or 0.0 before the first point
+        — one ``bisect`` over the sorted starts, O(log points).
+        """
+        if self.repeat and self._duration > 0:
+            time = time % self._duration
+        index = bisect_right(self._starts, time)
+        return self._percents[index - 1] if index else 0.0
 
     def start(self) -> None:
         self._timer = PeriodicTimer(
@@ -231,15 +309,21 @@ class SyntheticTrace:
         self.day_length = check_positive(day_length, "day_length")
         self.step = check_positive(step, "step")
 
-    def generate(self, rng) -> list[TracePoint]:
-        """Build one day of trace points using *rng* (a random.Random)."""
-        points: list[TracePoint] = []
+    def series(self, rng) -> tuple[list[float], list[float]]:
+        """One day as ``(starts, percents)`` lists, drawing from *rng*.
+
+        The draw order is that of :meth:`generate`, so both forms of the
+        same seed describe the same day; :meth:`TraceLoad.from_series`
+        replays the lists without building a :class:`TracePoint` each.
+        """
         steps = int(self.day_length / self.step)
         burst_slots = set()
         if self.bursts:
             for index in range(self.bursts):
                 centre = int((index + 0.5) * steps / self.bursts)
                 burst_slots.update({centre - 1, centre, centre + 1})
+        starts: list[float] = []
+        percents: list[float] = []
         for index in range(steps):
             t = index * self.step
             phase = 2.0 * math.pi * t / self.day_length
@@ -247,6 +331,12 @@ class SyntheticTrace:
             demand += rng.gauss(0.0, self.noise_percent)
             if index in burst_slots:
                 demand += self.burst_percent
-            points.append(TracePoint(start=t, percent=max(0.0, min(100.0, demand))))
-        points.append(TracePoint(start=self.day_length, percent=0.0))
-        return points
+            starts.append(t)
+            percents.append(max(0.0, min(100.0, demand)))
+        starts.append(self.day_length)
+        percents.append(0.0)
+        return starts, percents
+
+    def generate(self, rng) -> list[TracePoint]:
+        """Build one day of trace points using *rng* (a random.Random)."""
+        return list(map(TracePoint, *self.series(rng)))

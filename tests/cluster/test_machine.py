@@ -1,5 +1,7 @@
 """Unit tests for cluster machines."""
 
+import math
+
 import pytest
 
 from repro.cluster import ClusterVM, Machine, MachineSpec
@@ -112,3 +114,18 @@ def test_vm_negative_demand_rejected():
     vm = ClusterVM("v", credit=25.0, memory_mb=1024, demand=lambda t: -1.0)
     with pytest.raises(ConfigurationError):
         vm.demand_at(0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vm_non_finite_demand_rejected(bad):
+    vm = ClusterVM("v", credit=20.0, memory_mb=512, demand=lambda t: bad)
+    with pytest.raises(ConfigurationError, match=r"VM 'v' returned .* at t=2\.5"):
+        vm.demand_at(2.5)
+
+
+def test_vm_rejected_sample_is_not_remembered():
+    answers = iter([-1.0, 7.0])
+    vm = ClusterVM("v", credit=20.0, memory_mb=512, demand=lambda t: next(answers))
+    with pytest.raises(ConfigurationError, match="negative demand"):
+        vm.demand_at(0.0)
+    assert vm.demand_at(0.0) == 7.0

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
     ClusterScenarioConfig,
@@ -11,6 +12,7 @@ from repro.cluster import (
     ConsolidatePolicy,
     current_assignment,
     FirstFitPolicy,
+    Machine,
     MachineSpec,
     make_policy,
     Orchestrator,
@@ -21,6 +23,8 @@ from repro.cluster import (
     SpreadPolicy,
     StaticPolicy,
 )
+from repro.cluster.policies import pack_balanced, pack_first_fit, PlacementError
+from repro.cpu import catalog
 from repro.errors import ConfigurationError
 from repro.experiments import preset_config
 
@@ -307,3 +311,155 @@ def test_power_budget_policy_carries_consolidate_knobs():
     policy = PowerBudgetPolicy(budget_w=200.0, target_percent=60.0)
     assert policy.target_percent == 60.0
     assert policy.budget_w == 200.0
+
+
+# ------------------------------------------------- packers vs their references
+
+
+def reference_pack_balanced(machines, vms, weight):
+    """The full-scan worst-fit the heap replaced, kept as the oracle."""
+    loads = {machine.name: 0.0 for machine in machines}
+    free_mb = {machine.name: machine.spec.memory_mb for machine in machines}
+    assignment = {}
+    for vm in sorted(vms, key=lambda v: (-weight(v), v.name)):
+        feasible = [m for m in machines if vm.memory_mb <= free_mb[m.name]]
+        if not feasible:
+            raise PlacementError(f"VM {vm.name!r} ({vm.memory_mb} MB) fits no machine")
+        target = min(
+            feasible,
+            key=lambda m: (loads[m.name] / (m.capacity_percent / 100.0), m.name),
+        )
+        assignment[vm.name] = target.name
+        loads[target.name] += weight(vm)
+        free_mb[target.name] -= vm.memory_mb
+    return assignment
+
+
+def reference_pack_first_fit(machines, vms, weight, *, limit_percent):
+    """The visit-every-host first fit, kept as the oracle."""
+    loads = {machine.name: 0.0 for machine in machines}
+    free_mb = {machine.name: machine.spec.memory_mb for machine in machines}
+    assignment = {}
+    for vm in sorted(vms, key=lambda v: (-weight(v), v.name)):
+        share = weight(vm)
+        for machine in machines:
+            if vm.memory_mb > free_mb[machine.name]:
+                continue
+            budget = (
+                limit_percent * (machine.capacity_percent / 100.0)
+                - machine.spec.overhead_percent
+            )
+            if loads[machine.name] + share > budget and loads[machine.name] > 0.0:
+                continue
+            assignment[vm.name] = machine.name
+            loads[machine.name] += share
+            free_mb[machine.name] -= vm.memory_mb
+            break
+        else:
+            raise PlacementError(f"VM {vm.name!r} ({vm.memory_mb} MB) fits no machine")
+    return assignment
+
+
+@st.composite
+def packing_cases(draw):
+    """A mixed fleet (some hosts too small for big VMs) and a population."""
+    count = draw(st.integers(min_value=1, max_value=8))
+    names = draw(st.permutations([f"m{index}" for index in range(count)]))
+    machines = [
+        Machine(
+            name,
+            MachineSpec(
+                processor=draw(
+                    st.sampled_from([catalog.CORE_I7_3770, catalog.BIG_LITTLE_44])
+                ),
+                memory_mb=draw(st.sampled_from([2048, 4096, 8192, 16384])),
+            ),
+        )
+        for name in names
+    ]
+    weights = {}
+    vms = []
+    for index in range(draw(st.integers(min_value=0, max_value=16))):
+        name = f"vm{index}"
+        # Few distinct weights, so ties exercise the name tiebreak.
+        weights[name] = draw(st.sampled_from([0.0, 2.5, 10.0, 17.5, 30.0]))
+        vms.append(
+            ClusterVM(
+                name,
+                credit=30.0,
+                memory_mb=draw(st.sampled_from([1024, 2048, 4096, 8192])),
+                demand=lambda t: 0.0,
+            )
+        )
+    return machines, vms, lambda vm: weights[vm.name]
+
+
+def outcome(packer, *args, **kwargs):
+    try:
+        return packer(*args, **kwargs)
+    except PlacementError as error:
+        return ("PlacementError", str(error))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=packing_cases())
+def test_heap_pack_balanced_matches_the_min_scan(case):
+    machines, vms, weight = case
+    assert outcome(pack_balanced, machines, vms, weight) == outcome(
+        reference_pack_balanced, machines, vms, weight
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=packing_cases(), limit=st.sampled_from([40.0, 75.0, 100.0]))
+def test_pruned_pack_first_fit_matches_the_full_visit(case, limit):
+    machines, vms, weight = case
+    assert outcome(
+        pack_first_fit, machines, vms, weight, limit_percent=limit
+    ) == outcome(reference_pack_first_fit, machines, vms, weight, limit_percent=limit)
+
+
+# ------------------------------------------------------ one sample per epoch
+
+
+def counting_population(count, calls):
+    """VMs whose demand callables log every (vm, time) they are asked."""
+
+    def demand(name):
+        def sample(t):
+            calls.append((name, t))
+            return 12.0 + 18.0 * ((t // 10.0) % 3 == 0)
+
+        return sample
+
+    return [
+        ClusterVM(f"vm{index}", credit=30.0, memory_mb=4096, demand=demand(f"vm{index}"))
+        for index in range(count)
+    ]
+
+
+def test_power_budget_samples_each_vm_once_per_epoch():
+    calls = []
+    vms = counting_population(6, calls)
+    sim = Orchestrator(
+        machine_specs=[MachineSpec(count=4)],
+        vms=vms,
+        policy=PowerBudgetPolicy(budget_w=120.0),
+        dvfs=True,
+        epoch_s=10.0,
+        power_budget_w=120.0,
+    )
+    sim.run(100.0)
+    epochs = [index * 10.0 for index in range(10)]
+    assert len(sim.stats) == len(epochs)
+    assert sorted(calls) == sorted((vm.name, t) for vm in vms for t in epochs)
+
+
+def test_a_new_query_time_takes_a_fresh_sample():
+    calls = []
+    (vm,) = counting_population(1, calls)
+    assert vm.demand_at(0.0) == 30.0
+    assert vm.demand_at(0.0) == 30.0
+    assert vm.demand_at(10.0) == 12.0
+    assert vm.demand_at(0.0) == 30.0
+    assert calls == [("vm0", 0.0), ("vm0", 10.0), ("vm0", 0.0)]

@@ -1,10 +1,12 @@
 """Unit tests for trace-driven workloads."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import WorkloadError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.workloads import SyntheticTrace, TraceLoad, TracePoint
 
 from ..conftest import make_host
@@ -106,3 +108,101 @@ def test_synthetic_drives_trace_load_end_to_end():
     host.run(until=50.0)
     mean_load = host.recorder.series("vm.global_load").window(5, 50).mean()
     assert 10.0 <= mean_load <= 50.0
+
+
+def reference_demand_at(points, time, *, repeat):
+    """The linear scan the bisect lookup replaced, kept as the oracle."""
+    ordered = sorted(points, key=lambda point: point.start)
+    duration = ordered[-1].start
+    if repeat and duration > 0:
+        time = time % duration
+    demand = 0.0
+    for point in ordered:
+        if time >= point.start:
+            demand = point.percent
+        else:
+            break
+    return demand
+
+
+@st.composite
+def traces_and_times(draw):
+    """A random trace plus query times at starts, in gaps, before and after."""
+    starts = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
+            min_size=1,
+            max_size=12,
+            unique=True,
+        )
+    )
+    percents = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            min_size=len(starts),
+            max_size=len(starts),
+        )
+    )
+    points = [TracePoint(start, percent) for start, percent in zip(starts, percents)]
+    ordered = sorted(starts)
+    gaps = [(a + b) / 2.0 for a, b in zip(ordered, ordered[1:])]
+    edges = [ordered[0] - 1.0, ordered[-1] + 0.5, ordered[-1] * 3.0 + 7.25]
+    extra = draw(
+        st.lists(
+            st.floats(min_value=-50.0, max_value=5000.0, allow_nan=False),
+            max_size=5,
+        )
+    )
+    return points, ordered + gaps + edges + extra
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=traces_and_times(), repeat=st.booleans())
+def test_bisect_lookup_matches_linear_scan(case, repeat):
+    points, times = case
+    trace = TraceLoad(points, repeat=repeat)
+    for time in times:
+        assert trace.demand_at(time) == reference_demand_at(
+            points, time, repeat=repeat
+        )
+
+
+def test_series_path_replays_like_points_path():
+    starts, percents = SyntheticTrace().series(random.Random(5))
+    by_series = TraceLoad.from_series(starts, percents, repeat=True)
+    by_points = TraceLoad(SyntheticTrace().generate(random.Random(5)), repeat=True)
+    assert by_series.points == by_points.points
+    assert by_series.duration == by_points.duration
+    times = [index * 2.5 for index in range(400)]
+    assert [by_series.demand_at(t) for t in times] == [
+        by_points.demand_at(t) for t in times
+    ]
+
+
+@pytest.mark.parametrize(
+    "starts, percents, error",
+    [
+        pytest.param([0.0, 0.0], [1.0, 2.0], WorkloadError, id="duplicate-time"),
+        pytest.param([0.0, 5.0], [1.0, -2.0], ConfigurationError, id="negative-percent"),
+        pytest.param([-1.0, 5.0], [1.0, 2.0], ConfigurationError, id="negative-start"),
+        pytest.param([0.0, 5.0], [math.nan, 2.0], ConfigurationError, id="nan-percent"),
+        pytest.param([0.0, math.nan], [1.0, 2.0], ConfigurationError, id="nan-start"),
+        pytest.param([0.0, 5.0], [1.0, math.inf], ConfigurationError, id="inf-percent"),
+    ],
+)
+def test_points_and_series_paths_reject_alike(starts, percents, error):
+    with pytest.raises(error) as by_series:
+        TraceLoad.from_series(starts, percents)
+    with pytest.raises(error) as by_points:
+        TraceLoad([TracePoint(s, p) for s, p in zip(starts, percents)])
+    assert type(by_series.value) is type(by_points.value)
+    assert str(by_series.value) == str(by_points.value)
+
+
+def test_series_path_rejects_out_of_order_and_ragged_series():
+    with pytest.raises(WorkloadError, match="strictly increasing"):
+        TraceLoad.from_series([5.0, 0.0], [1.0, 2.0])
+    with pytest.raises(WorkloadError, match="one percent per start"):
+        TraceLoad.from_series([0.0, 5.0], [1.0])
+    with pytest.raises(WorkloadError, match="at least one point"):
+        TraceLoad.from_series([], [])
