@@ -37,6 +37,7 @@ from .keys import (
     canonical_json,
     cell_key,
     config_payload,
+    indented_json,
     metric_names,
     STORE_SCHEMA_VERSION,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "config_payload",
     "metric_names",
     "canonical_json",
+    "indented_json",
     "encode_blob",
     "decode_blob",
     "STORE_SCHEMA_VERSION",

@@ -14,6 +14,13 @@ Index appends are single ``write()`` calls of one line, so concurrent
 writers interleave whole lines rather than corrupting each other; the
 index is only a catalog — the blobs are the truth, and :meth:`gc` rebuilds
 the index from them.
+
+Each index line also carries ``blob_sha256``, the sha256 of the exact blob
+text :meth:`~ExperimentStore.put` wrote.  A read whose raw bytes hash to
+that digest skips re-encoding the payload to check its own digest; any
+other read (no index line, a line from before ``blob_sha256``, a stale,
+torn or wrong digest, a blob rewritten since) runs the full check.  So a
+missing or wrong digest costs one full verification, never a wrong result.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from ..errors import (
     StoreError,
     StoreVersionError,
 )
-from .keys import canonical_json, STORE_SCHEMA_VERSION
+from .keys import canonical_json, indented_json, STORE_SCHEMA_VERSION
 
 #: Index filename under the store root.
 INDEX_NAME = "index.jsonl"
@@ -38,30 +45,41 @@ INDEX_NAME = "index.jsonl"
 CELLS_DIR = "cells"
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def encode_blob(payload: Mapping[str, Any]) -> str:
     """Serialise a blob: the payload plus a sha256 over its canonical form."""
-    digest = hashlib.sha256(canonical_json(dict(payload)).encode("utf-8")).hexdigest()
-    return json.dumps(
-        {"payload": dict(payload), "sha256": digest}, sort_keys=True, indent=2
-    ) + "\n"
+    payload = dict(payload)
+    digest = _sha256(canonical_json(payload).encode("utf-8"))
+    return indented_json({"payload": payload, "sha256": digest}) + "\n"
 
 
-def decode_blob(text: str) -> dict[str, Any]:
-    """Parse and integrity-check a blob; raises on damage or version skew."""
+def decode_blob(text: str | bytes, *, trusted: bool = False) -> dict[str, Any]:
+    """Parse and integrity-check a blob; raises on damage or version skew.
+
+    *trusted* skips re-encoding the payload to check its recorded digest;
+    pass it only when the exact bytes of *text* hash to a digest recorded
+    when those bytes were written or last passed this full check.
+    """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # JSONDecodeError, or bytes that are not UTF-8
         raise StoreCorruptionError(f"blob is not valid JSON: {error}") from None
     if not isinstance(document, dict) or "payload" not in document:
         raise StoreCorruptionError("blob has no payload envelope")
     payload = document["payload"]
-    recorded = document.get("sha256")
-    actual = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-    if recorded != actual:
-        raise StoreCorruptionError(
-            f"blob digest mismatch: recorded {str(recorded)[:12]}…, "
-            f"content hashes to {actual[:12]}…"
-        )
+    if not isinstance(payload, dict):
+        raise StoreCorruptionError("blob payload is not a JSON object")
+    if not trusted:
+        recorded = document.get("sha256")
+        actual = _sha256(canonical_json(payload).encode("utf-8"))
+        if recorded != actual:
+            raise StoreCorruptionError(
+                f"blob digest mismatch: recorded {str(recorded)[:12]}…, "
+                f"content hashes to {actual[:12]}…"
+            )
     schema = payload.get("schema")
     if schema != STORE_SCHEMA_VERSION:
         raise StoreVersionError(
@@ -151,6 +169,16 @@ def _any_candidate_compares(candidates: list, op: str, text: str) -> bool:
     return False
 
 
+def _index_entry(key: str, payload: Mapping[str, Any], digest: str) -> dict[str, Any]:
+    """The index line for the blob of *payload*, whose bytes hash to *digest*."""
+    return {
+        "key": key,
+        "label": payload.get("label"),
+        "config_type": (payload.get("config") or {}).get("type"),
+        "blob_sha256": digest,
+    }
+
+
 class ExperimentStore:
     """A content-addressed, durable store of reduced sweep cells."""
 
@@ -165,6 +193,11 @@ class ExperimentStore:
             raise ConfigurationError(
                 f"cannot open experiment store at {self.root}: {error}"
             ) from None
+        # key -> sha256 of blob bytes known to be good: recorded by put(),
+        # learned from reads that passed the full check, and (once, on
+        # first use) the index's blob_sha256 fields.
+        self._trusted: dict[str, str] = {}
+        self._index_digests_loaded = False
 
     # -------------------------------------------------------------- plumbing
 
@@ -174,7 +207,7 @@ class ExperimentStore:
 
     def _write_atomic(self, path: pathlib.Path, text: str) -> None:
         tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
 
     def _append_index(self, entry: Mapping[str, Any]) -> None:
@@ -208,14 +241,11 @@ class ExperimentStore:
             "metrics_list": list(metrics_list),
             "metrics": dict(metrics),
         }
-        self._write_atomic(self.blob_path(key), encode_blob(payload))
-        self._append_index(
-            {
-                "key": key,
-                "label": label,
-                "config_type": payload["config"].get("type"),
-            }
-        )
+        text = encode_blob(payload)
+        self._write_atomic(self.blob_path(key), text)
+        digest = _sha256(text.encode("utf-8"))
+        self._append_index(_index_entry(key, payload, digest))
+        self._trusted[key] = digest
         return payload
 
     # --------------------------------------------------------------- reading
@@ -227,17 +257,35 @@ class ExperimentStore:
         :class:`StoreCorruptionError` when the blob fails its digest, and
         :class:`StoreVersionError` on schema skew.
         """
+        return self._read_verified(key)[0]
+
+    def _read_verified(self, key: str) -> tuple[dict[str, Any], str]:
+        """The payload under *key* and the sha256 of the blob bytes it came from."""
         path = self.blob_path(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             raise StoreError(f"no stored cell {key!r} in {self.root}") from None
-        payload = decode_blob(text)
+        digest = _sha256(data)
+        payload = decode_blob(data, trusted=self._trusted_digest(key) == digest)
         if payload.get("key") != key:
             raise StoreCorruptionError(
                 f"blob {path.name} claims key {str(payload.get('key'))[:12]}…"
             )
-        return payload
+        self._trusted[key] = digest
+        return payload, digest
+
+    def _trusted_digest(self, key: str) -> str | None:
+        if not self._index_digests_loaded:
+            self._index_digests_loaded = True
+            from_index = {
+                entry["key"]: entry["blob_sha256"]
+                for entry in self._index_lines()
+                if isinstance(entry.get("blob_sha256"), str)
+            }
+            # What this instance wrote or verified is newer than the index.
+            self._trusted = {**from_index, **self._trusted}
+        return self._trusted.get(key)
 
     def lookup(self, key: str) -> dict[str, Any] | None:
         """The payload under *key*, or ``None`` when missing or unusable.
@@ -275,7 +323,7 @@ class ExperimentStore:
                 entry = json.loads(line)
             except json.JSONDecodeError:
                 continue  # a torn tail line; gc() rewrites the index
-            if isinstance(entry, dict) and "key" in entry:
+            if isinstance(entry, dict) and isinstance(entry.get("key"), str):
                 yield entry
 
     def entries(self) -> list[dict[str, Any]]:
@@ -372,9 +420,10 @@ class ExperimentStore:
             "reindexed": 0,
         }
         valid: dict[str, dict[str, Any]] = {}
+        digests: dict[str, str] = {}
         for key in self.keys():
             try:
-                valid[key] = self.read(key)
+                valid[key], digests[key] = self._read_verified(key)
             except StoreVersionError:
                 stats["version_mismatch"] += 1
                 self.blob_path(key).unlink(missing_ok=True)
@@ -390,19 +439,10 @@ class ExperimentStore:
                 stats["stale_index"] += 1
                 continue
             indexed.add(key)
-            lines.append(canonical_json(entry))
+            lines.append(canonical_json(dict(entry, blob_sha256=digests[key])))
         for key in sorted(set(valid) - indexed):
-            payload = valid[key]
             stats["reindexed"] += 1
-            lines.append(
-                canonical_json(
-                    {
-                        "key": key,
-                        "label": payload.get("label"),
-                        "config_type": (payload.get("config") or {}).get("type"),
-                    }
-                )
-            )
+            lines.append(canonical_json(_index_entry(key, valid[key], digests[key])))
         self._write_atomic(
             self.index_path, "".join(line + "\n" for line in lines)
         )

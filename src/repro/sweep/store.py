@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..errors import ConfigurationError
+from ..store.keys import indented_json
 from ..telemetry.export import records_to_csv, table_to_text
 
 #: The replicate suffix :class:`~repro.sweep.grid.SweepGrid` appends to
@@ -225,7 +226,7 @@ class SweepResults:
             "meta": {**self.meta, "aggregated": True},
             "rows": self.aggregated_records(),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return indented_json(payload) + "\n"
 
     def to_aggregated_csv(self) -> str:
         """:meth:`aggregated_records` as one CSV table."""
@@ -261,7 +262,7 @@ class SweepResults:
                 for cell in self.cells
             ],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return indented_json(payload) + "\n"
 
     def to_csv(self) -> str:
         """Flat CSV via :func:`repro.telemetry.export.records_to_csv`."""

@@ -1,5 +1,6 @@
 """ExperimentStore robustness: integrity, versioning, concurrency, GC."""
 
+import hashlib
 import json
 import multiprocessing
 
@@ -13,6 +14,7 @@ from repro.errors import (
 )
 from repro.experiments import ScenarioConfig
 from repro.store import (
+    canonical_json,
     cell_key,
     config_payload,
     encode_blob,
@@ -120,6 +122,28 @@ def test_blob_claiming_wrong_key_is_corruption(tmp_path):
     store.blob_path("f" * 64).write_text(store.blob_path("e" * 64).read_text())
     with pytest.raises(StoreCorruptionError, match="claims key"):
         store.read("f" * 64)
+
+
+def test_digest_valid_non_object_payload_is_corruption(tmp_path):
+    store = ExperimentStore(tmp_path / "st")
+    key = "2" * 64
+    digest = hashlib.sha256(canonical_json([1]).encode("utf-8")).hexdigest()
+    store.blob_path(key).write_text(json.dumps({"payload": [1], "sha256": digest}))
+    with pytest.raises(StoreCorruptionError, match="not a JSON object"):
+        store.read(key)
+    assert store.lookup(key) is None
+    assert store.gc()["corrupt"] == 1
+    assert not store.blob_path(key).exists()
+
+
+def test_blob_bytes_that_are_not_utf8_are_corruption(tmp_path):
+    store = ExperimentStore(tmp_path / "st")
+    key = "3" * 64
+    put_cell(store, key)
+    store.blob_path(key).write_bytes(b"\xff\xfe" + store.blob_path(key).read_bytes())
+    with pytest.raises(StoreCorruptionError, match="not valid JSON"):
+        store.read(key)
+    assert store.lookup(key) is None
 
 
 def test_schema_version_mismatch_detected(tmp_path):
