@@ -24,6 +24,8 @@ from .freq_table import FrequencyTable
 from .power import PowerModel
 from .pstate import PState
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class ProcessorSpec:
@@ -112,10 +114,12 @@ class Processor:
         self._refresh_state_cache()
 
     def _refresh_state_cache(self) -> None:
-        state = self._state
-        self._capacity = self._capacity_cache[state.freq_mhz]
-        self._power_idle = self._power_cache[(state.freq_mhz, 0.0)]
-        self._power_busy = self._power_cache[(state.freq_mhz, 1.0)]
+        freq_mhz = self._state.freq_mhz
+        #: Time-in-state key of the current state (read on every bill).
+        self._freq_key = freq_mhz
+        self._capacity = self._capacity_cache[freq_mhz]
+        self._power_idle = self._power_cache[(freq_mhz, 0.0)]
+        self._power_busy = self._power_cache[(freq_mhz, 1.0)]
 
     # ------------------------------------------------------------- identity
 
@@ -209,26 +213,49 @@ class Processor:
         Returns the energy consumed over the interval in joules, so the
         caller can attribute it (the host charges it to the running
         domain for per-VM energy accounting).
+
+        The two utilisations the dispatch loop ever bills go to
+        :meth:`_bill_busy` and :meth:`_bill_idle`, which the host also
+        calls directly once it has established ``dt > 0``.
         """
-        if dt == 0.0:
-            check_non_negative(dt, "dt")
+        if not 0.0 < dt < _INF:
+            check_non_negative(dt, "dt")  # negative or non-finite: raises
             return 0.0
-        if dt < 0.0:
-            check_non_negative(dt, "dt")
+        if busy_fraction == 1.0:
+            return self._bill_busy(dt)
+        if busy_fraction == 0.0:
+            return self._bill_idle(dt)
+        check_fraction(busy_fraction, "busy_fraction")
         self._elapsed_seconds += dt
         self._busy_seconds += dt * busy_fraction
-        self._time_in_state[self._state.freq_mhz] += dt
-        # The power model is a pure function of (state, utilisation); the
-        # two utilisations the dispatch loop ever bills (fully busy slices,
-        # fully idle gaps) are served from the per-state cache.  Energy is
-        # ``power * dt`` either way, so the cached path is bit-identical.
-        if busy_fraction == 1.0:
-            energy = self._power_busy * dt
-        elif busy_fraction == 0.0:
-            energy = self._power_idle * dt
-        else:
-            check_fraction(busy_fraction, "busy_fraction")
-            energy = self._spec.power.energy(self._state, self._table, busy_fraction, dt)
+        self._time_in_state[self._freq_key] += dt
+        energy = self._spec.power.energy(self._state, self._table, busy_fraction, dt)
+        self._energy_joules += energy
+        return energy
+
+    def _bill_busy(self, dt: float) -> float:
+        """:meth:`account` for a fully busy interval; caller ensures ``dt > 0``.
+
+        The power model is a pure function of (state, utilisation), so the
+        per-state cached wattage times *dt* is bit-identical to the model's
+        own ``power * dt``.
+        """
+        self._elapsed_seconds += dt
+        self._busy_seconds += dt
+        self._time_in_state[self._freq_key] += dt
+        energy = self._power_busy * dt
+        self._energy_joules += energy
+        return energy
+
+    def _bill_idle(self, dt: float) -> float:
+        """:meth:`account` for a fully idle interval; caller ensures ``dt > 0``.
+
+        Busy seconds are left alone: adding ``dt * 0.0`` to a non-negative
+        total never changes it.
+        """
+        self._elapsed_seconds += dt
+        self._time_in_state[self._freq_key] += dt
+        energy = self._power_idle * dt
         self._energy_joules += energy
         return energy
 

@@ -14,11 +14,14 @@ from typing import TYPE_CHECKING, Callable
 
 from ..errors import ConfigurationError
 from ..units import check_non_negative
-from .vcpu import VCpu
+from .vcpu import VCpu, VCpuState, WORK_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..workloads.base import Workload
     from .host import Host
+
+_INF = float("inf")
+_RUNNABLE = VCpuState.RUNNABLE
 
 #: Priority class of Dom0 (picked before any guest class).
 DOM0_CLASS = 0
@@ -154,11 +157,17 @@ class Domain:
 
     def add_work(self, work: float) -> None:
         """Queue demand on the vCPU and wake it if it was blocked."""
-        was_blocked = not self._vcpu.runnable
-        self._vcpu.add_work(work)
-        if was_blocked and self._vcpu.has_work:
-            self._vcpu.mark_runnable()
-            self._host.on_vcpu_wake(self._vcpu)
+        vcpu = self._vcpu
+        if 0.0 <= work < _INF:
+            vcpu._pending_work += work
+        else:
+            vcpu.add_work(work)  # negative, NaN and ±inf work raise here
+        # VCpu.mark_runnable, written out: workloads inject demand at every
+        # timer period, so this is a per-event path.
+        if not vcpu.runnable and vcpu._pending_work > WORK_EPSILON:
+            vcpu._state = _RUNNABLE
+            vcpu.runnable = True
+            self._host.on_vcpu_wake(vcpu)
 
     def on_idle(self, callback: Callable[[float], None]) -> None:
         """Register *callback(now)* for each queue-drained transition."""

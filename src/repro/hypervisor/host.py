@@ -12,6 +12,16 @@ the same composition as a Xen box (§2).  It runs a slice-based dispatch loop:
   in-flight slice early (work accrual assumes constant capacity per slice);
 * accounting is lazy: counters are brought up to date at slice boundaries
   and on :meth:`sync_accounting` (the load monitor forces this each sample).
+
+Every slice boundary and accounting poll runs the host's hot path, so
+its fold sites — :meth:`_close_slice` (shared by natural slice ends and
+preemptions) and :meth:`sync_accounting` — write the bodies of
+:meth:`VCpu.consume` and the ``mark_runnable`` / ``mark_blocked``
+transitions out in place, as :meth:`_begin_dispatch` does for
+``mark_running``.  They bill the processor through its busy and idle
+paths (``Processor._bill_busy`` / ``_bill_idle``), the same two that
+:meth:`Processor.account` delegates to.  Every float operation is the one
+the method would have done, in the same order.
 """
 
 from __future__ import annotations
@@ -26,10 +36,14 @@ from ..sim import Engine, EventHandle, PeriodicTimer, RngStreams
 from ..telemetry import Recorder
 from .domain import DOM0_CLASS, Domain, DomainConfig, GUEST_CLASS
 from .load_monitor import LoadMonitor
-from .vcpu import VCpu, WORK_EPSILON
+from .vcpu import VCpu, VCpuState, WORK_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..schedulers.base import Scheduler
+
+_BLOCKED = VCpuState.BLOCKED
+_RUNNABLE = VCpuState.RUNNABLE
+_RUNNING = VCpuState.RUNNING
 
 
 class Host:
@@ -247,24 +261,25 @@ class Host:
         if self._current is not None:
             raise SchedulerError("dispatch while a vCPU is running")
         engine = self.engine
-        now = engine.now
+        now = engine._now
         idle_from = self._idle_from
         if idle_from is not None:
             gap = now - idle_from
             if gap > 0:
-                self._idle_energy += self.processor.account(gap, 0.0)
+                self._idle_energy += self.processor._bill_idle(gap)
             self._idle_from = None
-        vcpu = self.scheduler.pick_next(now)
+        scheduler = self.scheduler
+        vcpu = scheduler.pick_next(now)
         trace = _obs.TRACER
         if vcpu is None:
             if trace is not None:
                 trace.sched_pick(now, None, 0.0)
             self._idle_from = now
             return
-        slice_len = self.scheduler.slice_for(vcpu, now)
+        slice_len = scheduler.slice_for(vcpu, now)
         if slice_len <= 0:
             raise SchedulerError(
-                f"scheduler {self.scheduler.name!r} returned a non-positive slice "
+                f"scheduler {scheduler.name!r} returned a non-positive slice "
                 f"({slice_len}) for {vcpu.name!r}"
             )
         capacity = self.processor._capacity
@@ -272,7 +287,11 @@ class Host:
         run_for = drain if drain < slice_len else slice_len
         if trace is not None:
             trace.sched_pick(now, vcpu.name, run_for)
-        vcpu.mark_running()
+        # VCpu.mark_running, written out.
+        if vcpu._state is _BLOCKED:
+            raise SchedulerError(f"cannot dispatch blocked vCPU {vcpu.name!r}")
+        vcpu._state = _RUNNING
+        vcpu._dispatch_count += 1
         self._current = vcpu
         self._slice_start = now
         self._slice_capacity = capacity
@@ -281,49 +300,64 @@ class Host:
         )
 
     def _on_slice_end(self) -> None:
-        self._end_current_slice()
+        # Natural slice end: the engine popped and fired this handle and
+        # only the host still references it, so it goes back to the pool
+        # for the next slice (one dispatch per slice makes it the hottest
+        # allocation in a run).
+        engine = self.engine
+        engine.release(self._slice_end_event)
+        self._slice_end_event = None
+        self._close_slice(engine._now)
         self._begin_dispatch()
 
     def _end_current_slice(self) -> None:
-        vcpu = self._current
-        if vcpu is None:
+        """Preempt the in-flight slice and fold it into the books."""
+        if self._current is None:
             raise SchedulerError("ending a slice while idle")
-        now = self.engine.now
         event = self._slice_end_event
         if event is not None:
+            # Still in the heap, so it can only be tombstoned: the pop
+            # loop discards it.
+            event._cancelled = True
             self._slice_end_event = None
-            if event.callback is None:
-                # Natural slice end: the engine popped and fired this handle
-                # and only we still reference it — pool it for the next
-                # slice.  One dispatch per slice makes this the hottest
-                # allocation in a run after the timer handles PR 5 already
-                # recycles.
-                self.engine.release(event)
-            else:
-                # Preempted: the handle is still in the heap, so it can only
-                # be tombstoned — the pop loop discards it.
-                event._cancelled = True
+        self._close_slice(self.engine._now)
+
+    def _close_slice(self, now: float) -> None:
+        """Fold the in-flight slice up to *now* and requeue or block its vCPU.
+
+        The one slice-close body behind both natural ends and preemptions.
+        """
+        vcpu = self._current
         self._current = None
-        elapsed = now - self._slice_start
+        slice_start = self._slice_start
+        elapsed = now - slice_start
         scheduler = self.scheduler
         if elapsed > 0:
             trace = _obs.TRACER
             if trace is not None:
-                trace.sched_slice(vcpu.name, self._slice_start, elapsed)
+                trace.sched_slice(vcpu.name, slice_start, elapsed)
+            # VCpu.consume, written out (elapsed > 0, so both its argument
+            # checks hold by construction).
             work = elapsed * self._slice_capacity
-            vcpu.consume(work, elapsed)
-            energy = self.processor.account(elapsed, 1.0)
+            pending = vcpu._pending_work - work
+            vcpu._pending_work = pending if pending >= WORK_EPSILON else 0.0
+            vcpu._work_done += work
+            vcpu._cpu_seconds += elapsed
+            energy = self.processor._bill_busy(elapsed)
             name = vcpu.name
             domain_energy = self._domain_energy
             domain_energy[name] = domain_energy.get(name, 0.0) + energy
             scheduler.charge(vcpu, elapsed, now)
+        # VCpu.mark_runnable / mark_blocked, written out.
         if vcpu._pending_work > WORK_EPSILON:
-            vcpu.mark_runnable()
+            vcpu._state = _RUNNABLE
+            vcpu.runnable = True
             scheduler.put_back(vcpu)
         else:
-            vcpu.mark_blocked()
+            vcpu._state = _BLOCKED
+            vcpu.runnable = False
             scheduler.sleep(vcpu)
-            vcpu.domain.notify_idle(now)
+            vcpu._domain.notify_idle(now)
 
     def kick(self) -> None:
         """Re-evaluate scheduling if the processor is idle.
@@ -350,9 +384,13 @@ class Host:
             now = self.engine._now
             elapsed = now - self._slice_start
             if elapsed > 0:
+                # VCpu.consume, written out as in _close_slice.
                 work = elapsed * self._slice_capacity
-                current.consume(work, elapsed)
-                energy = self.processor.account(elapsed, 1.0)
+                pending = current._pending_work - work
+                current._pending_work = pending if pending >= WORK_EPSILON else 0.0
+                current._work_done += work
+                current._cpu_seconds += elapsed
+                energy = self.processor._bill_busy(elapsed)
                 name = current.name
                 domain_energy = self._domain_energy
                 domain_energy[name] = domain_energy.get(name, 0.0) + energy
@@ -364,7 +402,7 @@ class Host:
                 now = self.engine._now
                 gap = now - idle_from
                 if gap > 0:
-                    self._idle_energy += self.processor.account(gap, 0.0)
+                    self._idle_energy += self.processor._bill_idle(gap)
                 self._idle_from = now
 
     # -------------------------------------------------- energy attribution

@@ -10,6 +10,13 @@ The class is slotted and keeps its hot fields (state, pending work, the
 owning domain's name) as plain attributes: the dispatch loop touches every
 one of them on every slice boundary, so property indirection here is pure
 overhead.  The public read API is unchanged.
+
+The hot paths also skip the mutators: the host's slice close, its
+``sync_accounting`` and dispatch, and ``Domain.add_work`` write the
+fields directly with the exact bodies of :meth:`VCpu.consume`,
+:meth:`VCpu.add_work` and the ``mark_*`` transitions (the "cannot
+dispatch blocked vCPU" check included).  A change to any of those methods
+must be made at those sites too.
 """
 
 from __future__ import annotations
@@ -41,7 +48,8 @@ class VCpu:
     """One virtual CPU belonging to one domain.
 
     The host mutates state through :meth:`mark_running` /
-    :meth:`mark_runnable` / :meth:`mark_blocked`; schedulers only read it.
+    :meth:`mark_runnable` / :meth:`mark_blocked` (or their bodies, written
+    out on its hot paths); schedulers only read it.
     """
 
     __slots__ = (

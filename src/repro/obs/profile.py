@@ -119,7 +119,7 @@ class PhaseProfiler:
         self._wrap_timer(cpufreq._timer, "cpufreq")
         host.sync_accounting = self.wrap_phase("accounting", host.sync_accounting)
         host._begin_dispatch = self.wrap_phase("dispatch", host._begin_dispatch)
-        host._end_current_slice = self.wrap_phase("dispatch", host._end_current_slice)
+        host._close_slice = self.wrap_phase("dispatch", host._close_slice)
         self._wrap_timer(host._monitor._timer, "telemetry")
         for domain in host.domains:
             for workload in domain.workloads:

@@ -153,6 +153,11 @@ class CreditScheduler(Scheduler):
             self._queues[account.priority_class].append(account)
             account.queued = True
 
+    #: A requeue after a slice is a wake here (no separate BOOST path), so
+    #: ``put_back`` is ``wake`` itself rather than the base class's
+    #: forwarding default, one call frame per requeued slice cheaper.
+    put_back = wake
+
     def sleep(self, vcpu: "VCpu") -> None:
         account = self._accounts.get(vcpu.name)
         if account is None:
@@ -237,8 +242,13 @@ class CreditScheduler(Scheduler):
         by_domain[name] = by_domain.get(name, 0.0) + wall_dt
 
     def should_preempt(self, current: "VCpu", waking: "VCpu") -> bool:
-        current_account = self._account_of(current)
-        waking_account = self._account_of(waking)
+        accounts = self._accounts
+        current_account = accounts.get(current.name)
+        if current_account is None:
+            current_account = self._account_of(current)
+        waking_account = accounts.get(waking.name)
+        if waking_account is None:
+            waking_account = self._account_of(waking)
         if waking_account.parked:
             return False
         if waking_account.priority_class < current_account.priority_class:
@@ -271,11 +281,12 @@ class CreditScheduler(Scheduler):
         ]
         total_weight = sum(account.weight for account in active)
         if total_weight > 0:
+            period = self.accounting_period
+            clamp = self.credit_clamp
             for account in active:
                 share = account.weight / total_weight
-                account.credit_s += share * self.accounting_period
-                if account.credit_s > self.credit_clamp:
-                    account.credit_s = self.credit_clamp
+                credit_s = account.credit_s + share * period
+                account.credit_s = clamp if credit_s > clamp else credit_s
         for account in self._accounts.values():
             account.usage_in_period = 0.0
             account.parked = False

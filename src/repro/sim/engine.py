@@ -25,6 +25,8 @@ from ..errors import SimulationError
 from ..obs import hooks as _obs
 from .events import EventHandle
 
+_INF = float("inf")
+
 
 class Engine:
     """A deterministic discrete-event loop.
@@ -98,10 +100,14 @@ class Engine:
         """Schedule *callback* to fire *delay* seconds from now.
 
         A zero delay is allowed and fires before the engine advances time,
-        after all events already queued for the current instant.
+        after all events already queued for the current instant.  A
+        negative, NaN or infinite delay raises :class:`SimulationError`.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {label or callback!r} {-delay:.9f}s in the past")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(
+                f"cannot schedule {label or callback!r} after a delay of {delay!r}s: "
+                "delays are finite and >= 0"
+            )
         time = self._now + delay
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -122,10 +128,13 @@ class Engine:
         return handle
 
     def schedule_at(self, time: float, callback: Callable[[], None], *, label: str = "") -> EventHandle:
-        """Schedule *callback* at absolute simulated *time*."""
-        if time < self._now:
+        """Schedule *callback* at absolute simulated *time*.
+
+        *time* must be finite and not before :attr:`now`.
+        """
+        if not self._now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule {label or callback!r} at t={time:.9f}, now is t={self._now:.9f}"
+                f"cannot schedule {label or callback!r} at t={time!r}, now is t={self._now:.9f}"
             )
         sequence = self._sequence
         self._sequence = sequence + 1
@@ -190,10 +199,12 @@ class Engine:
         """Run every event with due time <= *time*, then set now = *time*.
 
         Events scheduled by fired callbacks are honoured if they fall inside
-        the window, so periodic timers chain naturally.
+        the window, so periodic timers chain naturally.  *time* must be
+        finite and not before :attr:`now`: a NaN target would never stop a
+        periodic timer's chain.
         """
-        if time < self._now:
-            raise SimulationError(f"cannot run backwards to t={time:.9f} from t={self._now:.9f}")
+        if not self._now <= time < _INF:
+            raise SimulationError(f"cannot run to t={time!r} from t={self._now:.9f}")
         if self._running:
             raise SimulationError("re-entrant run_until() — the engine is already running")
         self._running = True

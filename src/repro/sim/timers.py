@@ -34,6 +34,7 @@ class PeriodicTimer:
         "_handle",
         "_fire_count",
         "_started",
+        "_rearm",
     )
 
     def __init__(
@@ -53,6 +54,8 @@ class PeriodicTimer:
         self._handle: EventHandle | None = None
         self._fire_count = 0
         self._started = False
+        #: ``self._fire`` bound once: every re-arm stores it in the handle.
+        self._rearm = self._fire
 
     # ----------------------------------------------------------- lifecycle
 
@@ -62,7 +65,7 @@ class PeriodicTimer:
             raise SimulationError(f"timer {self._label!r} started twice")
         self._started = True
         delay = 0.0 if self._fire_immediately else self._period
-        self._handle = self._engine.schedule(delay, self._fire, label=self._label)
+        self._handle = self._engine.schedule(delay, self._rearm, label=self._label)
 
     def stop(self) -> None:
         """Disarm the timer.  Safe to call when already stopped."""
@@ -110,9 +113,9 @@ class PeriodicTimer:
             # one event per period for the lifetime of the run.
             handle.time = time
             handle.sequence = sequence
-            handle.callback = self._fire
+            handle.callback = self._rearm
         else:
-            handle = EventHandle(time, sequence, self._fire, self._label)
+            handle = EventHandle(time, sequence, self._rearm, self._label)
             self._handle = handle
         heappush(engine._heap, (time, sequence, handle))
         self._fire_count += 1

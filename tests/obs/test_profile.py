@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import Host
 from repro.experiments import get_preset, run_scenario, ScenarioConfig
 from repro.obs import PhaseProfiler, profile_cluster, profile_scenario, wall_now
+from repro.workloads import ConstantLoad
 
 
 def test_wall_now_is_monotonic():
@@ -40,6 +42,28 @@ def test_profile_scenario_populates_subsystem_phases():
     assert {"scheduler", "dispatch", "accounting"} <= phases
     assert all(spent >= 0.0 for spent in profiler.self_s.values())
     assert profiler.calls["scheduler"] > 0
+
+
+def test_dispatch_phase_counts_every_pick_and_slice_close():
+    # Natural slice ends and preemptions close slices through one helper;
+    # the dispatch phase must see both, plus every dispatch decision.
+    host = Host(scheduler="credit", governor="ondemand")
+    for name, load in (("a", 40), ("b", 30)):
+        domain = host.create_domain(name, credit=load)
+        domain.attach_workload(ConstantLoad(load, injection_period=0.02))
+    host.start()
+    stats = host.scheduler.stats
+
+    def dispatched() -> int:
+        return sum(domain.vcpu.dispatch_count for domain in host.domains)
+
+    decisions, slices, in_flight = stats.decisions, dispatched(), host._current is not None
+    profiler = PhaseProfiler()
+    profiler.attach_host(host)
+    host.run(until=5.0)
+    closes = dispatched() - slices + in_flight - (host._current is not None)
+    assert host.preemptions > 0
+    assert profiler.calls["dispatch"] == stats.decisions - decisions + closes
 
 
 def test_profile_scenario_result_matches_plain_run():

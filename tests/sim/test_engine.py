@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Engine
+from repro.sim import Engine, PeriodicTimer
 
 
 def test_starts_at_time_zero(engine):
@@ -82,6 +82,29 @@ def test_run_backwards_raises(engine):
     engine.run_until(10.0)
     with pytest.raises(SimulationError):
         engine.run_until(5.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_schedule_raises(engine, bad):
+    with pytest.raises(SimulationError):
+        engine.schedule(bad, lambda: None)
+    with pytest.raises(SimulationError):
+        engine.schedule_at(bad, lambda: None)
+    assert engine.pending_count == 0
+    engine.run_until(1.0)
+    assert engine.now == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_run_until_raises_without_running(engine, bad):
+    timer = PeriodicTimer(engine, 0.1, lambda now: None)
+    timer.start()
+    with pytest.raises(SimulationError):
+        engine.run_until(bad)
+    assert engine.now == 0.0
+    assert engine.events_fired == 0
+    engine.run_until(1.0)  # the engine is not left marked as running
+    assert timer.fire_count == 10
 
 
 def test_zero_delay_event_fires(engine):
