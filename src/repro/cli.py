@@ -1032,8 +1032,16 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(f"store: {error}", file=sys.stderr)
         return 2
     if args.action == "ls":
-        payloads = store.payloads(where=where)
-        if not payloads:
+        rows = store.select(
+            lambda payload: [
+                payload["key"][:12],
+                payload["label"],
+                (payload.get("config") or {}).get("type", "?"),
+                str(len(payload.get("metrics", {}))),
+            ],
+            where=where,
+        )
+        if not rows:
             suffix = (
                 " matching "
                 + ", ".join(_where_clause_text(k, v) for k, v in where.items())
@@ -1042,20 +1050,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
             )
             print(f"store {root}: no cells{suffix}")
             return 0
-        rows = [
-            [
-                payload["key"][:12],
-                payload["label"],
-                (payload.get("config") or {}).get("type", "?"),
-                str(len(payload.get("metrics", {}))),
-            ]
-            for payload in payloads
-        ]
         print(
             table_to_text(
                 ["key", "label", "config", "metrics"],
                 rows,
-                title=f"store {root}: {len(payloads)} cells",
+                title=f"store {root}: {len(rows)} cells",
             )
         )
         return 0
@@ -1072,7 +1071,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(
             f"store {root}: kept {stats['kept']} cells "
             f"(removed {stats['corrupt']} corrupt, "
-            f"{stats['version_mismatch']} version-mismatched; "
+            f"{stats['version_mismatch']} version-mismatched, "
+            f"{stats.get('temp_files', 0)} leftover temp files; "
             f"dropped {stats['stale_index']} stale index lines, "
             f"re-indexed {stats['reindexed']} blobs)"
         )

@@ -21,6 +21,11 @@ that digest skips re-encoding the payload to check its own digest; any
 other read (no index line, a line from before ``blob_sha256``, a stale,
 torn or wrong digest, a blob rewritten since) runs the full check.  So a
 missing or wrong digest costs one full verification, never a wrong result.
+
+Queries (:meth:`~ExperimentStore.select` and everything built on it) read
+and verify one blob at a time and keep only what they return, and decoded
+payloads share their metric-name strings, so a query over the whole store
+holds one decoded blob plus its results rather than every payload.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import Any, Iterator, Mapping, Sequence
+import sys
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..errors import (
     ConfigurationError,
@@ -43,6 +50,8 @@ from .keys import canonical_json, indented_json, STORE_SCHEMA_VERSION
 INDEX_NAME = "index.jsonl"
 #: Blob directory under the store root.
 CELLS_DIR = "cells"
+#: Name prefix of the temp file a write goes through before its rename.
+TEMP_PREFIX = ".tmp-"
 
 
 def _sha256(data: bytes) -> str:
@@ -62,6 +71,11 @@ def decode_blob(text: str | bytes, *, trusted: bool = False) -> dict[str, Any]:
     *trusted* skips re-encoding the payload to check its recorded digest;
     pass it only when the exact bytes of *text* hash to a digest recorded
     when those bytes were written or last passed this full check.
+
+    The metric names of the returned payload are interned: ``json.loads``
+    shares key strings only within one document, so without this every
+    decoded cell would carry its own copy of every name.  The values and
+    their order are untouched, and the dict itself is always a new one.
     """
     try:
         document = json.loads(text)
@@ -86,6 +100,9 @@ def decode_blob(text: str | bytes, *, trusted: bool = False) -> dict[str, Any]:
             f"blob written under store schema {schema!r}, "
             f"this library speaks {STORE_SCHEMA_VERSION}"
         )
+    metrics = payload.get("metrics")
+    if type(metrics) is dict:
+        payload["metrics"] = dict(zip(map(sys.intern, metrics), metrics.values()))
     return payload
 
 
@@ -186,6 +203,7 @@ class ExperimentStore:
         self.root = pathlib.Path(root)
         self.cells_dir = self.root / CELLS_DIR
         self.index_path = self.root / INDEX_NAME
+        self._cells_prefix = os.path.join(self.cells_dir, "")
         try:
             self.cells_dir.mkdir(parents=True, exist_ok=True)
             self.index_path.touch(exist_ok=True)
@@ -206,9 +224,13 @@ class ExperimentStore:
         return self.cells_dir / f"{key}.json"
 
     def _write_atomic(self, path: pathlib.Path, text: str) -> None:
-        tmp = path.with_name(f".tmp-{os.getpid()}-{path.name}")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        tmp = path.with_name(f"{TEMP_PREFIX}{os.getpid()}-{path.name}")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def _append_index(self, entry: Mapping[str, Any]) -> None:
         line = canonical_json(dict(entry)) + "\n"
@@ -261,16 +283,16 @@ class ExperimentStore:
 
     def _read_verified(self, key: str) -> tuple[dict[str, Any], str]:
         """The payload under *key* and the sha256 of the blob bytes it came from."""
-        path = self.blob_path(key)
         try:
-            data = path.read_bytes()
+            with open(f"{self._cells_prefix}{key}.json", "rb", buffering=0) as handle:
+                data = handle.read()
         except OSError:
             raise StoreError(f"no stored cell {key!r} in {self.root}") from None
         digest = _sha256(data)
         payload = decode_blob(data, trusted=self._trusted_digest(key) == digest)
         if payload.get("key") != key:
             raise StoreCorruptionError(
-                f"blob {path.name} claims key {str(payload.get('key'))[:12]}…"
+                f"blob {key}.json claims key {str(payload.get('key'))[:12]}…"
             )
         self._trusted[key] = digest
         return payload, digest
@@ -302,11 +324,27 @@ class ExperimentStore:
         return self.lookup(key) is not None
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.cells_dir.glob("*.json"))
+        return len(self._blob_keys())
 
     def keys(self) -> list[str]:
         """Keys of every blob on disk (valid or not), sorted."""
-        return sorted(path.stem for path in self.cells_dir.glob("*.json"))
+        return sorted(self._blob_keys())
+
+    def _blob_keys(self) -> list[str]:
+        """``<key>`` of every ``<key>.json`` in the blob directory.
+
+        Dotfiles are not blobs: a write interrupted before its rename leaves
+        a ``.tmp-<pid>-<key>.json`` behind, which only :meth:`gc` touches.
+        """
+        try:
+            names = os.listdir(self.cells_dir)
+        except OSError:
+            return []
+        return [
+            name[:-5]
+            for name in names
+            if name.endswith(".json") and not name.startswith(".")
+        ]
 
     # --------------------------------------------------------------- queries
 
@@ -364,13 +402,28 @@ class ExperimentStore:
         ``"<="``) matches numerically.  The ``store ls --where
         scheduler=pas`` / ``--where seed>=5`` query path.
         """
-        out = []
+        return self.select(lambda payload: payload, where=where)
+
+    def select(
+        self,
+        project: Callable[[dict[str, Any]], Any],
+        *,
+        where: Mapping[str, str | tuple[str, str]] | None = None,
+    ) -> list[Any]:
+        """``project(payload)`` of every valid payload matching *where*.
+
+        Ordered and filtered exactly as :meth:`payloads`, but blobs are read
+        one at a time and each payload is dropped once *project* has kept
+        what it needs, so memory holds one decoded blob plus the results.
+        """
+        rows = []
         for key in self.keys():
             payload = self.lookup(key)
             if payload is not None and payload_matches(payload, where):
-                out.append(payload)
-        out.sort(key=lambda p: (p.get("label") or "", p.get("key") or ""))
-        return out
+                rows.append((payload.get("label") or "", project(payload)))
+        # Keys come sorted and the sort is stable: this orders by (label, key).
+        rows.sort(key=itemgetter(0))
+        return [row for _, row in rows]
 
     def to_results(
         self, *, where: Mapping[str, str | tuple[str, str]] | None = None
@@ -383,15 +436,18 @@ class ExperimentStore:
         """
         from ..sweep.store import CellResult, SweepResults
 
+        fields = self.select(
+            lambda payload: (
+                payload["label"],
+                payload.get("params", {}),
+                payload.get("seed"),
+                payload.get("metrics", {}),
+            ),
+            where=where,
+        )
         cells = [
-            CellResult(
-                index=index,
-                label=payload["label"],
-                params=payload.get("params", {}),
-                seed=payload.get("seed"),
-                metrics=payload.get("metrics", {}),
-            )
-            for index, payload in enumerate(self.payloads(where=where))
+            CellResult(index=index, label=label, params=params, seed=seed, metrics=metrics)
+            for index, (label, params, seed, metrics) in enumerate(fields)
         ]
         meta: dict[str, Any] = {"store": "export", "cells": len(cells)}
         if where:
@@ -407,10 +463,13 @@ class ExperimentStore:
         * blobs from another schema version are deleted (their keys could
           never be produced by this library version);
         * index lines pointing at no blob are dropped;
-        * valid blobs missing from the index are re-indexed.
+        * valid blobs missing from the index are re-indexed;
+        * temp files left by writes interrupted before their rename are
+          deleted (they were never blobs).
 
         Returns ``{"kept", "corrupt", "version_mismatch", "stale_index",
-        "reindexed"}`` counts.
+        "reindexed"}`` counts, plus ``"temp_files"`` when it deleted any.
+        Blobs are verified one at a time; only their index lines are kept.
         """
         stats = {
             "kept": 0,
@@ -419,11 +478,19 @@ class ExperimentStore:
             "stale_index": 0,
             "reindexed": 0,
         }
+        temp_files = 0
+        for name in os.listdir(self.cells_dir):
+            if name.startswith(TEMP_PREFIX):
+                (self.cells_dir / name).unlink(missing_ok=True)
+                temp_files += 1
+        if temp_files:
+            stats["temp_files"] = temp_files
+        # key -> the index line a re-index would write for its valid blob.
         valid: dict[str, dict[str, Any]] = {}
-        digests: dict[str, str] = {}
         for key in self.keys():
             try:
-                valid[key], digests[key] = self._read_verified(key)
+                payload, digest = self._read_verified(key)
+                valid[key] = _index_entry(key, payload, digest)
             except StoreVersionError:
                 stats["version_mismatch"] += 1
                 self.blob_path(key).unlink(missing_ok=True)
@@ -439,10 +506,12 @@ class ExperimentStore:
                 stats["stale_index"] += 1
                 continue
             indexed.add(key)
-            lines.append(canonical_json(dict(entry, blob_sha256=digests[key])))
+            lines.append(
+                canonical_json(dict(entry, blob_sha256=valid[key]["blob_sha256"]))
+            )
         for key in sorted(set(valid) - indexed):
             stats["reindexed"] += 1
-            lines.append(canonical_json(_index_entry(key, valid[key], digests[key])))
+            lines.append(canonical_json(valid[key]))
         self._write_atomic(
             self.index_path, "".join(line + "\n" for line in lines)
         )

@@ -39,6 +39,11 @@ def _mean_std_ci(values: Sequence[float]) -> tuple[float, float, float]:
     return mean, std, ci95
 
 
+def _plain(mapping: Mapping[str, Any]) -> dict[str, Any]:
+    """*mapping* itself when it is a plain ``dict`` (encoded as is), else a copy."""
+    return mapping if type(mapping) is dict else dict(mapping)
+
+
 @dataclass(frozen=True)
 class CellResult:
     """The reduced outcome of one grid cell."""
@@ -255,9 +260,9 @@ class SweepResults:
                 {
                     "index": cell.index,
                     "label": cell.label,
-                    "params": dict(cell.params),
+                    "params": _plain(cell.params),
                     "seed": cell.seed,
-                    "metrics": dict(cell.metrics),
+                    "metrics": _plain(cell.metrics),
                 }
                 for cell in self.cells
             ],
