@@ -5,6 +5,13 @@ Layout under the store root::
     index.jsonl           append-only journal, one JSON line per put
     cells/<key>.json      the cell blob, named by its content address
 
+A key is 64 lowercase hex digits (:func:`is_key`), the sha256 a cell is
+addressed by, and nothing else names a blob: :meth:`~ExperimentStore.put`
+refuses any other key before writing, a strict read raises
+:class:`StoreError` for it (a miss for :meth:`~ExperimentStore.lookup`),
+and :meth:`~ExperimentStore.find` takes it for a label, so no key can
+reach a file outside ``cells/``.
+
 Every blob is written atomically (temp file + ``os.replace``) and carries a
 sha256 digest of its payload, so torn writes and bit rot are *detected*,
 never silently served: :meth:`ExperimentStore.read` raises, the forgiving
@@ -14,6 +21,13 @@ Index appends are single ``write()`` calls of one line, so concurrent
 writers interleave whole lines rather than corrupting each other; the
 index is only a catalog — the blobs are the truth, and :meth:`gc` rebuilds
 the index from them.
+
+A put formats its payload once: one walk of the payload yields both the
+indented blob text and the canonical text its digest covers
+(:func:`~repro.store.keys.indented_and_canonical`).  The blob is encoded to
+bytes once; those bytes are hashed for the index and written with
+``os.write`` to the temp file, and the index line is appended with one
+``os.write`` to a file opened ``O_APPEND``.
 
 Each index line also carries ``blob_sha256``, the sha256 of the exact blob
 text :meth:`~ExperimentStore.put` wrote.  A read whose raw bytes hash to
@@ -30,6 +44,7 @@ holds one decoded blob plus its results rather than every payload.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -44,7 +59,7 @@ from ..errors import (
     StoreError,
     StoreVersionError,
 )
-from .keys import canonical_json, indented_json, STORE_SCHEMA_VERSION
+from .keys import canonical_json, indented_and_canonical, STORE_SCHEMA_VERSION
 
 #: Index filename under the store root.
 INDEX_NAME = "index.jsonl"
@@ -58,11 +73,40 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def is_key(key: Any) -> bool:
+    """True when *key* is a store key: 64 lowercase hex digits.
+
+    Nothing else names a blob, so no key can point outside ``cells/``.
+    """
+    return type(key) is str and len(key) == 64 and not key.strip("0123456789abcdef")
+
+
+def _blob_bytes(payload: dict[str, Any]) -> bytes:
+    """The blob of *payload* as the ASCII bytes :func:`encode_blob` returns.
+
+    One walk gives both the indented payload and its canonical form; the
+    sha256 of the canonical form goes into the envelope beside it.
+    """
+    indented, canonical = indented_and_canonical(payload, 1)
+    return b"".join(
+        (
+            b'{\n  "payload": ',
+            indented,
+            b',\n  "sha256": "',
+            _sha256(canonical).encode("ascii"),
+            b'"\n}\n',
+        )
+    )
+
+
 def encode_blob(payload: Mapping[str, Any]) -> str:
-    """Serialise a blob: the payload plus a sha256 over its canonical form."""
-    payload = dict(payload)
-    digest = _sha256(canonical_json(payload).encode("utf-8"))
-    return indented_json({"payload": payload, "sha256": digest}) + "\n"
+    """Serialise a blob: the payload plus a sha256 over its canonical form.
+
+    ``json.dumps({"payload": payload, "sha256": digest}, sort_keys=True,
+    indent=2) + "\n"`` with ``digest`` the sha256 of
+    ``canonical_json(payload)``, byte for byte, and the same exceptions.
+    """
+    return _blob_bytes(dict(payload)).decode("ascii")
 
 
 def decode_blob(text: str | bytes, *, trusted: bool = False) -> dict[str, Any]:
@@ -223,21 +267,35 @@ class ExperimentStore:
         """Where the blob for *key* lives (whether or not it exists)."""
         return self.cells_dir / f"{key}.json"
 
-    def _write_atomic(self, path: pathlib.Path, text: str) -> None:
-        tmp = path.with_name(f"{TEMP_PREFIX}{os.getpid()}-{path.name}")
+    def _write_atomic(self, path: str | os.PathLike[str], data: bytes | str) -> None:
+        """Write *data* to *path* through a temp file and a rename."""
+        if type(data) is not bytes:
+            data = data.encode("utf-8")  # before the temp file exists
+        directory, name = os.path.split(os.fspath(path))
+        tmp = os.path.join(directory, f"{TEMP_PREFIX}{os.getpid()}-{name}")
         try:
-            tmp.write_text(text, encoding="utf-8")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise
 
     def _append_index(self, entry: Mapping[str, Any]) -> None:
-        line = canonical_json(dict(entry)) + "\n"
-        # One write() of one line: concurrent appenders interleave whole
-        # lines (the file is opened in append mode), never partial ones.
-        with open(self.index_path, "a", encoding="utf-8") as handle:
-            handle.write(line)
+        line = (canonical_json(dict(entry)) + "\n").encode("utf-8")
+        # One write() of one line to a file opened for appending: concurrent
+        # appenders interleave whole lines, never partial ones.
+        fd = os.open(self.index_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            os.write(fd, line)
+        finally:
+            os.close(fd)
 
     # --------------------------------------------------------------- writing
 
@@ -252,7 +310,15 @@ class ExperimentStore:
         metrics_list: Sequence[str],
         metrics: Mapping[str, Any],
     ) -> dict[str, Any]:
-        """Persist one reduced cell under *key*; returns the stored payload."""
+        """Persist one reduced cell under *key*; returns the stored payload.
+
+        Raises :class:`~repro.errors.ConfigurationError`, writing nothing,
+        when *key* is not a store key (see :func:`is_key`).
+        """
+        if not is_key(key):
+            raise ConfigurationError(
+                f"not a store key: {key!r} (a key is 64 lowercase hex digits)"
+            )
         payload = {
             "schema": STORE_SCHEMA_VERSION,
             "key": key,
@@ -263,9 +329,9 @@ class ExperimentStore:
             "metrics_list": list(metrics_list),
             "metrics": dict(metrics),
         }
-        text = encode_blob(payload)
-        self._write_atomic(self.blob_path(key), text)
-        digest = _sha256(text.encode("utf-8"))
+        blob = _blob_bytes(payload)
+        self._write_atomic(f"{self._cells_prefix}{key}.json", blob)
+        digest = _sha256(blob)
         self._append_index(_index_entry(key, payload, digest))
         self._trusted[key] = digest
         return payload
@@ -275,14 +341,16 @@ class ExperimentStore:
     def read(self, key: str) -> dict[str, Any]:
         """The payload stored under *key*; strict.
 
-        Raises :class:`StoreError` when absent,
-        :class:`StoreCorruptionError` when the blob fails its digest, and
-        :class:`StoreVersionError` on schema skew.
+        Raises :class:`StoreError` when absent or when *key* is not a
+        store key, :class:`StoreCorruptionError` when the blob fails its
+        digest, and :class:`StoreVersionError` on schema skew.
         """
         return self._read_verified(key)[0]
 
     def _read_verified(self, key: str) -> tuple[dict[str, Any], str]:
         """The payload under *key* and the sha256 of the blob bytes it came from."""
+        if not is_key(key):
+            raise StoreError(f"not a store key: {key!r}")
         try:
             with open(f"{self._cells_prefix}{key}.json", "rb", buffering=0) as handle:
                 data = handle.read()
@@ -372,8 +440,11 @@ class ExperimentStore:
         return list(merged.values())
 
     def find(self, label_or_key: str) -> dict[str, Any]:
-        """Resolve a cell by exact key or by label; strict read."""
-        if self.blob_path(label_or_key).exists():
+        """Resolve a cell by exact key or by label; strict read.
+
+        Anything that is not a store key (see :func:`is_key`) is a label.
+        """
+        if is_key(label_or_key) and self.blob_path(label_or_key).exists():
             return self.read(label_or_key)
         matches = sorted(
             {e["key"] for e in self.entries() if e.get("label") == label_or_key}

@@ -32,7 +32,7 @@ from typing import Any, Callable, ClassVar, Iterator, Sequence
 from ..errors import ConfigurationError
 from ..obs import hooks as _obs
 from ..obs.metrics import collect_sweep
-from ..store import cell_key, config_payload, ExperimentStore, metric_names
+from ..store import cell_key, ExperimentStore, metric_names
 from .grid import describe_value, SweepCell, SweepGrid
 from .metrics import (
     DEFAULT_CLUSTER_METRICS,
@@ -228,12 +228,18 @@ class SweepRunner:
         done: dict[int, CellResult] = {}
         pending: list[SweepCell] = []
         keys: dict[int, str] = {}
+        # The config payload each pending cell's key was derived from, for
+        # its put: derived once, so the blob always matches its key.
+        config_payloads: dict[int, dict[str, Any]] = {}
         for cell in self.grid:
             if self.store is None:
                 pending.append(cell)
                 continue
-            keys[cell.index] = cell_key(cell.config, self._metric_names, cell.seed)
-            payload = self.store.lookup(keys[cell.index]) if self.resume else None
+            key, config = cell_key(
+                cell.config, self._metric_names, cell.seed, with_payload=True
+            )
+            keys[cell.index] = key
+            payload = self.store.lookup(key) if self.resume else None
             if payload is not None:
                 # Label/params/seed come from the *grid* (the cache is keyed
                 # by content, not by what some earlier grid called the cell),
@@ -250,15 +256,14 @@ class SweepRunner:
                     self.progress(done[cell.index], True)
             else:
                 pending.append(cell)
-        by_index = {cell.index: cell for cell in pending}
+                config_payloads[cell.index] = config
         for result in self._stream([(cell, self._resolved) for cell in pending]):
             # Stream into the store cell by cell: an interrupted sweep keeps
             # everything finished so far, not just complete runs.
             if self.store is not None:
-                cell = by_index[result.index]
                 self.store.put(
                     keys[result.index],
-                    config_payload=config_payload(cell.config),
+                    config_payload=config_payloads.pop(result.index),
                     label=result.label,
                     params=result.params,
                     seed=result.seed,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Sequence
 
 from ..errors import ConfigurationError
-from ..store.keys import indented_json
+from ..store.keys import indented_json, write_indented_json
 from ..telemetry.export import records_to_csv, table_to_text
 
 #: The replicate suffix :class:`~repro.sweep.grid.SweepGrid` appends to
@@ -37,6 +37,13 @@ def _mean_std_ci(values: Sequence[float]) -> tuple[float, float, float]:
         std = 0.0 if values else float("nan")
     ci95 = 1.96 * std / math.sqrt(n) if n else float("nan")
     return mean, std, ci95
+
+
+def _write_json(path: pathlib.Path, document: Any) -> None:
+    """Stream :func:`indented_json` of *document*, plus a newline, to *path*."""
+    with path.open("w", encoding="utf-8") as handle:
+        write_indented_json(document, handle.write)
+        handle.write("\n")
 
 
 def _plain(mapping: Mapping[str, Any]) -> dict[str, Any]:
@@ -225,13 +232,15 @@ class SweepResults:
             records.append(row)
         return records
 
-    def to_aggregated_json(self) -> str:
-        """Canonical JSON of :meth:`aggregated_records` (plus grid meta)."""
-        payload = {
+    def _aggregated_document(self) -> dict[str, Any]:
+        return {
             "meta": {**self.meta, "aggregated": True},
             "rows": self.aggregated_records(),
         }
-        return indented_json(payload) + "\n"
+
+    def to_aggregated_json(self) -> str:
+        """Canonical JSON of :meth:`aggregated_records` (plus grid meta)."""
+        return indented_json(self._aggregated_document()) + "\n"
 
     def to_aggregated_csv(self) -> str:
         """:meth:`aggregated_records` as one CSV table."""
@@ -243,7 +252,7 @@ class SweepResults:
         if path.suffix.lower() == ".csv":
             path.write_text(self.to_aggregated_csv())
         else:
-            path.write_text(self.to_aggregated_json())
+            _write_json(path, self._aggregated_document())
         return path
 
     # -------------------------------------------------------------- export
@@ -252,9 +261,8 @@ class SweepResults:
         """Flat dicts, one per cell, in grid order."""
         return [cell.record() for cell in self.cells]
 
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, grid order, trailing newline."""
-        payload = {
+    def _document(self) -> dict[str, Any]:
+        return {
             "meta": self.meta,
             "cells": [
                 {
@@ -267,19 +275,26 @@ class SweepResults:
                 for cell in self.cells
             ],
         }
-        return indented_json(payload) + "\n"
+
+    def to_json(self) -> str:
+        """Canonical JSON: sorted keys, grid order, trailing newline."""
+        return indented_json(self._document()) + "\n"
 
     def to_csv(self) -> str:
         """Flat CSV via :func:`repro.telemetry.export.records_to_csv`."""
         return records_to_csv(self.to_records())
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Write JSON (default) or CSV, chosen by the file extension."""
+        """Write JSON (default) or CSV, chosen by the file extension.
+
+        The JSON is :meth:`to_json`'s text, streamed into the file as it is
+        encoded rather than built whole first.
+        """
         path = pathlib.Path(path)
         if path.suffix.lower() == ".csv":
             path.write_text(self.to_csv())
         else:
-            path.write_text(self.to_json())
+            _write_json(path, self._document())
         return path
 
     @classmethod
