@@ -8,9 +8,10 @@ Examples::
     python -m repro validate eq1
     python -m repro ablation energy
     python -m repro calibrate "Intel Xeon E5-2620"
-    python -m repro scenario --scheduler pas --v20-load thrashing
+    python -m repro run --preset paper-5.3 --set scheduler=pas --set v20_load=thrashing
     python -m repro run --preset mixed-guests
     python -m repro run --scenario myfleet.json
+    python -m repro run --preset dc-diurnal-small --set policy=static --out-series epochs.csv
     python -m repro sweep --workers 4 --out results.json
     python -m repro sweep --preset governors --replicates 3 --out-aggregated agg.csv
     python -m repro sweep --preset stress-fleet --store results-store
@@ -19,8 +20,7 @@ Examples::
     python -m repro store ls --store results-store
     python -m repro store ls --store results-store --where scheduler=pas
     python -m repro store export --store results-store --out corpus.csv --where governor=stable
-    python -m repro cluster run --preset dc-diurnal-small --out-series epochs.csv
-    python -m repro cluster sweep --preset dc-diurnal --store results-store
+    python -m repro sweep --preset dc-diurnal --store results-store
     python -m repro cluster compare --preset dc-diurnal --out-dir dc-series
 
 Every command prints the same paper-vs-measured report the benchmarks
@@ -34,6 +34,7 @@ warm-cache and interrupted grids resume where they died.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import pathlib
@@ -45,9 +46,6 @@ from .cpu import catalog
 from .errors import ConfigurationError, StoreError
 from .experiments import (
     get_preset,
-    PHASE_BOTH,
-    PHASE_SOLO_EARLY,
-    PHASE_SOLO_LATE,
     PRESETS,
     preset_grid,
     ScenarioConfig,
@@ -272,57 +270,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
-        scheduler=args.scheduler,
-        governor=args.governor,
-        v20_load=args.v20_load,
-        v70_load=args.v70_load,
-        duration=args.duration,
-        seed=args.seed,
-    )
-    result = run_scenario(config)
-    rows = []
-    for name in ("V20.global_load", "V20.absolute_load", "V70.global_load", "host.freq_mhz"):
-        rows.append(
-            [
-                name,
-                f"{result.phase_mean(name, PHASE_SOLO_EARLY):8.2f}",
-                f"{result.phase_mean(name, PHASE_BOTH):8.2f}",
-                f"{result.phase_mean(name, PHASE_SOLO_LATE):8.2f}",
-            ]
-        )
-    print(
-        table_to_text(
-            ["series", "V20 solo", "both", "V20 solo late"],
-            rows,
-            title=(
-                f"§5.3 scenario: scheduler={args.scheduler} governor={args.governor} "
-                f"v20={args.v20_load} v70={args.v70_load}"
-            ),
-        )
-    )
-    freq_percent = result.series("host.freq_mhz").map(
-        lambda mhz: 100.0 * mhz / result.host.processor.max_frequency_mhz
-    )
-    print()
-    print(
-        render_chart(
-            [
-                result.series("V20.global_load"),
-                result.series("V70.global_load"),
-                freq_percent,
-            ],
-            title="global loads + frequency",
-            y_max=100.0,
-            labels=["V20 %", "V70 %", "freq (% max)"],
-        )
-    )
-    print()
-    print(f"energy: {result.energy_joules:.0f} J   DVFS transitions: {result.frequency_transitions}")
-    return 0
-
-
 def _write_records_csv(records: list, path: str, what: str, fields: Sequence[str]) -> None:
     """Write flat records as CSV (a bare header when there are none)."""
     from .telemetry.export import records_to_csv
@@ -334,26 +281,16 @@ def _write_records_csv(records: list, path: str, what: str, fields: Sequence[str
     print(f"wrote {len(records)} {what} records to {target}")
 
 
-def _run_cluster_config(
-    config,
-    title: str,
-    out: str | None = None,
-    *,
-    out_series: str | None = None,
-    out_hosts: str | None = None,
-    out_migrations: str | None = None,
-    trace_out: str | None = None,
-    metrics_out: str | None = None,
-) -> int:
-    """Run a fleet config and print its placement + per-epoch summary."""
-    from .cluster.scenario import run_cluster_scenario
-    from .obs import observed
+def _print_fleet_report(config, title: str, sim, args: argparse.Namespace) -> None:
+    """Print a fleet run's placement + per-epoch summary, write its CSVs."""
+    from .cluster.orchestrator import (
+        EPOCH_RECORD_FIELDS,
+        HOST_RECORD_FIELDS,
+        MIGRATION_RECORD_FIELDS,
+    )
     from .sweep.metrics import cluster_metrics
     from .telemetry.series import TimeSeries
 
-    tracer, registry = _observation_for(trace_out, metrics_out)
-    with observed(tracer=tracer, metrics=registry):
-        sim = run_cluster_scenario(config)
     rows = [
         [
             machine.name,
@@ -409,30 +346,21 @@ def _run_cluster_config(
             labels=["power %", "hosts %"],
         )
     )
-    from .cluster.orchestrator import (
-        EPOCH_RECORD_FIELDS,
-        HOST_RECORD_FIELDS,
-        MIGRATION_RECORD_FIELDS,
-    )
-
-    if out_series:
+    if args.out_series:
         _write_records_csv(
-            sim.epoch_records(), out_series, "per-epoch", EPOCH_RECORD_FIELDS
+            sim.epoch_records(), args.out_series, "per-epoch", EPOCH_RECORD_FIELDS
         )
-    if out_hosts:
+    if args.out_hosts:
         _write_records_csv(
-            sim.host_records(), out_hosts, "per-host", HOST_RECORD_FIELDS
+            sim.host_records(), args.out_hosts, "per-host", HOST_RECORD_FIELDS
         )
-    if out_migrations:
+    if args.out_migrations:
         _write_records_csv(
-            sim.migration_records(), out_migrations, "migration", MIGRATION_RECORD_FIELDS
+            sim.migration_records(),
+            args.out_migrations,
+            "migration",
+            MIGRATION_RECORD_FIELDS,
         )
-    _write_observations(trace_out, metrics_out, tracer, registry, outcome=sim)
-    if out:
-        path = pathlib.Path(out)
-        path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote scenario spec to {path}")
-    return 0
 
 
 def _load_bench_harness():
@@ -615,6 +543,19 @@ _XLARGE_PRESETS = ("dc-fleet-large",)
 #: Per-run duration cap of the ``--preset all`` smoke pass, in sim seconds.
 _SMOKE_DURATION_S = 60.0
 
+#: ``run`` options that only make sense for one run (rejected by ``--preset all``).
+_SINGLE_RUN_OPTIONS = (
+    "out",
+    "trace",
+    "metrics_out",
+    "out_series",
+    "out_hosts",
+    "out_migrations",
+    "duration",
+    "seed",
+    "set",
+)
+
 
 def _run_all_presets(args: argparse.Namespace) -> int:
     """``run --preset all``: a short smoke run of every (non-xlarge) preset.
@@ -624,10 +565,14 @@ def _run_all_presets(args: argparse.Namespace) -> int:
     ``--include-cluster``.  One status line per preset; exit 1 when any
     preset failed.
     """
-    if args.trace or args.metrics_out or args.out:
+    single = [
+        "--" + name.replace("_", "-")
+        for name in _SINGLE_RUN_OPTIONS
+        if getattr(args, name) not in (None, [])
+    ]
+    if single:
         print(
-            "run: --trace/--metrics-out/--out apply to a single run, "
-            "not --preset all",
+            f"run: --preset all takes none of the single-run options {', '.join(single)}",
             file=sys.stderr,
         )
         return 2
@@ -666,56 +611,88 @@ def _run_all_presets(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.preset == "all":
-        return _run_all_presets(args)
+#: What ``--set`` accepts per field annotation: the value types after JSON
+#: parsing, and their wording.  ``--set seed=abc`` fails up front instead
+#: of seeding a run with a string.  ``tuple[...]`` fields take a JSON array.
+_SET_TYPES = {
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "dict": ((dict,), "a JSON object"),
+    "MigrationModel": ((dict,), "a JSON object"),
+    "ProcessorSpec": ((str,), "a catalog processor name"),
+}
+
+
+def _parse_set(config, assignment: str) -> tuple[str, object]:
+    """One ``--set FIELD=VALUE`` as ``(field, value)`` coerced for *config*."""
+    name, sep, text = assignment.partition("=")
+    name = name.strip()
+    if not sep or not name:
+        raise ConfigurationError(
+            f"--set takes FIELD=VALUE (e.g. --set scheduler=pas), got {assignment!r}"
+        )
     try:
-        if args.scenario:
-            path = pathlib.Path(args.scenario)
-            try:
-                data = json.loads(path.read_text())
-            except OSError as error:
-                print(f"run: cannot read {path}: {error}", file=sys.stderr)
-                return 2
-            except json.JSONDecodeError as error:
-                print(f"run: {path} is not valid JSON: {error}", file=sys.stderr)
-                return 2
-            if not isinstance(data, dict):
-                print(f"run: {path} must hold a JSON object (a scenario spec)", file=sys.stderr)
-                return 2
-            if data.get("kind") == "cluster":
-                from .cluster import ClusterScenarioConfig
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        value = text
+    annotation = {f.name: f.type for f in dataclasses.fields(config)}.get(name, "")
+    expected = _SET_TYPES.get(annotation)
+    if annotation.startswith("tuple["):
+        expected = ((list,), "a JSON array")
+    if expected is not None and type(value) not in expected[0]:
+        raise ConfigurationError(
+            f"--set {assignment}: {name} takes {expected[1]}, got {value!r}"
+        )
+    return name, type(config).coerce_field(name, value)
 
-                return _run_cluster_config(
-                    ClusterScenarioConfig.from_dict(data),
-                    f"scenario {path.name}",
-                    args.out,
-                    trace_out=args.trace,
-                    metrics_out=args.metrics_out,
-                )
-            config = ScenarioConfig.from_dict(data)
-            title = f"scenario {path.name}"
-        else:
-            config = get_preset(args.preset).config
-            title = f"preset {args.preset}"
-            from .cluster import ClusterScenarioConfig
 
-            if isinstance(config, ClusterScenarioConfig):
-                return _run_cluster_config(
-                    config,
-                    title,
-                    args.out,
-                    trace_out=args.trace,
-                    metrics_out=args.metrics_out,
-                )
-        from .obs import observed
+def _config_from_args(args: argparse.Namespace) -> tuple:
+    """Resolve ``(config, title, slug)`` from ``--preset``/``--scenario``.
 
-        tracer, registry = _observation_for(args.trace, args.metrics_out)
-        with observed(tracer=tracer, metrics=registry):
-            result = run_scenario(config)
-    except ConfigurationError as error:
-        print(f"run: {error}", file=sys.stderr)
-        return 2
+    A scenario file holds a single-host spec, or a fleet spec when it says
+    ``"kind": "cluster"``.  The overrides apply in one ``with_changes``:
+    each ``--set FIELD=VALUE`` (VALUE parsed as JSON when it parses, kept
+    as a string otherwise, then coerced by the config's ``coerce_field``),
+    then ``--duration`` and ``--seed``.  Every failure is a
+    :class:`ConfigurationError`; each command prints it under its own
+    prefix.
+    """
+    from .cluster import ClusterScenarioConfig
+
+    if args.scenario:
+        path = pathlib.Path(args.scenario)
+        try:
+            data = json.loads(path.read_text())
+        except OSError as error:
+            raise ConfigurationError(f"cannot read {path}: {error}") from None
+        except json.JSONDecodeError as error:
+            raise ConfigurationError(f"{path} is not valid JSON: {error}") from None
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"{path} must hold a JSON object (a scenario spec)"
+            )
+        spec = ClusterScenarioConfig if data.get("kind") == "cluster" else ScenarioConfig
+        config = spec.from_dict(data)
+        title, slug = f"scenario {path.name}", path.stem
+    else:
+        config = get_preset(args.preset).config
+        title, slug = f"preset {args.preset}", args.preset
+    overrides = dict(_parse_set(config, assignment) for assignment in args.set)
+    for name in ("duration", "seed"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    if overrides:
+        config = config.with_changes(**overrides)
+    return config, title, slug
+
+
+def _print_host_report(config, title: str, result) -> None:
+    """Print a single-host run's per-guest summary and load chart."""
     rows = []
     for name in result.guest_names:
         domain = result.host.domain(name)
@@ -755,7 +732,33 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"energy: {result.energy_joules:.0f} J   "
         f"DVFS transitions: {result.frequency_transitions}"
     )
-    _write_observations(args.trace, args.metrics_out, tracer, registry, outcome=result)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.preset == "all":
+        return _run_all_presets(args)
+    from .cluster import ClusterScenarioConfig, run_cluster_scenario
+    from .obs import observed
+
+    try:
+        config, title, _ = _config_from_args(args)
+        fleet = isinstance(config, ClusterScenarioConfig)
+        if not fleet and (args.out_series or args.out_hosts or args.out_migrations):
+            raise ConfigurationError(
+                "--out-series/--out-hosts/--out-migrations export fleet "
+                f"telemetry; {title} is a single-host scenario"
+            )
+        tracer, registry = _observation_for(args.trace, args.metrics_out)
+        with observed(tracer=tracer, metrics=registry):
+            outcome = (run_cluster_scenario if fleet else run_scenario)(config)
+    except ConfigurationError as error:
+        print(f"run: {error}", file=sys.stderr)
+        return 2
+    if fleet:
+        _print_fleet_report(config, title, outcome, args)
+    else:
+        _print_host_report(config, title, outcome)
+    _write_observations(args.trace, args.metrics_out, tracer, registry, outcome=outcome)
     if args.out:
         path = pathlib.Path(args.out)
         path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -764,44 +767,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from .cluster import ClusterScenarioConfig
     from .obs import profile_cluster, profile_scenario
 
     try:
-        if args.scenario:
-            path = pathlib.Path(args.scenario)
-            try:
-                data = json.loads(path.read_text())
-            except OSError as error:
-                print(f"profile: cannot read {path}: {error}", file=sys.stderr)
-                return 2
-            except json.JSONDecodeError as error:
-                print(f"profile: {path} is not valid JSON: {error}", file=sys.stderr)
-                return 2
-            if not isinstance(data, dict):
-                print(
-                    f"profile: {path} must hold a JSON object (a scenario spec)",
-                    file=sys.stderr,
-                )
-                return 2
-            if data.get("kind") == "cluster":
-                from .cluster import ClusterScenarioConfig
-
-                config = ClusterScenarioConfig.from_dict(data)
-            else:
-                config = ScenarioConfig.from_dict(data)
-            title = f"scenario {path.name}"
-        else:
-            config = get_preset(args.preset).config
-            title = f"preset {args.preset}"
-        overrides = {}
-        if args.duration is not None:
-            overrides["duration"] = args.duration
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            config = config.with_changes(**overrides)
-        from .cluster import ClusterScenarioConfig
-
+        config, title, _ = _config_from_args(args)
         if isinstance(config, ClusterScenarioConfig):
             _, profiler = profile_cluster(config)
         else:
@@ -823,14 +793,32 @@ _SWEEP_DEFAULTS = {
     "v20_loads": "exact,thrashing",
 }
 
-#: Compact per-cell columns for the terminal summary.
-_SWEEP_SUMMARY_METRICS = (
-    "v20_absolute_solo_early",
-    "v20_global_both",
-    "freq_mhz_solo_early",
-    "dvfs_transitions",
-    "energy_joules",
-)
+#: Terminal summary per preset kind: the compact per-cell columns, then the
+#: energy metric of the mean-energy-by-axis block with its unit, its scale
+#: to that unit and its decimals.
+_SWEEP_SUMMARY = {
+    "scenario": (
+        (
+            "v20_absolute_solo_early",
+            "v20_global_both",
+            "freq_mhz_solo_early",
+            "dvfs_transitions",
+            "energy_joules",
+        ),
+        ("energy_joules", "J", 1.0, 0),
+    ),
+    "cluster": (
+        (
+            "energy_kwh",
+            "hosts_on_mean",
+            "migrations",
+            "sla_violations",
+            "power_peak_w",
+            "sla_mean",
+        ),
+        ("energy_kwh", "Wh", 1000.0, 2),
+    ),
+}
 
 
 def _list_presets() -> int:
@@ -866,6 +854,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("sweep: --resume/--force only make sense with --store DIR", file=sys.stderr)
         return 2
     metrics = None
+    kind = "scenario"
     overrides = {}
     if args.duration is not None:
         overrides["duration"] = args.duration
@@ -891,7 +880,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if args.preset:
             preset = get_preset(args.preset)
-            metrics = preset.metrics
+            metrics, kind = preset.metrics, preset.kind
             grid = preset_grid(
                 args.preset,
                 overrides=overrides,
@@ -944,22 +933,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ConfigurationError as error:
         print(f"sweep: {error}", file=sys.stderr)
         return 2
+    columns, (energy, unit, scale, digits) = _SWEEP_SUMMARY[kind]
     print(
         results.summary_table(
-            [m for m in _SWEEP_SUMMARY_METRICS if m in results.cells[0].metrics] or None,
+            [m for m in columns if m in results.cells[0].metrics] or None,
             title=f"sweep: {len(results)} cells, axes {', '.join(grid.axes)}",
         )
     )
     for axis in grid.axes:
-        if len(grid.axes[axis]) < 2 or "energy_joules" not in results.cells[0].metrics:
+        if len(grid.axes[axis]) < 2 or energy not in results.cells[0].metrics:
             continue
         print()
         print(f"mean energy by {axis}:")
-        for value, summary in results.aggregate("energy_joules", by=axis).items():
-            ci = f" ± {summary['ci95']:.0f}" if summary["count"] > 1 else ""
+        for value, summary in results.aggregate(energy, by=axis).items():
+            ci = (
+                f" ± {summary['ci95'] * scale:.{digits}f}"
+                if summary["count"] > 1
+                else ""
+            )
             print(
-                f"  {str(value):<14} {summary['mean']:10.0f}{ci} J "
-                f"over {summary['count']} cells"
+                f"  {str(value):<14} {summary['mean'] * scale:10.{digits}f}{ci} "
+                f"{unit} over {summary['count']} cells"
             )
     if args.store and not args.quiet:
         print(
@@ -1096,163 +1090,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled store action {args.action!r}")  # pragma: no cover
 
 
-def _cluster_config_from_args(args: argparse.Namespace):
-    """Resolve a cluster config + title from --preset/--scenario and overrides."""
-    from .cluster import ClusterScenarioConfig
-
-    if getattr(args, "scenario", None):
-        path = pathlib.Path(args.scenario)
-        try:
-            data = json.loads(path.read_text())
-        except OSError as error:
-            raise ConfigurationError(f"cannot read {path}: {error}") from None
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"{path} is not valid JSON: {error}") from None
-        if not isinstance(data, dict) or data.get("kind") != "cluster":
-            raise ConfigurationError(
-                f"{path} is not a cluster scenario spec (needs \"kind\": \"cluster\")"
-            )
-        config = ClusterScenarioConfig.from_dict(data)
-        title = f"scenario {path.name}"
-        slug = path.stem
-    else:
-        preset = get_preset(args.preset)
-        if preset.kind != "cluster":
-            raise ConfigurationError(
-                f"preset {preset.name!r} is kind:{preset.kind}; the cluster "
-                "commands need a kind:cluster preset (see sweep --list-presets)"
-            )
-        config = preset.config
-        title = f"preset {args.preset}"
-        slug = args.preset
-    overrides = {}
-    if getattr(args, "policy", None):
-        overrides["policy"] = args.policy
-    if getattr(args, "duration", None) is not None:
-        overrides["duration"] = args.duration
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "power_budget", None) is not None:
-        overrides["power_budget_w"] = args.power_budget
-    if overrides:
-        config = config.with_changes(**overrides)
-    return config, title, slug
-
-
-def _cmd_cluster_run(args: argparse.Namespace) -> int:
-    try:
-        config, title, _ = _cluster_config_from_args(args)
-        return _run_cluster_config(
-            config,
-            title,
-            args.out,
-            out_series=args.out_series,
-            out_hosts=args.out_hosts,
-            out_migrations=args.out_migrations,
-            trace_out=args.trace,
-            metrics_out=args.metrics_out,
-        )
-    except ConfigurationError as error:
-        print(f"cluster run: {error}", file=sys.stderr)
-        return 2
-
-
-#: Per-cell columns for the cluster sweep terminal summary.
-_CLUSTER_SUMMARY_METRICS = (
-    "energy_kwh",
-    "hosts_on_mean",
-    "migrations",
-    "sla_violations",
-    "power_peak_w",
-    "sla_mean",
-)
-
-
-def _cmd_cluster_sweep(args: argparse.Namespace) -> int:
-    from .sweep import SweepRunner
-
-    if args.resume and args.force:
-        print("cluster sweep: --resume and --force are opposites; pick one", file=sys.stderr)
-        return 2
-    if (args.resume or args.force) and not args.store:
-        print(
-            "cluster sweep: --resume/--force only make sense with --store DIR",
-            file=sys.stderr,
-        )
-        return 2
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    try:
-        preset = get_preset(args.preset)
-        if preset.kind != "cluster":
-            raise ConfigurationError(
-                f"preset {preset.name!r} is kind:{preset.kind}; cluster sweep "
-                "needs a kind:cluster preset (see sweep --list-presets)"
-            )
-        grid = preset_grid(
-            args.preset,
-            overrides=overrides,
-            replicates=args.replicates,
-            vary_seed=not args.fixed_seed,
-        )
-        from .obs import observed
-
-        _, registry = _observation_for(None, args.metrics_out)
-        reporter = _SweepReporter(len(grid), _verbosity_of(args))
-        runner = SweepRunner(
-            grid,
-            metrics=preset.metrics,
-            workers=args.workers,
-            store=args.store,
-            resume=not args.force,
-            progress=reporter,
-        )
-        try:
-            with observed(metrics=registry):
-                results = runner.run()
-        finally:
-            reporter.finish()
-    except ConfigurationError as error:
-        print(f"cluster sweep: {error}", file=sys.stderr)
-        return 2
-    print(
-        results.summary_table(
-            [m for m in _CLUSTER_SUMMARY_METRICS if m in results.cells[0].metrics]
-            or None,
-            title=f"cluster sweep: {len(results)} cells, axes {', '.join(grid.axes)}",
-        )
-    )
-    for axis in grid.axes:
-        if len(grid.axes[axis]) < 2 or "energy_kwh" not in results.cells[0].metrics:
-            continue
-        print()
-        print(f"mean fleet energy by {axis}:")
-        for value, summary in results.aggregate("energy_kwh", by=axis).items():
-            ci = f" ± {summary['ci95'] * 1000:.2f}" if summary["count"] > 1 else ""
-            print(
-                f"  {str(value):<14} {summary['mean'] * 1000:8.2f}{ci} Wh "
-                f"over {summary['count']} cells"
-            )
-    if args.store and not args.quiet:
-        print(
-            f"\nstore: {runner.cache_hits} cells warm, {runner.computed} computed "
-            f"({pathlib.Path(args.store)})"
-        )
-    if registry is not None:
-        path = registry.save(args.metrics_out)
-        print(f"\nwrote {len(registry)} metrics to {path}")
-    if args.out:
-        path = results.save(args.out)
-        print(f"\nwrote {len(results)} cells to {path}")
-    if args.out_aggregated:
-        path = results.export_aggregated(args.out_aggregated)
-        print(f"wrote {len(results.aggregated_records())} aggregated rows to {path}")
-    return 0
-
-
 def _replicate_seeds(root_seed: int, policy: str, replicates: int) -> list[int]:
     """Per-replicate seeds, mirroring the sweep convention.
 
@@ -1279,6 +1116,7 @@ def _format_ci(mean: float, ci95: float, digits: int, *, scale: float = 1.0) -> 
 
 
 def _cmd_cluster_compare(args: argparse.Namespace) -> int:
+    from .cluster import ClusterScenarioConfig
     from .cluster.policies import policy_names
     from .cluster.scenario import run_cluster_scenario
     from .sweep.metrics import cluster_metrics
@@ -1290,7 +1128,12 @@ def _cmd_cluster_compare(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 f"--replicates must be >= 1, got {args.replicates}"
             )
-        config, title, slug = _cluster_config_from_args(args)
+        config, title, slug = _config_from_args(args)
+        if not isinstance(config, ClusterScenarioConfig):
+            raise ConfigurationError(
+                f"{title} is a single-host scenario; cluster compare needs a "
+                "kind:cluster preset or spec (see sweep --list-presets)"
+            )
         if args.policies:
             policies = [p.strip() for p in args.policies.split(",") if p.strip()]
             if "power-budget" in policies and config.power_budget_w is None:
@@ -1427,129 +1270,50 @@ def _cmd_cluster_compare(args: argparse.Namespace) -> int:
     return 0 if all(passed for _, passed in checks) else 1
 
 
+def _add_config_source(parser: argparse.ArgumentParser, preset_help: str) -> None:
+    """``--preset``/``--scenario`` plus the overrides of :func:`_config_from_args`."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", help=preset_help)
+    source.add_argument("--scenario", help="path to a scenario-spec JSON file")
+    parser.add_argument(
+        "--duration", type=float, default=None, help="override the duration (sim s)"
+    )
+    parser.add_argument("--seed", type=int, default=None, help="override the seed")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="FIELD=VALUE",
+        help="override config field FIELD (repeatable): VALUE is parsed as "
+        "JSON when it parses and kept as a string otherwise, then checked "
+        "against the field; an unknown field or a bad value exits 2; "
+        "--duration/--seed apply after it.  E.g. --set scheduler=pas "
+        "--set v20_active=[20,180] --set power_budget_w=60",
+    )
+
+
 def _add_cluster_parser(commands) -> None:
     cluster = commands.add_parser(
         "cluster",
-        help="datacenter orchestration: run, sweep or compare fleet scenarios",
+        help="datacenter orchestration: compare policies over one fleet",
         description=(
-            "Drive the epoch-driven orchestration subsystem: run one fleet "
-            "scenario with per-epoch/per-host telemetry exports, sweep a "
-            "cluster preset grid through the experiment store, or compare "
-            "every registered orchestration policy over one fleet."
+            "Run every registered orchestration policy over one fleet "
+            "scenario (replicated when asked) and check the policy ordering. "
+            "Single fleet runs and fleet grids go through 'run' and 'sweep'."
         ),
     )
     actions = cluster.add_subparsers(dest="action", required=True)
-
-    c_run = actions.add_parser(
-        "run", help="run one fleet scenario and print placement + telemetry"
-    )
-    source = c_run.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", help="a kind:cluster preset name")
-    source.add_argument("--scenario", help="path to a cluster scenario-spec JSON file")
-    c_run.add_argument("--policy", default=None, help="override the orchestration policy")
-    c_run.add_argument("--duration", type=float, default=None)
-    c_run.add_argument("--seed", type=int, default=None)
-    c_run.add_argument(
-        "--power-budget",
-        dest="power_budget",
-        type=float,
-        default=None,
-        help="override the cluster watt cap (power-budget policy)",
-    )
-    c_run.add_argument(
-        "--out-series", default=None, help="write the per-epoch fleet series CSV to PATH"
-    )
-    c_run.add_argument(
-        "--out-hosts", default=None, help="write the per-host per-epoch series CSV to PATH"
-    )
-    c_run.add_argument(
-        "--out-migrations", default=None, help="write the migration-event CSV to PATH"
-    )
-    c_run.add_argument("--out", default=None, help="also write the resolved spec to PATH")
-    c_run.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a sim-time Chrome trace-event JSON (Perfetto-loadable) to PATH",
-    )
-    c_run.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the runtime-metrics snapshot JSON to PATH",
-    )
-    c_run.set_defaults(fn=_cmd_cluster_run)
-
-    c_sweep = actions.add_parser(
-        "sweep", help="run a cluster preset grid (store-cacheable, resumable)"
-    )
-    c_sweep.add_argument("--preset", required=True, help="a kind:cluster preset name")
-    c_sweep.add_argument(
-        "--replicates",
-        type=int,
-        default=1,
-        help="statistical replicates per cell (per-replicate derived seeds)",
-    )
-    c_sweep.add_argument("--duration", type=float, default=None)
-    c_sweep.add_argument("--seed", type=int, default=None)
-    c_sweep.add_argument(
-        "--fixed-seed",
-        action="store_true",
-        help="give every cell the root seed instead of derived per-cell seeds",
-    )
-    c_sweep.add_argument("--workers", type=int, default=1, help="process-pool size")
-    c_sweep.add_argument("--out", default=None, help="write results to PATH (.json or .csv)")
-    c_sweep.add_argument(
-        "--out-aggregated",
-        default=None,
-        help="write one row per logical cell with mean/std/ci95 columns to PATH",
-    )
-    c_sweep.add_argument(
-        "--store",
-        default=None,
-        help="experiment-store DIR: stream finished cells, skip computed ones",
-    )
-    c_sweep.add_argument("--resume", action="store_true", help="with --store: serve stored cells")
-    c_sweep.add_argument(
-        "--force", action="store_true", help="with --store: recompute and overwrite"
-    )
-    c_sweep.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the runtime-metrics snapshot JSON to PATH",
-    )
-    c_sweep.add_argument(
-        "-v",
-        "--verbose",
-        action="count",
-        default=0,
-        help="per-cell progress lines on stderr (default: one live line)",
-    )
-    c_sweep.add_argument(
-        "-q",
-        "--quiet",
-        action="store_true",
-        help="suppress progress and store-status output",
-    )
-    c_sweep.set_defaults(fn=_cmd_cluster_sweep)
 
     c_compare = actions.add_parser(
         "compare",
         help="run every orchestration policy over one fleet and summarise",
     )
-    compare_source = c_compare.add_mutually_exclusive_group(required=True)
-    compare_source.add_argument("--preset", help="a kind:cluster preset name")
-    compare_source.add_argument(
-        "--scenario", help="path to a cluster scenario-spec JSON file"
-    )
+    _add_config_source(c_compare, "a kind:cluster preset name")
     c_compare.add_argument(
         "--policies",
         default=None,
         help="comma-separated policy subset (default: the whole registry)",
     )
-    c_compare.add_argument("--duration", type=float, default=None)
-    c_compare.add_argument("--seed", type=int, default=None)
     c_compare.add_argument(
         "--replicates",
         type=int,
@@ -1608,46 +1372,38 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("processor", nargs="?", default=catalog.OPTIPLEX_755.name)
     calibrate.set_defaults(fn=_cmd_calibrate)
 
-    scenario = commands.add_parser("scenario", help="run a custom §5.3 scenario")
-    scenario.add_argument("--scheduler", default="pas", choices=["credit", "credit2", "sedf", "pas"])
-    scenario.add_argument(
-        "--governor",
-        default="stable",
-        choices=["performance", "powersave", "userspace", "ondemand", "conservative", "stable"],
-    )
-    scenario.add_argument(
-        "--v20-load", default="exact", choices=["exact", "near_exact", "thrashing", "idle"]
-    )
-    scenario.add_argument(
-        "--v70-load", default="exact", choices=["exact", "near_exact", "thrashing", "idle"]
-    )
-    scenario.add_argument("--duration", type=float, default=800.0)
-    scenario.add_argument("--seed", type=int, default=1)
-    scenario.set_defaults(fn=_cmd_scenario)
-
     run = commands.add_parser(
         "run",
         help="run a named preset or a scenario-spec JSON file",
         description=(
-            "Run one declarative scenario end-to-end and print a per-guest "
-            "summary.  The scenario comes from --preset (see 'sweep "
+            "Run one declarative scenario end-to-end and print its summary: "
+            "per guest for a single host, placement and per-epoch power for "
+            "a fleet.  The scenario comes from --preset (see 'sweep "
             "--list-presets') or from --scenario, a JSON file in the "
-            "ScenarioConfig.to_dict() format (arbitrary guest fleets)."
+            "ScenarioConfig.to_dict() format (\"kind\": \"cluster\" for a "
+            "fleet).  --set, --duration and --seed override the config."
         ),
     )
-    source = run.add_mutually_exclusive_group(required=True)
-    source.add_argument(
-        "--preset",
-        help="preset name (see sweep --list-presets), or 'all' for a smoke "
+    _add_config_source(
+        run,
+        "preset name (see sweep --list-presets), or 'all' for a smoke "
         "pass over every non-xlarge preset",
     )
-    source.add_argument("--scenario", help="path to a scenario-spec JSON file")
     run.add_argument(
         "--include-cluster",
         action="store_true",
         help="with --preset all: include the kind:cluster presets too",
     )
     run.add_argument("--out", default=None, help="also write the resolved spec to PATH")
+    run.add_argument(
+        "--out-series", default=None, help="fleet: write the per-epoch series CSV to PATH"
+    )
+    run.add_argument(
+        "--out-hosts", default=None, help="fleet: write the per-host per-epoch CSV to PATH"
+    )
+    run.add_argument(
+        "--out-migrations", default=None, help="fleet: write the migration-event CSV to PATH"
+    )
     run.add_argument(
         "--trace",
         default=None,
@@ -1672,11 +1428,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run to run by nature; the simulation itself is unaffected."
         ),
     )
-    p_source = profile.add_mutually_exclusive_group(required=True)
-    p_source.add_argument("--preset", help="preset name (see sweep --list-presets)")
-    p_source.add_argument("--scenario", help="path to a scenario-spec JSON file")
-    profile.add_argument("--duration", type=float, default=None)
-    profile.add_argument("--seed", type=int, default=None)
+    _add_config_source(profile, "preset name (see sweep --list-presets)")
     profile.set_defaults(fn=_cmd_profile)
 
     sweep = commands.add_parser(

@@ -30,6 +30,7 @@ from ..cpu import catalog
 from ..cpu.processor import ProcessorSpec
 from ..errors import ConfigurationError
 from ..sim import RngStreams
+from ..units import check_known_fields, check_positive
 from ..workloads import SyntheticTrace, TraceLoad
 from ..workloads.dayshapes import dayshape_series, require_dayshape
 from .machine import MachineSpec
@@ -95,6 +96,9 @@ class ClusterScenarioConfig:
     placement: str = ""
 
     def __post_init__(self) -> None:
+        check_positive(self.duration, "duration")
+        if self.power_budget_w is not None:
+            check_positive(self.power_budget_w, "power_budget_w")
         if isinstance(self.migration, Mapping):
             object.__setattr__(
                 self, "migration", MigrationModel.from_dict(self.migration)
@@ -112,6 +116,11 @@ class ClusterScenarioConfig:
                     for group in self.machines
                 ),
             )
+        for group in self.machines:
+            if not isinstance(group, MachineSpec):
+                raise ConfigurationError(
+                    f"machines must hold machine specs (JSON objects), got {group!r}"
+                )
         for shape in self.dayshapes:
             require_dayshape(shape)
         if self.policy not in POLICY_REGISTRY:
@@ -134,7 +143,13 @@ class ClusterScenarioConfig:
             )
 
     def with_changes(self, **changes) -> "ClusterScenarioConfig":
-        """A copy with the given fields replaced."""
+        """A copy with the given fields replaced.
+
+        Unknown field names raise a :class:`ConfigurationError` naming the
+        valid choices, as :meth:`ScenarioConfig.with_changes
+        <repro.experiments.scenario.ScenarioConfig.with_changes>` does.
+        """
+        check_known_fields(type(self), changes, "cluster scenario")
         return replace(self, **changes)
 
     def effective_machines(self) -> tuple[MachineSpec, ...]:
@@ -244,13 +259,7 @@ class ClusterScenarioConfig:
             )
         if "epoch" in kwargs and "epoch_s" not in kwargs:
             kwargs["epoch_s"] = kwargs.pop("epoch")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown cluster scenario field(s) {', '.join(map(repr, unknown))}; "
-                f"valid fields: {', '.join(f.name for f in dataclasses.fields(cls))}"
-            )
+        check_known_fields(cls, kwargs, "cluster scenario")
         processor = kwargs.get("processor")
         if isinstance(processor, str):
             kwargs["processor"] = catalog.processor_from_name(processor)

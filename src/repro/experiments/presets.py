@@ -61,7 +61,7 @@ grids, so ``run --preset all`` exercises every law the model rests on):
     ``calib-eq3`` until compensation saturates past 100 %.
 
 Cluster presets (``kind: cluster`` — fleet specs for ``python -m repro
-cluster run/sweep/compare``):
+run``, ``sweep`` and ``cluster compare``):
 
 ``dc-diurnal``
     The flagship datacenter scenario: 24 VMs mixing all five day shapes

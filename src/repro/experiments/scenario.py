@@ -45,7 +45,6 @@ by :func:`effective_guests` into the equivalent spec, so
 
 from __future__ import annotations
 
-import dataclasses
 import pathlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
@@ -55,6 +54,7 @@ from ..cpu.processor import ProcessorSpec
 from ..errors import ConfigurationError
 from ..hypervisor.host import Host
 from ..telemetry import TimeSeries, rolling_mean
+from ..units import check_known_fields, check_positive
 from ..workloads import (
     ConstantLoad,
     LoadProfile,
@@ -96,20 +96,6 @@ def _window_tuple(value: Any, what: str) -> tuple[float, float]:
     if end <= start:
         raise ConfigurationError(f"{what} end ({end}) must follow start ({start})")
     return (start, end)
-
-
-def _known_fields(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _reject_unknown(cls, data: Mapping[str, Any], what: str) -> None:
-    unknown = sorted(set(data) - set(_known_fields(cls)))
-    if unknown:
-        known = ", ".join(_known_fields(cls))
-        raise ConfigurationError(
-            f"unknown {what} field(s) {', '.join(map(repr, unknown))}; "
-            f"valid fields: {known}"
-        )
 
 
 @dataclass(frozen=True)
@@ -250,7 +236,7 @@ class WorkloadSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
         """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
-        _reject_unknown(cls, data, "workload spec")
+        check_known_fields(cls, data, "workload spec")
         return cls(**data)
 
 
@@ -312,7 +298,7 @@ class GuestSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "GuestSpec":
         """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
-        _reject_unknown(cls, data, "guest spec")
+        check_known_fields(cls, data, "guest spec")
         return cls(**data)
 
 
@@ -364,6 +350,7 @@ class ScenarioConfig:
     qos_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_positive(self.duration, "duration")
         object.__setattr__(self, "v20_active", _window_tuple(self.v20_active, "v20_active"))
         object.__setattr__(self, "v70_active", _window_tuple(self.v70_active, "v70_active"))
         object.__setattr__(
@@ -374,6 +361,11 @@ class ScenarioConfig:
                 for g in self.guests
             ),
         )
+        for guest in self.guests:
+            if not isinstance(guest, GuestSpec):
+                raise ConfigurationError(
+                    f"guests must hold guest specs (JSON objects), got {guest!r}"
+                )
         # Case-insensitive: metric keys lower-case guest names, so names
         # differing only in case would silently overwrite each other.
         names = [g.name.casefold() for g in self.guests]
@@ -406,7 +398,7 @@ class ScenarioConfig:
         valid choices (not a bare ``TypeError``), so preset/CLI overrides
         fail with an actionable message.
         """
-        _reject_unknown(type(self), changes, "scenario config")
+        check_known_fields(type(self), changes, "scenario config")
         return replace(self, **changes)
 
     @classmethod
@@ -478,7 +470,7 @@ class ScenarioConfig:
                 f"not a single-host scenario spec: kind={kind!r} (cluster specs "
                 "load via ClusterScenarioConfig.from_dict)"
             )
-        _reject_unknown(cls, kwargs, "scenario config")
+        check_known_fields(cls, kwargs, "scenario config")
         processor = kwargs.get("processor")
         if isinstance(processor, str):
             kwargs["processor"] = catalog.processor_from_name(processor)

@@ -25,7 +25,9 @@ produce uniform, actionable error messages.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from typing import Iterable
 
 from .errors import ConfigurationError
 
@@ -39,6 +41,17 @@ def check_positive(value: float, name: str) -> float:
     if not math.isfinite(value) or value <= 0:
         raise ConfigurationError(f"{name} must be a finite positive number, got {value!r}")
     return value
+
+
+def check_known_fields(cls, data: Iterable[str], what: str) -> None:
+    """Raise unless every key of *data* names a field of dataclass *cls*."""
+    known = tuple(f.name for f in dataclasses.fields(cls))
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} field(s) {', '.join(map(repr, unknown))}; "
+            f"valid fields: {', '.join(known)}"
+        )
 
 
 def check_non_negative(value: float, name: str) -> float:

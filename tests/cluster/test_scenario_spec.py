@@ -63,3 +63,33 @@ def test_grid_axes_coerce_from_json():
 def test_describe_is_compact():
     config = ClusterScenarioConfig(n_machines=4, n_vms=9, policy="spread", dvfs=True)
     assert config.describe() == "fleet(9vm/4m:spread+dvfs)"
+
+
+def test_with_changes_rejects_unknown_fields_with_choices():
+    with pytest.raises(ConfigurationError, match="unknown cluster scenario field.*flux"):
+        ClusterScenarioConfig().with_changes(flux=1)
+
+
+def test_preset_grid_rejects_unknown_cluster_override():
+    from repro.experiments import preset_grid
+
+    with pytest.raises(ConfigurationError, match="valid fields: n_machines"):
+        preset_grid("dc-diurnal-small", overrides={"flux": 1})
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
+def test_non_positive_duration_rejected(duration):
+    with pytest.raises(ConfigurationError, match="duration must be a finite positive"):
+        ClusterScenarioConfig(duration=duration)
+
+
+@pytest.mark.parametrize("budget", [0.0, -3.0, float("nan"), float("inf")])
+def test_power_cap_must_be_finite_and_positive(budget):
+    with pytest.raises(ConfigurationError, match="power_budget_w must be a finite positive"):
+        ClusterScenarioConfig(policy="static", power_budget_w=budget)
+    assert ClusterScenarioConfig(policy="static", power_budget_w=60.0).power_budget_w == 60.0
+
+
+def test_machine_groups_must_be_specs():
+    with pytest.raises(ConfigurationError, match="machines must hold machine specs"):
+        ClusterScenarioConfig(machines=(1,))

@@ -84,6 +84,19 @@ def test_with_changes_rejects_unknown_fields_with_choices():
         small().with_changes(shceduler="pas")
 
 
+@pytest.mark.parametrize("duration", [0.0, -1.0, float("nan"), float("inf")])
+def test_non_positive_duration_rejected(duration):
+    with pytest.raises(ConfigurationError, match="duration must be a finite positive"):
+        ScenarioConfig(duration=duration)
+    with pytest.raises(ConfigurationError, match="duration must be a finite positive"):
+        ScenarioConfig().with_changes(duration=duration)
+
+
+def test_guests_must_be_specs():
+    with pytest.raises(ConfigurationError, match="guests must hold guest specs"):
+        ScenarioConfig(guests=(1,))
+
+
 def test_legacy_fields_expand_to_two_guest_specs():
     guests = effective_guests(small(v20_load="thrashing"))
     assert [g.name for g in guests] == ["V20", "V70"]

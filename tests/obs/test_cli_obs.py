@@ -33,13 +33,12 @@ def test_run_metrics_out_snapshots_ten_plus_counters(capsys, tmp_path):
     assert snapshot["engine.events_fired"] > 0
 
 
-def test_cluster_run_trace_and_metrics(capsys, tmp_path):
+def test_run_cluster_preset_trace_and_metrics(capsys, tmp_path):
     trace = tmp_path / "trace.json"
     metrics = tmp_path / "metrics.json"
     assert (
         main(
             [
-                "cluster",
                 "run",
                 "--preset",
                 "dc-diurnal-small",
@@ -94,12 +93,11 @@ def test_sweep_progress_does_not_change_exports(capsys, tmp_path):
     assert quiet.read_bytes() == loud.read_bytes()
 
 
-def test_cluster_sweep_quiet_and_metrics(capsys, tmp_path):
+def test_sweep_cluster_preset_quiet_and_metrics(capsys, tmp_path):
     path = tmp_path / "metrics.json"
     assert (
         main(
             [
-                "cluster",
                 "sweep",
                 "--preset",
                 "dc-diurnal-small",

@@ -42,24 +42,74 @@ def test_calibrate_unknown_processor(capsys):
     assert "unknown processor" in capsys.readouterr().err
 
 
-def test_scenario_command(capsys):
+def test_run_paper_preset_with_set_overrides(capsys):
     assert (
         main(
             [
-                "scenario",
-                "--scheduler",
-                "pas",
-                "--v20-load",
-                "thrashing",
-                "--duration",
-                "800",
+                "run",
+                "--preset",
+                "paper-5.3",
+                "--set",
+                "scheduler=pas",
+                "--set",
+                "v20_load=thrashing",
             ]
         )
         == 0
     )
     out = capsys.readouterr().out
-    assert "V20.absolute_load" in out
+    assert "scheduler=pas governor=stable (2 guests, 800s)" in out
+    assert "V20" in out
     assert "energy" in out
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("flux=1", "unknown scenario config field(s) 'flux'"),
+        ("v20_active=[20,", "v20_active takes a JSON array"),
+        ("seed=abc", "seed takes an integer"),
+        ("scheduler=bogus", "unknown scheduler 'bogus'"),
+        ("nofield", "--set takes FIELD=VALUE"),
+    ],
+)
+def test_run_set_rejects_bad_overrides_cleanly(capsys, assignment, message):
+    assert main(["run", "--preset", "paper-5.3", "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("run: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("flux=1", "unknown cluster scenario field(s) 'flux'"),
+        ("policy=bogus", "unknown cluster policy 'bogus'"),
+        ("power_budget_w=-3", "power_budget_w must be a finite positive"),
+        ("dvfs=maybe", "dvfs takes true or false"),
+    ],
+)
+def test_run_set_rejects_bad_cluster_overrides_cleanly(capsys, assignment, message):
+    assert main(["run", "--preset", "dc-diurnal-small", "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--preset", "paper-5.3", "--duration", "-1"],
+        ["sweep", "--preset", "paper-5.3", "--duration", "0"],
+        ["run", "--preset", "paper-5.3", "--duration", "nan"],
+    ],
+)
+def test_non_positive_duration_exits_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "duration must be a finite positive number" in err
+    assert "Traceback" not in err
 
 
 _FAST_GRID = (
@@ -255,6 +305,20 @@ def test_parser_builds():
     assert args.number == 9
 
 
+def test_one_run_and_one_sweep_command():
+    import argparse
+
+    def subcommands(parser):
+        (action,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        return action.choices
+
+    commands = subcommands(build_parser())
+    assert "scenario" not in commands
+    assert set(subcommands(commands["cluster"])) == {"compare"}
+
+
 # ------------------------------------------------------------ store surface
 
 
@@ -368,12 +432,11 @@ def test_run_cluster_scenario_bad_field(capsys, tmp_path):
 # ------------------------------------------------------------- cluster CLI
 
 
-def test_cluster_run_preset(capsys, tmp_path):
+def test_run_cluster_preset_writes_series(capsys, tmp_path):
     series = tmp_path / "epochs.csv"
     assert (
         main(
             [
-                "cluster",
                 "run",
                 "--preset",
                 "dc-diurnal-small",
@@ -391,16 +454,22 @@ def test_cluster_run_preset(capsys, tmp_path):
     assert len(lines) == 21  # header + 20 epochs
 
 
-def test_cluster_run_rejects_scenario_presets(capsys):
-    assert main(["cluster", "run", "--preset", "governors"]) == 2
+def test_run_rejects_fleet_csv_flags_on_single_host(capsys, tmp_path):
+    for flag in ("--out-series", "--out-hosts", "--out-migrations"):
+        path = tmp_path / "x.csv"
+        assert main(["run", "--preset", "paper-5.3", flag, str(path)]) == 2
+        assert "single-host" in capsys.readouterr().err
+        assert not path.exists()
+
+
+def test_cluster_compare_rejects_scenario_presets(capsys):
+    assert main(["cluster", "compare", "--preset", "governors"]) == 2
     assert "kind:cluster" in capsys.readouterr().err
 
 
-def test_cluster_run_policy_override(capsys):
+def test_run_set_overrides_cluster_policy(capsys):
     assert (
-        main(
-            ["cluster", "run", "--preset", "dc-diurnal-small", "--policy", "static"]
-        )
+        main(["run", "--preset", "dc-diurnal-small", "--set", "policy=static"])
         == 0
     )
     assert "policy=static" in capsys.readouterr().out
@@ -472,14 +541,13 @@ def test_cluster_compare_rejects_bad_replicates(capsys):
     assert "--replicates must be >= 1" in capsys.readouterr().err
 
 
-def test_cluster_sweep_store_resumes_warm(capsys, tmp_path):
+def test_sweep_cluster_preset_store_resumes_warm(capsys, tmp_path):
     store = str(tmp_path / "store")
-    assert main(["cluster", "sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
     capsys.readouterr()
     assert (
         main(
             [
-                "cluster",
                 "sweep",
                 "--preset",
                 "dc-diurnal-small",
@@ -493,6 +561,20 @@ def test_cluster_sweep_store_resumes_warm(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "4 cells warm, 0 computed" in out
     assert "energy_kwh" in out
+    assert " Wh over 1 cells" in out
+
+
+def test_sweep_cluster_preset_export_matches_library(capsys, tmp_path):
+    from repro.experiments import get_preset, preset_grid
+    from repro.sweep import run_sweep
+
+    out = tmp_path / "cli.json"
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--out", str(out)]) == 0
+    capsys.readouterr()
+    preset = get_preset("dc-diurnal-small")
+    library = run_sweep(preset_grid(preset.name), metrics=preset.metrics)
+    expected = library.save(tmp_path / "library.json")
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_run_routes_cluster_presets(capsys):
@@ -517,7 +599,7 @@ def _populate_mixed_store(tmp_path):
         '"v20_active": [[10.0, 50.0]], "v70_active": [[20.0, 40.0]]}'
     )
     assert main(["sweep", "--grid", grid, "--store", store]) == 0
-    assert main(["cluster", "sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
     return store
 
 
