@@ -34,7 +34,6 @@ warm-cache and interrupted grids resume where they died.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import pathlib
@@ -53,6 +52,7 @@ from .experiments import (
 )
 from .platforms import calibrate_cf_table
 from .telemetry import render_chart, table_to_text
+from .units import check_field_types
 
 _FIGURES: dict[int, Callable] = {
     1: experiments.run_compensation,
@@ -611,23 +611,6 @@ def _run_all_presets(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-#: What ``--set`` accepts per field annotation: the value types after JSON
-#: parsing, and their wording.  ``--set seed=abc`` fails up front instead
-#: of seeding a run with a string.  ``tuple[...]`` fields take a JSON array.
-_SET_TYPES = {
-    "bool": ((bool,), "true or false"),
-    "int": ((int,), "an integer"),
-    "int | None": ((int, type(None)), "an integer or null"),
-    "float": ((int, float), "a number"),
-    "float | None": ((int, float, type(None)), "a number or null"),
-    "str": ((str,), "a string"),
-    "str | None": ((str, type(None)), "a string or null"),
-    "dict": ((dict,), "a JSON object"),
-    "MigrationModel": ((dict,), "a JSON object"),
-    "ProcessorSpec": ((str,), "a catalog processor name"),
-}
-
-
 def _parse_set(config, assignment: str) -> tuple[str, object]:
     """One ``--set FIELD=VALUE`` as ``(field, value)`` coerced for *config*."""
     name, sep, text = assignment.partition("=")
@@ -640,14 +623,7 @@ def _parse_set(config, assignment: str) -> tuple[str, object]:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    annotation = {f.name: f.type for f in dataclasses.fields(config)}.get(name, "")
-    expected = _SET_TYPES.get(annotation)
-    if annotation.startswith("tuple["):
-        expected = ((list,), "a JSON array")
-    if expected is not None and type(value) not in expected[0]:
-        raise ConfigurationError(
-            f"--set {assignment}: {name} takes {expected[1]}, got {value!r}"
-        )
+    check_field_types(type(config), {name: value}, f"--set {assignment}")
     return name, type(config).coerce_field(name, value)
 
 

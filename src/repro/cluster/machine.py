@@ -22,6 +22,7 @@ pre-domain arithmetic bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping
 
 from ..core import laws
@@ -177,9 +178,12 @@ class Machine:
             self._table.max_state, self._table, 1.0
         )
 
-    @property
+    @cached_property
     def efficiency_w_per_percent(self) -> float:
-        """Full-load watts per unit capacity — the packing-preference key."""
+        """Full-load watts per unit capacity — the packing-preference key.
+
+        Computed once: the spec and its P-state tables are immutable.
+        """
         return self.full_power_w / self.capacity_percent
 
     @property

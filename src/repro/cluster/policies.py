@@ -66,7 +66,11 @@ class PlacementError(ReproError):
 
 def current_assignment(machines: Sequence[Machine]) -> dict[str, str]:
     """The live VM→host assignment of a fleet."""
-    return {vm.name: machine.name for machine in machines for vm in machine.vms}
+    # Each machine's VM dict is keyed by VM name, in placement order: read
+    # it in place rather than copying a list of VMs per machine.
+    return {
+        vm_name: machine.name for machine in machines for vm_name in machine._vms
+    }
 
 
 # --------------------------------------------------------- placement orders
@@ -680,15 +684,23 @@ class PowerBudgetPolicy(ConsolidatePolicy):
         # Each host is predicted once, then again only when it steps down;
         # summing in ``chosen`` order keeps the float total bit-stable.
         watts = {name: predicted(name) for name in chosen}
-        while sum(watts.values()) > self.budget_w:
-            candidates = [
-                name for name in chosen if chosen[name] > by_name[name].min_freq_mhz
-            ]
-            if not candidates:
-                break  # cap infeasible even at the floor; nothing left to shed
-            hottest = max(candidates, key=lambda name: (watts[name], name))
-            chosen[hottest] = by_name[hottest].step_down_choice(chosen[hottest])
+        # The hottest host that can still step down, from a max-heap keyed
+        # (watts, name): ``chosen`` is in name order, so its index breaks
+        # ties exactly as a max over (watts, name) does.
+        heap = [
+            (-watts[name], -index, name)
+            for index, name in enumerate(chosen)
+            if chosen[name] > by_name[name].min_freq_mhz
+        ]
+        heapify(heap)
+        # An empty heap: the cap is infeasible even at the floor.
+        while heap and sum(watts.values()) > self.budget_w:
+            _, rank, hottest = heappop(heap)
+            machine = by_name[hottest]
+            chosen[hottest] = machine.step_down_choice(chosen[hottest])
             watts[hottest] = predicted(hottest)
+            if chosen[hottest] > machine.min_freq_mhz:
+                heappush(heap, (-watts[hottest], rank, hottest))
         return EpochPlan(
             assignment=placement.assignment,
             freq_floors=dict(chosen),

@@ -30,7 +30,7 @@ from ..cpu import catalog
 from ..cpu.processor import ProcessorSpec
 from ..errors import ConfigurationError
 from ..sim import RngStreams
-from ..units import check_known_fields, check_positive
+from ..units import check_field_types, check_known_fields, check_positive
 from ..workloads import SyntheticTrace, TraceLoad
 from ..workloads.dayshapes import dayshape_series, require_dayshape
 from .machine import MachineSpec
@@ -246,10 +246,10 @@ class ClusterScenarioConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "ClusterScenarioConfig":
         """Rebuild a config from :meth:`to_dict` output or a scenario file.
 
-        Unknown keys raise a :class:`ConfigurationError` naming the valid
-        fields; the processor may be given as a catalog name, the migration
-        model as a mapping, and ``epoch`` is accepted as a legacy alias of
-        ``epoch_s``.
+        Unknown keys, and values of the wrong JSON type for their field,
+        raise a :class:`ConfigurationError`; the processor may be given as
+        a catalog name, the migration model as a mapping, and ``epoch`` is
+        accepted as a legacy alias of ``epoch_s``.
         """
         kwargs = dict(data)
         kind = kwargs.pop("kind", "cluster")
@@ -260,6 +260,7 @@ class ClusterScenarioConfig:
         if "epoch" in kwargs and "epoch_s" not in kwargs:
             kwargs["epoch_s"] = kwargs.pop("epoch")
         check_known_fields(cls, kwargs, "cluster scenario")
+        check_field_types(cls, kwargs, "cluster scenario")
         processor = kwargs.get("processor")
         if isinstance(processor, str):
             kwargs["processor"] = catalog.processor_from_name(processor)

@@ -24,6 +24,8 @@ call into this module.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from ..cpu.freq_table import FrequencyTable
 from ..errors import ConfigurationError
 from ..units import check_non_negative, check_positive
@@ -104,22 +106,20 @@ def compute_new_frequency(
 ) -> int:
     """Listing 1.1: the lowest frequency that absorbs *absolute_load_percent*.
 
-    Iterates P-states in ascending order and returns the first whose
-    capacity ``ratio * 100 * cf`` strictly exceeds the absolute load (plus
-    an optional *margin*); the maximum frequency if none qualifies.
+    Returns the first P-state, in ascending order, whose capacity
+    ``ratio * 100 * cf`` strictly exceeds the absolute load (plus an
+    optional *margin*); the maximum frequency if none qualifies.  The
+    capacities are the table's precomputed
+    :meth:`~repro.cpu.freq_table.FrequencyTable.listing_ladder`.
 
     ``use_cf=False`` implements the cf-blind variant for the ablation that
     quantifies what ignoring Table 1's correction factors costs.
     """
     check_non_negative(absolute_load_percent, "absolute_load_percent")
     check_non_negative(margin_percent, "margin_percent")
-    max_freq = table.max_state.freq_mhz
-    for state in table:
-        cf = state.cf if use_cf else 1.0
-        capacity_percent = state.ratio_to(max_freq) * 100.0 * cf
-        if capacity_percent > absolute_load_percent + margin_percent:
-            return state.freq_mhz
-    return max_freq
+    ladder = table.listing_ladder(use_cf=use_cf)
+    index = bisect_right(ladder, absolute_load_percent + margin_percent)
+    return table.frequencies[min(index, len(ladder) - 1)]
 
 
 def compensated_caps(

@@ -21,6 +21,7 @@ P-state: there is no per-core frequency to disagree with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import ConfigurationError
 from ..units import check_fraction, check_non_negative, check_positive
@@ -74,7 +75,15 @@ class DomainSpec:
             )
 
     def table(self) -> FrequencyTable:
-        """Build the domain's frequency table."""
+        """The domain's frequency table, built once and shared.
+
+        A table is immutable, so every runtime object built from this spec
+        can use the one instance (and its precomputed ladders).
+        """
+        return self._table
+
+    @cached_property
+    def _table(self) -> FrequencyTable:
         return FrequencyTable(self.states)
 
 

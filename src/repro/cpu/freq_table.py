@@ -8,7 +8,9 @@ given absolute load" query at the heart of the paper's Listing 1.1.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import ConfigurationError, FrequencyError
 from .pstate import PState
@@ -30,7 +32,24 @@ class FrequencyTable:
         if len(set(freqs)) != len(freqs):
             raise ConfigurationError(f"duplicate frequencies in table: {freqs}")
         self._states: tuple[PState, ...] = tuple(ordered)
+        self._freqs: tuple[int, ...] = tuple(freqs)
         self._by_freq = {state.freq_mhz: state for state in ordered}
+        # Listing 1.1's capacity ladders, built once (the table is
+        # immutable), each in the rounding of the function that walks it:
+        # ``(ratio * cf) * 100`` for :meth:`lowest_absorbing`,
+        # ``ratio * 100 * cf`` (or cf-blind ``ratio * 100 * 1.0``) for
+        # :func:`repro.core.laws.compute_new_frequency`.
+        max_freq = ordered[-1].freq_mhz
+        self._absorbing_ladder = _running_max(
+            state.capacity_fraction(max_freq) * 100.0 for state in ordered
+        )
+        self._listing_ladders = {
+            use_cf: _running_max(
+                state.ratio_to(max_freq) * 100.0 * (state.cf if use_cf else 1.0)
+                for state in ordered
+            )
+            for use_cf in (True, False)
+        }
 
     # ------------------------------------------------------------- accessors
 
@@ -52,7 +71,19 @@ class FrequencyTable:
     @property
     def frequencies(self) -> tuple[int, ...]:
         """All frequencies in MHz, ascending."""
-        return tuple(state.freq_mhz for state in self._states)
+        return self._freqs
+
+    def listing_ladder(self, *, use_cf: bool = True) -> tuple[float, ...]:
+        """Listing 1.1's capacities ``ratio * 100 * cf``, one per state.
+
+        Entry *i* is the largest capacity among states ``0..i`` (on every
+        catalog table the capacities ascend, so it is state *i*'s own), so
+        the first state whose capacity exceeds a load is the first entry
+        exceeding it: ``bisect_right(ladder, load)``, the state an
+        ascending scan returns.  ``use_cf=False`` drops the correction
+        factors (``cf = 1.0``).
+        """
+        return self._listing_ladders[use_cf]
 
     def __len__(self) -> int:
         return len(self._states)
@@ -110,16 +141,20 @@ class FrequencyTable:
     def lowest_absorbing(self, absolute_load_percent: float, *, margin_percent: float = 0.0) -> PState:
         """Paper Listing 1.1: the lowest P-state whose capacity absorbs a load.
 
-        Iterates ascending and returns the first state with
-        ``ratio * 100 * cf > absolute_load_percent + margin_percent``; the maximum
-        state if none qualifies.  *margin_percent* (percentage points) implements the
-        head-room used by hysteretic governors.
+        The first state, ascending, with capacity
+        ``(ratio * cf) * 100 > absolute_load_percent + margin_percent``; the
+        maximum state if none qualifies.  One ``bisect`` over the ladder
+        built at construction (see :meth:`listing_ladder`).  *margin_percent*
+        (percentage points) implements the head-room used by hysteretic
+        governors.
         """
-        for state in self._states:
-            capacity_percent = state.capacity_fraction(self.max_state.freq_mhz) * 100.0
-            if capacity_percent > absolute_load_percent + margin_percent:
-                return state
-        return self.max_state
+        index = bisect_right(self._absorbing_ladder, absolute_load_percent + margin_percent)
+        return self._states[min(index, len(self._states) - 1)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FrequencyTable({list(self.frequencies)})"
+
+
+def _running_max(values: Iterable[float]) -> tuple[float, ...]:
+    """Each value replaced by the largest value up to it (non-decreasing)."""
+    return tuple(accumulate(values, max))

@@ -15,6 +15,7 @@ counts DVFS transitions — the statistics the governor benchmarks report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from ..errors import ConfigurationError, FrequencyError
@@ -53,7 +54,15 @@ class ProcessorSpec:
     domains: tuple[DomainSpec, ...] = ()
 
     def table(self) -> FrequencyTable:
-        """Build the frequency table for this spec."""
+        """The spec's frequency table, built once and shared.
+
+        A table is immutable, so every runtime object built from this spec
+        can use the one instance (and its precomputed ladders).
+        """
+        return self._table
+
+    @cached_property
+    def _table(self) -> FrequencyTable:
         return FrequencyTable(self.states)
 
     @property

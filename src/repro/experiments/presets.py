@@ -18,8 +18,12 @@ Registry
 ``governors``
     The §5 evaluation plane on a compressed three-phase timeline:
     scheduler (credit, pas) x governor (performance, ondemand,
-    conservative, stable) — 8 cells showing the SLA hole and its PAS fix
-    under every DVFS policy.
+    conservative, stable) — 8 cells.  The 4 credit cells show the SLA hole
+    under each governor.  PAS drives the frequency itself, so
+    :func:`~repro.experiments.scenario.build_scenario` runs it under
+    ``userspace`` whatever the governor axis says: the 4 PAS cells are one
+    simulation run 4 times, with identical metrics (9544.698928979307 J
+    each at seed 1).  The grid is kept as is so its exports stay stable.
 ``diurnal-web``
     Two guests replaying seeded diurnal utilisation traces (the
     hosting-center shape of the paper's motivation: base + day/night swing

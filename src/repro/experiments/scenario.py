@@ -54,7 +54,7 @@ from ..cpu.processor import ProcessorSpec
 from ..errors import ConfigurationError
 from ..hypervisor.host import Host
 from ..telemetry import TimeSeries, rolling_mean
-from ..units import check_known_fields, check_positive
+from ..units import check_field_types, check_known_fields, check_positive
 from ..workloads import (
     ConstantLoad,
     LoadProfile,
@@ -460,8 +460,9 @@ class ScenarioConfig:
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioConfig":
         """Rebuild a config from :meth:`to_dict` output or a scenario file.
 
-        Unknown keys raise a :class:`ConfigurationError` naming the valid
-        fields; the processor may be given as a catalog name.
+        Unknown keys, and values of the wrong JSON type for their field,
+        raise a :class:`ConfigurationError`; the processor may be given as
+        a catalog name.
         """
         kwargs = dict(data)
         kind = kwargs.pop("kind", "scenario")
@@ -471,6 +472,7 @@ class ScenarioConfig:
                 "load via ClusterScenarioConfig.from_dict)"
             )
         check_known_fields(cls, kwargs, "scenario config")
+        check_field_types(cls, kwargs, "scenario config")
         processor = kwargs.get("processor")
         if isinstance(processor, str):
             kwargs["processor"] = catalog.processor_from_name(processor)

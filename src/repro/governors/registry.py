@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..errors import ConfigurationError
+from ..units import check_keywords
 from .base import Governor
 from .conservative import ConservativeGovernor
 from .ondemand import OndemandGovernor
@@ -13,7 +12,7 @@ from .powersave import PowersaveGovernor
 from .stable import StableGovernor
 from .userspace import UserspaceGovernor
 
-_FACTORIES: dict[str, Callable[..., Governor]] = {
+_FACTORIES: dict[str, type[Governor]] = {
     "performance": PerformanceGovernor,
     "powersave": PowersaveGovernor,
     "userspace": UserspaceGovernor,
@@ -30,7 +29,9 @@ def make_governor(name: str, **kwargs) -> Governor:
     """Instantiate a governor by its registry *name*.
 
     Keyword arguments are forwarded to the governor constructor, so callers
-    can tune thresholds: ``make_governor("ondemand", up_threshold=70)``.
+    can tune thresholds: ``make_governor("ondemand", up_threshold=70)``;
+    one it does not take raises a :class:`ConfigurationError` naming those
+    it does.
     """
     try:
         factory = _FACTORIES[name]
@@ -38,4 +39,5 @@ def make_governor(name: str, **kwargs) -> Governor:
         raise ConfigurationError(
             f"unknown governor {name!r}; choose one of {', '.join(GOVERNOR_NAMES)}"
         ) from None
+    check_keywords(factory, kwargs, f"{name} governor")
     return factory(**kwargs)

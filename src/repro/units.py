@@ -26,8 +26,9 @@ produce uniform, actionable error messages.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
-from typing import Iterable
+from typing import Any, Iterable, Mapping
 
 from .errors import ConfigurationError
 
@@ -51,6 +52,68 @@ def check_known_fields(cls, data: Iterable[str], what: str) -> None:
         raise ConfigurationError(
             f"unknown {what} field(s) {', '.join(map(repr, unknown))}; "
             f"valid fields: {', '.join(known)}"
+        )
+
+
+#: The JSON value types a config field accepts, by its annotation, and
+#: their wording: ``"seed": "abc"`` fails up front instead of seeding a run
+#: with a string.  ``tuple[...]`` fields take a JSON array.
+_FIELD_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "dict": ((dict,), "a JSON object"),
+    "MigrationModel": ((dict,), "a JSON object"),
+    "ProcessorSpec": ((str,), "a catalog processor name"),
+}
+
+
+def check_field_types(cls, data: Mapping[str, Any], what: str) -> None:
+    """Raise unless each value of *data* has a JSON type its field accepts.
+
+    Fields of dataclass *cls* are judged by their (string) annotation, per
+    :data:`_FIELD_TYPES`; other annotations and unknown names pass.  The
+    error reads ``"<what>: <field> takes <type>, got <value>"``.
+    """
+    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name, value in data.items():
+        annotation = annotations.get(name, "")
+        expected = _FIELD_TYPES.get(annotation)
+        if annotation.startswith("tuple["):
+            expected = ((list,), "a JSON array")
+        if expected is not None and type(value) not in expected[0]:
+            raise ConfigurationError(
+                f"{what}: {name} takes {expected[1]}, got {value!r}"
+            )
+
+
+def check_keywords(cls: type, keywords: Iterable[str], what: str) -> None:
+    """Raise unless constructing *cls* accepts every name in *keywords*.
+
+    A constructor taking ``**kwargs`` is read as forwarding them to its
+    base class (as ``PasScheduler`` does to ``CreditScheduler``), whose
+    parameters are then accepted too.  The error names the accepted ones.
+    """
+    accepted: list[str] = []
+    for klass in cls.__mro__[:-1]:  # object.__init__ takes no keywords
+        init = vars(klass).get("__init__")
+        if init is None:
+            continue
+        parameters = list(inspect.signature(init).parameters.values())[1:]
+        accepted += [
+            p.name for p in parameters if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        ]
+        if not any(p.kind is p.VAR_KEYWORD for p in parameters):
+            break
+    unknown = sorted(set(keywords) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} parameter(s) {', '.join(map(repr, unknown))}; "
+            f"accepted: {', '.join(accepted) or 'none'}"
         )
 
 

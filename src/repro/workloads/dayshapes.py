@@ -40,22 +40,37 @@ import math
 import pathlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List
 
 from ..errors import ConfigurationError
 from ..units import check_positive
 from .trace import TracePoint
 
-#: A shape builder: (rng, day_length, step) -> demand percent per step.
-Builder = Callable[[random.Random, float, float], List[float]]
+
+@dataclass(frozen=True)
+class DayGrid:
+    """The RNG-free part of one shape's day, shared by every draw of it.
+
+    ``times`` are the sample starts (``index * step``), ``fractions`` the
+    same as day fractions, ``starts`` the replayed series' starts (the
+    times plus the zero tail at ``day_length``) and ``envelope`` the
+    shape's deterministic value per sample.  :func:`dayshape_series`
+    builds one per ``(shape, day_length, step)`` and reuses it, so a fleet
+    of VMs makes only its own RNG draws.
+    """
+
+    day_length: float
+    times: tuple[float, ...]
+    fractions: tuple[float, ...]
+    starts: tuple[float, ...]
+    envelope: tuple
 
 
-def _clamp(value: float) -> float:
-    return max(0.0, min(100.0, value))
-
-
-def _steps(day_length: float, step: float) -> list[float]:
-    return [index * step for index in range(int(day_length / step))]
+#: A shape's envelope: day fractions -> one entry per sample.
+Envelope = Callable[[tuple[float, ...]], tuple]
+#: A shape's draw: (rng, grid) -> demand percent per sample.
+Draw = Callable[[random.Random, DayGrid], List[float]]
 
 
 def _ramp(x: float, start: float, end: float) -> float:
@@ -74,50 +89,62 @@ def _office_curve(x: float) -> float:
     return envelope * (1.0 - 0.3 * lunch)
 
 
-def _diurnal_office(rng: random.Random, day_length: float, step: float) -> list[float]:
-    out = []
-    for t in _steps(day_length, step):
-        x = t / day_length
-        out.append(5.0 + 27.0 * _office_curve(x) + rng.gauss(0.0, 1.5))
-    return out
+def _office_envelope(fractions: tuple[float, ...]) -> tuple:
+    return tuple(5.0 + 27.0 * _office_curve(x) for x in fractions)
 
 
-def _weekend(rng: random.Random, day_length: float, step: float) -> list[float]:
-    out = []
-    for t in _steps(day_length, step):
-        x = t / day_length
-        bump = math.sin(math.pi * x) ** 2
-        out.append(4.0 + 8.0 * bump + rng.gauss(0.0, 1.0))
-    return out
+def _diurnal_office(rng: random.Random, grid: DayGrid) -> list[float]:
+    gauss = rng.gauss
+    return [base + gauss(0.0, 1.5) for base in grid.envelope]
 
 
-def _flash_crowd(rng: random.Random, day_length: float, step: float) -> list[float]:
+def _weekend_envelope(fractions: tuple[float, ...]) -> tuple:
+    return tuple(4.0 + 8.0 * math.sin(math.pi * x) ** 2 for x in fractions)
+
+
+def _weekend(rng: random.Random, grid: DayGrid) -> list[float]:
+    gauss = rng.gauss
+    return [base + gauss(0.0, 1.0) for base in grid.envelope]
+
+
+def _flash_crowd_envelope(fractions: tuple[float, ...]) -> tuple:
+    return tuple(
+        8.0 + 4.0 * math.sin(2.0 * math.pi * x - math.pi / 2.0) for x in fractions
+    )
+
+
+def _flash_crowd(rng: random.Random, grid: DayGrid) -> list[float]:
     onset = rng.uniform(0.25, 0.65)
-    decay = day_length / 10.0
+    decay = grid.day_length / 10.0
+    spike_at = onset * grid.day_length
+    gauss = rng.gauss
     out = []
-    for t in _steps(day_length, step):
-        x = t / day_length
-        demand = 8.0 + 4.0 * math.sin(2.0 * math.pi * x - math.pi / 2.0)
+    for t, x, demand in zip(grid.times, grid.fractions, grid.envelope):
         if x >= onset:
-            demand += 55.0 * math.exp(-(t - onset * day_length) / decay)
-        out.append(demand + rng.gauss(0.0, 2.0))
+            demand += 55.0 * math.exp(-(t - spike_at) / decay)
+        out.append(demand + gauss(0.0, 2.0))
     return out
 
 
-def _batch_overnight(rng: random.Random, day_length: float, step: float) -> list[float]:
-    out = []
-    for t in _steps(day_length, step):
-        x = t / day_length
-        if x < 0.20 or x >= 0.78:
-            out.append(55.0 + rng.gauss(0.0, 3.0))
-        else:
-            out.append(3.0 + rng.gauss(0.0, 1.0))
-    return out
+def _batch_envelope(fractions: tuple[float, ...]) -> tuple:
+    """(mean, sigma) per sample: the overnight window or the idle day."""
+    return tuple(
+        (55.0, 3.0) if x < 0.20 or x >= 0.78 else (3.0, 1.0) for x in fractions
+    )
 
 
-def _noisy_neighbor(rng: random.Random, day_length: float, step: float) -> list[float]:
+def _batch_overnight(rng: random.Random, grid: DayGrid) -> list[float]:
+    gauss = rng.gauss
+    return [mean + gauss(0.0, sigma) for mean, sigma in grid.envelope]
+
+
+def _no_envelope(fractions: tuple[float, ...]) -> tuple:
+    return ()
+
+
+def _noisy_neighbor(rng: random.Random, grid: DayGrid) -> list[float]:
     out = []
-    for _ in _steps(day_length, step):
+    for _ in grid.times:
         demand = 12.0 + rng.gauss(0.0, 3.0)
         if rng.random() < 0.20:
             demand += rng.uniform(15.0, 40.0)
@@ -127,11 +154,16 @@ def _noisy_neighbor(rng: random.Random, day_length: float, step: float) -> list[
 
 @dataclass(frozen=True)
 class DayShape:
-    """One catalog entry: a named, documented day generator."""
+    """One catalog entry: a named, documented day generator.
+
+    A day is the shape's ``envelope`` (deterministic, built once per grid)
+    plus its ``draw`` (the per-day RNG draws over that envelope).
+    """
 
     name: str
     description: str
-    build: Builder
+    envelope: Envelope
+    draw: Draw
 
 
 #: The catalog, keyed by name, in documentation order.
@@ -141,26 +173,31 @@ DAYSHAPES: dict[str, DayShape] = {
         DayShape(
             "diurnal-office",
             "quiet nights, 9-to-5 plateau with a lunch dip",
+            _office_envelope,
             _diurnal_office,
         ),
         DayShape(
             "weekend",
             "gentle midday bump at a fraction of the weekday level",
+            _weekend_envelope,
             _weekend,
         ),
         DayShape(
             "flash-crowd",
             "light diurnal baseline plus one seeded viral spike",
+            _flash_crowd_envelope,
             _flash_crowd,
         ),
         DayShape(
             "batch-overnight",
             "near-idle days, heavy sustained overnight processing",
+            _batch_envelope,
             _batch_overnight,
         ),
         DayShape(
             "noisy-neighbor",
             "moderate base with frequent random bursts",
+            _no_envelope,
             _noisy_neighbor,
         ),
     )
@@ -182,6 +219,25 @@ def require_dayshape(name: str) -> DayShape:
         ) from None
 
 
+@lru_cache(maxsize=16, typed=True)
+def _day_grid(name: str, day_length: float, step: float) -> DayGrid:
+    """The shared :class:`DayGrid` of shape *name* (built once per grid).
+
+    Cached per ``(name, day_length, step)``, argument types included, so
+    an ``int`` grid keeps its ``int`` starts.  Arguments are assumed
+    validated, as :func:`dayshape_series` does before calling it.
+    """
+    times = tuple(index * step for index in range(int(day_length / step)))
+    fractions = tuple(t / day_length for t in times)
+    return DayGrid(
+        day_length=day_length,
+        times=times,
+        fractions=fractions,
+        starts=(*times, day_length),
+        envelope=DAYSHAPES[name].envelope(fractions),
+    )
+
+
 def dayshape_series(
     name: str,
     rng: random.Random,
@@ -189,25 +245,31 @@ def dayshape_series(
     day_length: float = 400.0,
     step: float = 5.0,
     scale: float = 1.0,
-) -> tuple[list[float], list[float]]:
-    """One day of *name*-shaped demand as ``(starts, percents)`` lists.
+) -> tuple[tuple[float, ...], list[float]]:
+    """One day of *name*-shaped demand as ``(starts, percents)``.
 
     Percents are clamped to [0, 100]; ``scale`` multiplies the shape's
     demand (an intensity knob: the same day at 0.5x or 2x traffic).  The
     series ends in a zero point at ``day_length`` so
     :class:`~repro.workloads.trace.TraceLoad` repeats it as whole days;
     :meth:`~repro.workloads.trace.TraceLoad.from_series` replays it as is.
+    ``starts`` is the grid's shared tuple; ``percents`` a fresh list.
     """
     shape = require_dayshape(name)
     check_positive(day_length, "day_length")
     check_positive(step, "step")
     check_positive(scale, "scale")
-    demands = shape.build(rng, day_length, step)
-    starts = [index * step for index in range(len(demands))]
-    percents = [_clamp(demand * scale) for demand in demands]
-    starts.append(day_length)
+    grid = _day_grid(name, day_length, step)
+    demands = shape.draw(rng, grid)
+    if scale != 1.0:
+        demands = [demand * scale for demand in demands]
+    # max(0.0, min(100.0, value)) written out, bit for bit (NaN -> 100.0).
+    percents = [
+        (value if value > 0.0 else 0.0) if value < 100.0 else 100.0
+        for value in demands
+    ]
     percents.append(0.0)
-    return starts, percents
+    return grid.starts, percents
 
 
 def dayshape_points(

@@ -111,7 +111,7 @@ def load_trace_csv(path: str | pathlib.Path) -> list[TracePoint]:
     return points
 
 
-def _check_series(starts: list[float], percents: list[float]) -> None:
+def _check_series(starts: Sequence[float], percents: Sequence[float]) -> None:
     """Reject an invalid trace series: the one validation path of traces.
 
     Every start and percent must be finite and >= 0 (the
@@ -145,11 +145,11 @@ def _check_series(starts: list[float], percents: list[float]) -> None:
 class TraceLoad(Workload):
     """Replays a piecewise-constant demand trace onto a domain.
 
-    The trace is held as two parallel lists (point starts and percents),
-    so :meth:`demand_at` is a binary search rather than a scan and large
-    populations (:func:`~repro.cluster.scenario.make_population`) can be
-    built from generated series via :meth:`from_series` without creating a
-    :class:`TracePoint` per sample.
+    The trace is held as parallel sequences (a tuple of starts, a list of
+    percents), so :meth:`demand_at` is a binary search rather than a scan
+    and large populations (:func:`~repro.cluster.scenario.make_population`)
+    can be built from generated series via :meth:`from_series` without
+    creating a :class:`TracePoint` per sample.
 
     Parameters
     ----------
@@ -172,7 +172,7 @@ class TraceLoad(Workload):
     ) -> None:
         ordered = sorted(points, key=lambda point: point.start)
         self._init_series(
-            [point.start for point in ordered],
+            tuple(point.start for point in ordered),
             [point.percent for point in ordered],
             injection_period=injection_period,
             repeat=repeat,
@@ -192,11 +192,12 @@ class TraceLoad(Workload):
         Equivalent to ``TraceLoad([TracePoint(s, p) for s, p in ...])`` on
         valid input and checked by the same validation, but unlike the
         points form the starts are not sorted: out-of-order starts are
-        rejected like duplicate ones.
+        rejected like duplicate ones.  A tuple of starts is kept as is, so
+        traces replaying one grid (a day-shape population) share it.
         """
         trace = cls.__new__(cls)
         trace._init_series(
-            list(starts),
+            tuple(starts),
             list(percents),
             injection_period=injection_period,
             repeat=repeat,
@@ -205,7 +206,7 @@ class TraceLoad(Workload):
 
     def _init_series(
         self,
-        starts: list[float],
+        starts: tuple[float, ...],
         percents: list[float],
         *,
         injection_period: float,

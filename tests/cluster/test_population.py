@@ -8,6 +8,10 @@ import pytest
 from repro.cluster import ClusterScenarioConfig
 from repro.cluster.scenario import make_population
 from repro.experiments import preset_config
+from repro.workloads import dayshape_names
+
+#: The datacenter base with every catalog shape in the mix.
+ALL_SHAPES = preset_config("dc-fleet-large").with_changes(dayshapes=dayshape_names())
 
 
 def population_digest(config: ClusterScenarioConfig) -> str:
@@ -57,6 +61,23 @@ def population_digest(config: ClusterScenarioConfig) -> str:
             preset_config("dc-diurnal"),
             "182cfebf1058f5dd7dbd07d1c206561af275b9a453eb7226da8976707b8b719c",
             id="dc-diurnal",
+        ),
+        # Every catalog shape: at 0.5x and 2x (the clamp hits both ends)
+        # and unscaled on an off-grid day.
+        pytest.param(
+            ALL_SHAPES.with_changes(dayshape_scale=0.5),
+            "312ac0c92e307ffe81faab9b8249a6cb68913ed7b1a1da2cd65d20238c8cf9fd",
+            id="scale-0.5",
+        ),
+        pytest.param(
+            ALL_SHAPES.with_changes(dayshape_scale=2.0),
+            "80b0dbd992bb77c9bb2ec48fb2edd0163e5236269f34da82268839d670c53f61",
+            id="scale-2.0",
+        ),
+        pytest.param(
+            ALL_SHAPES.with_changes(day_length=37.5, trace_step=2.5, dayshape_scale=1.0),
+            "063f3569b8be67e7013a50701bd161e7c13d6bb23d22180db5eda1a18b14bf54",
+            id="off-grid",
         ),
     ],
 )

@@ -5,11 +5,15 @@ down.  These tests replay every epoch of a 64-machine fleet whose cap binds
 and check, per plan, that a loop re-predicting every host on every step
 (the obvious reading of the algorithm) picks the same frequencies, and that
 the policy made no more ``predict_power`` calls than hosts budgeted plus
-step-downs taken.
+step-downs taken.  Hosts with tied watts step down last name first, as a
+``max`` over ``(watts, name)`` picks them.
 """
 
+import pytest
+
 from repro.cluster import PowerBudgetPolicy, current_assignment
-from repro.cluster.machine import Machine
+from repro.cluster.machine import Machine, MachineSpec
+from repro.cluster.vm import ClusterVM
 from repro.cluster.scenario import build_cluster
 from repro.experiments.presets import get_preset
 
@@ -109,3 +113,38 @@ def test_cached_plan_matches_naive_loop_within_call_bound(monkeypatch):
     sim.run(CONFIG.duration)
     assert len(checked) == len(sim.stats)
     assert sum(checked) > 0, "the cap never bound; the test proves nothing"
+
+
+def tied_fleet():
+    """Four identical hosts, one VM each at equal demand: every watt ties."""
+    machines = [Machine(f"m{index}", MachineSpec()) for index in range(4)]
+    vms = [
+        ClusterVM(f"v{index}", credit=80.0, memory_mb=2048, demand=lambda t: 70.0)
+        for index in range(4)
+    ]
+    for machine, vm in zip(machines, vms):
+        machine.place(vm)
+    return machines, vms
+
+
+@pytest.mark.parametrize(
+    "budget_w, frequencies",
+    [
+        (300.0, (2800, 2800, 2800, 2800)),
+        (250.0, (2800, 2800, 2400, 2400)),
+        (200.0, (2400, 2400, 2000, 2000)),
+        (175.0, (2000, 2000, 2000, 2000)),
+        (150.0, (2000, 2000, 1600, 1600)),
+        (100.0, (1600, 1600, 1600, 1600)),  # infeasible: all at the floor
+    ],
+)
+def test_tied_watts_step_down_the_last_name_first(budget_w, frequencies):
+    machines, vms = tied_fleet()
+    policy = PowerBudgetPolicy(budget_w=budget_w)
+    plan = policy.plan(machines, vms, time=0.0, epoch_index=0, epoch_s=10.0, dvfs=True)
+    expected, _ = naive_frequencies(
+        policy, machines, vms, current_assignment(machines), time=0.0, dvfs=True
+    )
+    assert plan.assignment is None
+    assert dict(plan.freq_floors) == expected
+    assert expected == {f"m{index}": mhz for index, mhz in enumerate(frequencies)}

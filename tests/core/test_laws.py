@@ -1,5 +1,7 @@
 """Unit tests for the paper's proportionality laws (Eqs. 1-4, Listing 1.1)."""
 
+import math
+
 import pytest
 
 from repro import FrequencyTable, PState, catalog
@@ -123,3 +125,77 @@ def test_invalid_inputs_rejected():
         laws.compensated_credit(20.0, 0.0)
     with pytest.raises(ConfigurationError):
         laws.execution_time_at_credit(10.0, 0.0, 20.0)
+
+
+def _catalog_tables():
+    """Every catalog table: each processor's, and each of its domains'."""
+    for spec in catalog.ALL_PROCESSORS.values():
+        yield spec.name, spec.table()
+        for domain in spec.domains:
+            yield f"{spec.name}/{domain.name}", domain.table()
+    # Capacities that fall and rise again: the ladder keeps a running max.
+    yield "non-monotone", FrequencyTable(
+        [PState(1000), PState(1200, cf=0.5), PState(2000)]
+    )
+
+
+def _naive_listing(table, load, margin, use_cf):
+    """Listing 1.1 as the paper writes it: scan up, ``ratio * 100 * cf``."""
+    max_freq = table.max_state.freq_mhz
+    for state in table:
+        cf = state.cf if use_cf else 1.0
+        if state.ratio_to(max_freq) * 100.0 * cf > load + margin:
+            return state.freq_mhz
+    return max_freq
+
+
+def _naive_absorbing(table, load, margin):
+    """The governors' scan: capacity ``(ratio * cf) * 100``."""
+    for state in table:
+        if state.capacity_fraction(table.max_state.freq_mhz) * 100.0 > load + margin:
+            return state
+    return table.max_state
+
+
+def _probe_loads(table):
+    """0..150 in steps of 0.25, plus every capacity in either rounding and
+    its float neighbours, where the two roundings can disagree."""
+    loads = {index * 0.25 for index in range(601)}
+    max_freq = table.max_state.freq_mhz
+    for state in table:
+        for capacity in (
+            state.ratio_to(max_freq) * 100.0 * state.cf,
+            state.ratio_to(max_freq) * 100.0,
+            state.capacity_fraction(max_freq) * 100.0,
+        ):
+            loads.update(
+                (capacity, math.nextafter(capacity, 0.0), math.nextafter(capacity, 200.0))
+            )
+    return sorted(loads)
+
+
+@pytest.mark.parametrize("name, table", list(_catalog_tables()), ids=lambda v: str(v)[:40])
+@pytest.mark.parametrize("margin", [0.0, 5.0])
+def test_listing11_ladders_match_the_naive_scans(name, table, margin):
+    for load in _probe_loads(table):
+        for use_cf in (True, False):
+            assert laws.compute_new_frequency(
+                table, load, margin_percent=margin, use_cf=use_cf
+            ) == _naive_listing(table, load, margin, use_cf), (load, use_cf)
+        assert table.lowest_absorbing(load, margin_percent=margin) is _naive_absorbing(
+            table, load, margin
+        ), load
+
+
+def test_listing11_roundings_differ_in_the_last_bit():
+    """Why the two ladders stay separate: on the i7 the lowest state's
+    capacity is one ulp apart in the two roundings, so a load at exactly
+    that value is absorbed by one and not the other."""
+    table = catalog.CORE_I7_3770.table()
+    state = table.min_state
+    ratio = state.ratio_to(table.max_state.freq_mhz)
+    listing = ratio * 100.0 * state.cf
+    absorbing = (ratio * state.cf) * 100.0
+    assert listing != absorbing
+    load = min(listing, absorbing)
+    assert laws.compute_new_frequency(table, load) != table.lowest_absorbing(load).freq_mhz

@@ -277,6 +277,60 @@ def test_run_scenario_file_unknown_field_is_clean(capsys, tmp_path):
     assert "valid fields" in err and "scheduler" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"duration": "800"}, "scenario config: duration takes a number, got '800'"),
+        ({"seed": 1.5}, "scenario config: seed takes an integer"),
+        ({"v20_active": "50-750"}, "scenario config: v20_active takes a JSON array"),
+        ({"kind": "cluster", "n_vms": "3"}, "cluster scenario: n_vms takes an integer"),
+        ({"kind": "cluster", "dvfs": "yes"}, "cluster scenario: dvfs takes true or false"),
+        (
+            {"scheduler_kwargs": {"bogus": 1}},
+            "unknown credit scheduler parameter(s) 'bogus'; accepted: quantum,",
+        ),
+        (
+            {"scheduler": "pas", "scheduler_kwargs": {"bogus": 1}},
+            "unknown pas scheduler parameter(s) 'bogus'; accepted: sample_period,",
+        ),
+        (
+            {"governor": "ondemand", "governor_kwargs": {"bogus": 1}},
+            "unknown ondemand governor parameter(s) 'bogus'; accepted: up_threshold,",
+        ),
+    ],
+)
+def test_run_scenario_file_bad_values_are_clean(capsys, tmp_path, spec, message):
+    import json
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"duration": 20.0, **spec}))
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("run: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        (
+            'scheduler_kwargs={"bogus": 1}',
+            "unknown credit scheduler parameter(s) 'bogus'; accepted: quantum,",
+        ),
+        (
+            'governor_kwargs={"bogus": 1}',
+            "unknown stable governor parameter(s) 'bogus'; accepted: window,",
+        ),
+    ],
+)
+def test_run_set_rejects_unknown_constructor_kwargs(capsys, assignment, message):
+    argv = ["run", "--preset", "paper-5.3", "--duration", "20", "--set", assignment]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("run: ") and err.count("\n") == 1
+
+
 def test_run_scenario_file_invalid_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{oops}")

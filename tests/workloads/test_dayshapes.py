@@ -1,5 +1,6 @@
 """The day-shape catalog: registry, determinism, shape properties."""
 
+import hashlib
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from repro.workloads import (
     dayshape_csv,
     dayshape_names,
     dayshape_points,
+    dayshape_series,
     load_trace_csv,
     TraceLoad,
 )
@@ -107,6 +109,32 @@ def test_scale_multiplies_demand():
     half = points("diurnal-office", seed=3, scale=0.5)
     for a, b in zip(full[:-1], half[:-1]):
         assert b.percent == pytest.approx(a.percent * 0.5)
+
+
+@pytest.mark.parametrize(
+    "day_length, step, scale, digest",
+    [
+        (400.0, 5.0, 1.0, "06995b661927b4556791a518492185092ef6325a564cef04ab4f20716cf7b571"),
+        (400.0, 5.0, 0.5, "fc6bd8bd29d11e40e4121ed0b172b846c273ceaa372bf1b211462d4137aae369"),
+        (400.0, 5.0, 2.0, "04b9b5f4d10ae5ad7afbfd863ac9f8a2dd169db4d7d942799247ea9bfbcc60db"),
+        (37.5, 2.5, 1.0, "4ac1122b913c75bcd71d494e9ac0f362f5881652353a895e527ccfcb3d236717"),
+        (37.5, 2.6, 0.45, "b2dddae1b2db309b942ed9523edb5f8490cefa20ee84b851453e77332d108820"),
+        # An int grid keeps int starts (``repr`` shows it), unlike 400.0/5.0.
+        (400, 5, 1, "5eccb70fbcfe0210986479d6f46002f270d68f900d223a0fcfb39e14db5b14dd"),
+    ],
+)
+def test_series_are_byte_identical(day_length, step, scale, digest):
+    """sha256 over the ``repr`` of every start and percent of every shape."""
+    rows = []
+    for name in dayshape_names():
+        for seed in range(3):
+            starts, percents = dayshape_series(
+                name, random.Random(seed), day_length=day_length, step=step, scale=scale
+            )
+            rows.append(
+                f"{name} {seed} {list(map(repr, starts))} {list(map(repr, percents))}"
+            )
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == digest
 
 
 def test_dayshape_csv_round_trips_through_the_trace_loader(tmp_path):
