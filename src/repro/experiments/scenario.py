@@ -54,7 +54,7 @@ from ..cpu.processor import ProcessorSpec
 from ..errors import ConfigurationError
 from ..hypervisor.host import Host
 from ..telemetry import TimeSeries, rolling_mean
-from ..units import check_field_types, check_known_fields, check_positive
+from ..units import check_field_types, check_keywords, check_known_fields, check_positive
 from ..workloads import (
     ConstantLoad,
     LoadProfile,
@@ -237,6 +237,7 @@ class WorkloadSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
         """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
         check_known_fields(cls, data, "workload spec")
+        check_field_types(cls, data, "workload spec")
         return cls(**data)
 
 
@@ -299,6 +300,7 @@ class GuestSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "GuestSpec":
         """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
         check_known_fields(cls, data, "guest spec")
+        check_field_types(cls, data, "guest spec")
         return cls(**data)
 
 
@@ -618,6 +620,9 @@ def build_scenario(config: ScenarioConfig) -> Host:
             "user-credit": UserCreditManager,
             "user-full": UserFullManager,
         }[config.manager]
+        check_keywords(
+            manager_cls, config.manager_kwargs, f"{config.manager} manager", supplied=1
+        )
         manager = manager_cls(host, **config.manager_kwargs)
         manager.start()
         host.user_manager = manager
@@ -627,7 +632,12 @@ def build_scenario(config: ScenarioConfig) -> Host:
         # The monitor's own knobs ride in qos_kwargs under "monitor";
         # everything else goes to the controller constructor.
         qos_kwargs = dict(config.qos_kwargs)
-        monitor_kwargs = dict(qos_kwargs.pop("monitor", {}))
+        monitor_kwargs = qos_kwargs.pop("monitor", {})
+        if not isinstance(monitor_kwargs, Mapping):
+            raise ConfigurationError(
+                f"qos_kwargs: monitor takes a JSON object, got {monitor_kwargs!r}"
+            )
+        check_keywords(ContentionMonitor, monitor_kwargs, "QoS monitor", supplied=4)
         controller = make_controller(config.qos, **qos_kwargs)
         lc_domains = [
             domain

@@ -21,7 +21,9 @@ transitions out in place, as :meth:`_begin_dispatch` does for
 ``mark_running``.  They bill the processor through its busy and idle
 paths (``Processor._bill_busy`` / ``_bill_idle``), the same two that
 :meth:`Processor.account` delegates to.  Every float operation is the one
-the method would have done, in the same order.
+the method would have done, in the same order.  The books the host keeps
+per vCPU (its energy, its slice-event label) live on the vCPU itself, so a
+fold never looks a domain up by name.
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ class Host:
         self.governor: Governor = governor
 
         self._domains: dict[str, Domain] = {}
-        #: Precomputed per-vCPU slice-event labels (f-strings per dispatch
-        #: are measurable at 10^5 slices per run).
-        self._slice_labels: dict[str, str] = {}
         self._monitor = LoadMonitor(self, self.recorder, period=monitor_period)
 
         # Dispatch-loop state: exactly one of (_current, _idle_from) is set.
@@ -104,12 +103,12 @@ class Host:
         self._slice_start = 0.0
         self._slice_capacity = 1.0
         self._slice_end_event: EventHandle | None = None
+        #: ``self._on_slice_end`` bound once: every dispatch schedules it.
+        self._slice_callback = self._on_slice_end
         self._idle_from: float | None = 0.0
         self._tick_timer: PeriodicTimer | None = None
         self._started = False
         self._preemptions = 0
-        #: Per-domain energy attribution (joules charged while dispatched).
-        self._domain_energy: dict[str, float] = {}
         self._idle_energy = 0.0
 
         self.cpufreq.add_pre_observer(self._before_frequency_change)
@@ -161,7 +160,6 @@ class Host:
         )
         domain = Domain(name, config, self)
         self._domains[name] = domain
-        self._slice_labels[name] = f"slice.{name}"
         self.scheduler.add_vcpu(domain.vcpu)
         return domain
 
@@ -296,16 +294,18 @@ class Host:
         self._slice_start = now
         self._slice_capacity = capacity
         self._slice_end_event = engine.schedule(
-            run_for, self._on_slice_end, label=self._slice_labels[vcpu.name]
+            run_for, self._slice_callback, label=vcpu.slice_label
         )
 
     def _on_slice_end(self) -> None:
         # Natural slice end: the engine popped and fired this handle and
         # only the host still references it, so it goes back to the pool
         # for the next slice (one dispatch per slice makes it the hottest
-        # allocation in a run).
+        # allocation in a run).  Engine.release, written out: a fired
+        # handle's callback is None and it was never cancelled (a cancelled
+        # one does not fire), so the check and the reset both hold.
         engine = self.engine
-        engine.release(self._slice_end_event)
+        engine._free.append(self._slice_end_event)
         self._slice_end_event = None
         self._close_slice(engine._now)
         self._begin_dispatch()
@@ -343,10 +343,7 @@ class Host:
             vcpu._pending_work = pending if pending >= WORK_EPSILON else 0.0
             vcpu._work_done += work
             vcpu._cpu_seconds += elapsed
-            energy = self.processor._bill_busy(elapsed)
-            name = vcpu.name
-            domain_energy = self._domain_energy
-            domain_energy[name] = domain_energy.get(name, 0.0) + energy
+            vcpu._energy += self.processor._bill_busy(elapsed)
             scheduler.charge(vcpu, elapsed, now)
         # VCpu.mark_runnable / mark_blocked, written out.
         if vcpu._pending_work > WORK_EPSILON:
@@ -390,10 +387,7 @@ class Host:
                 current._pending_work = pending if pending >= WORK_EPSILON else 0.0
                 current._work_done += work
                 current._cpu_seconds += elapsed
-                energy = self.processor._bill_busy(elapsed)
-                name = current.name
-                domain_energy = self._domain_energy
-                domain_energy[name] = domain_energy.get(name, 0.0) + energy
+                current._energy += self.processor._bill_busy(elapsed)
                 self.scheduler.charge(current, elapsed, now)
                 self._slice_start = now
         else:
@@ -416,8 +410,7 @@ class Host:
         (:attr:`idle_energy_joules`); the three always sum to the
         processor's total.
         """
-        self.domain(name)  # validate the name
-        return self._domain_energy.get(name, 0.0)
+        return self.domain(name).vcpu.energy_joules
 
     @property
     def idle_energy_joules(self) -> float:

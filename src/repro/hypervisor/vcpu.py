@@ -6,10 +6,15 @@ the host drains it while the vCPU is dispatched, at the processor's current
 ``ratio * cf`` rate.  A vCPU with no pending work is *blocked* — exactly the
 distinction the paper draws between active and lazy VMs.
 
-The class is slotted and keeps its hot fields (state, pending work, the
-owning domain's name) as plain attributes: the dispatch loop touches every
-one of them on every slice boundary, so property indirection here is pure
-overhead.  The public read API is unchanged.
+The class is slotted and keeps its hot fields as plain attributes: the
+dispatch loop touches every one of them on every slice boundary, so
+property indirection here is pure overhead.  They are the state
+(``_state`` and ``runnable``), pending work, the owning domain's name, the
+work, CPU-time and energy books (``_work_done``, ``_cpu_seconds``,
+``_energy``), the host's slice-event label (``slice_label``) and the
+scheduler's per-vCPU account (``sched``, Xen's ``sched_priv``), which
+spares every scheduler hook a lookup by name.  The public read API is
+unchanged.
 
 The hot paths also skip the mutators: the host's slice close, its
 ``sync_accounting`` and dispatch, and ``Domain.add_work`` write the
@@ -61,6 +66,9 @@ class VCpu:
         "_cpu_seconds",
         "_work_done",
         "_dispatch_count",
+        "_energy",
+        "slice_label",
+        "sched",
     )
 
     def __init__(self, domain: "Domain") -> None:
@@ -74,6 +82,15 @@ class VCpu:
         self._cpu_seconds = 0.0
         self._work_done = 0.0
         self._dispatch_count = 0
+        #: Joules the host billed while this vCPU was dispatched.
+        self._energy = 0.0
+        #: Label of the host's end-of-slice events for this vCPU (a
+        #: constant, so dispatch formats no string).
+        self.slice_label = f"slice.{domain.name}"
+        #: The admitting scheduler's account for this vCPU, or None when no
+        #: scheduler holds it.  Set by ``Scheduler.add_vcpu``, cleared by
+        #: ``remove_vcpu``; only that scheduler reads it.
+        self.sched: object | None = None
 
     # ------------------------------------------------------------- identity
 
@@ -154,6 +171,11 @@ class VCpu:
     def dispatch_count(self) -> int:
         """Number of times the vCPU has been put on the processor."""
         return self._dispatch_count
+
+    @property
+    def energy_joules(self) -> float:
+        """Energy billed while this vCPU was dispatched (charge-back)."""
+        return self._energy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -58,8 +58,9 @@ def _scheduler_entries(module: SourceModule) -> Iterator[_Registered]:
     names: list[tuple[str, ast.AST]] = []
     class_for_name: dict[str, str] = {}
     for node in module.walk():
-        if isinstance(node, ast.Assign):
-            target = node.targets[0]
+        # ``SCHEDULER_NAMES = (...)`` or, annotated, ``SCHEDULER_NAMES: ... = (...)``.
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
             if isinstance(target, ast.Name) and target.id == "SCHEDULER_NAMES":
                 if isinstance(node.value, (ast.Tuple, ast.List)):
                     for element in node.value.elts:

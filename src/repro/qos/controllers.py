@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..errors import ConfigurationError
 from ..obs import hooks as _obs
-from ..units import check_non_negative, check_positive
+from ..units import check_keywords, check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hypervisor.domain import Domain
@@ -407,8 +407,9 @@ def make_controller(name: str, **kwargs) -> QosController:
     """Instantiate the controller registered as *name*.
 
     Unknown names raise a :class:`~repro.errors.ConfigurationError` listing
-    the valid choices (the same contract as the scheduler/governor/policy
-    factories).
+    the valid choices, and a keyword argument the controller does not take
+    raises one naming those it does (the same contract as the
+    scheduler/governor/policy factories).
     """
     try:
         controller_cls = CONTROLLER_REGISTRY[name]
@@ -417,4 +418,5 @@ def make_controller(name: str, **kwargs) -> QosController:
         raise ConfigurationError(
             f"unknown QoS controller {name!r}; use one of: {known}"
         ) from None
+    check_keywords(controller_cls, kwargs, f"{name} QoS controller")
     return controller_cls(**kwargs)

@@ -16,13 +16,20 @@ time is charged.  The contract:
 
 Caps are mutable at runtime via :meth:`set_cap` — that is the hook the PAS
 scheduler and the user-level managers (§4.1) use to enforce Eq. 4.
+
+A scheduler keeps one account of per-vCPU state for each admitted vCPU.
+Like Xen's ``sched_priv``, the account hangs off the vCPU itself (its
+``sched`` slot), so the hooks the host calls with a vCPU reach it without a
+lookup by name; ``_accounts`` holds the same accounts by name, in admission
+order, for the passes over every vCPU.  Each account names its ``owner``,
+so a vCPU admitted to another scheduler is refused, not misread.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..errors import SchedulerError
 
@@ -60,6 +67,8 @@ class Scheduler(ABC):
     def __init__(self) -> None:
         self._host: "Host | None" = None
         self.stats = SchedulerStats()
+        #: Admitted vCPUs' accounts by vCPU name, in admission order.
+        self._accounts: dict[str, Any] = {}
 
     # ------------------------------------------------------------- plumbing
 
@@ -85,6 +94,34 @@ class Scheduler(ABC):
     @abstractmethod
     def remove_vcpu(self, vcpu: "VCpu") -> None:
         """Forget a vCPU."""
+
+    def _check_new(self, vcpu: "VCpu") -> None:
+        """Raise unless *vcpu* may be admitted (no scheduler holds it)."""
+        if vcpu.sched is not None or vcpu.name in self._accounts:
+            raise SchedulerError(f"vCPU {vcpu.name!r} already admitted")
+
+    def _admit(self, vcpu: "VCpu", account: Any) -> None:
+        """Hold *account* (whose ``owner`` is this scheduler) for *vcpu*."""
+        self._accounts[vcpu.name] = account
+        vcpu.sched = account
+
+    def _account_of(self, vcpu: "VCpu") -> Any:
+        """*vcpu*'s account, read from its ``sched`` slot.
+
+        The hot hooks write this check out: an empty slot, or an account
+        another scheduler owns, raises :class:`SchedulerError`.
+        """
+        account = vcpu.sched
+        if account is None or account.owner is not self:
+            raise SchedulerError(f"vCPU {vcpu.name!r} is not admitted")
+        return account
+
+    def _forget(self, vcpu: "VCpu") -> Any:
+        """Drop *vcpu*'s account (raises if not admitted); returns it."""
+        account = self._account_of(vcpu)
+        del self._accounts[vcpu.name]
+        vcpu.sched = None
+        return account
 
     # ---------------------------------------------------------- state change
 

@@ -40,9 +40,10 @@ MIN_BUDGET = 1e-6
 
 @dataclass(slots=True)
 class _Account:
-    """Per-vCPU scheduler state."""
+    """Per-vCPU scheduler state (the vCPU's ``sched`` slot)."""
 
     vcpu: "VCpu"
+    owner: "CreditScheduler"
     weight: float
     cap: float  # nominal percent; 0 = uncapped
     priority_class: int
@@ -108,7 +109,6 @@ class CreditScheduler(Scheduler):
         self.ticks_per_accounting = ticks_per_accounting
         self.accounting_period = tick_interval * ticks_per_accounting
         self.credit_clamp = credit_clamp_periods * self.accounting_period
-        self._accounts: dict[str, _Account] = {}
         self._queues: dict[int, list[_Account]] = {}
         #: Queues in ascending priority-class order (rebuilt on membership
         #: changes) so pick_next never re-sorts the class keys.
@@ -118,36 +118,32 @@ class CreditScheduler(Scheduler):
     # ------------------------------------------------------------ membership
 
     def add_vcpu(self, vcpu: "VCpu") -> None:
-        if vcpu.name in self._accounts:
-            raise SchedulerError(f"vCPU {vcpu.name!r} already admitted")
+        self._check_new(vcpu)
         config = vcpu.domain.config
         account = _Account(
             vcpu=vcpu,
+            owner=self,
             weight=config.effective_weight,
             cap=config.effective_cap,
             priority_class=config.priority_class,
         )
-        self._accounts[vcpu.name] = account
+        self._admit(vcpu, account)
         self._queues.setdefault(account.priority_class, [])
         self._queue_scan = [self._queues[cls] for cls in sorted(self._queues)]
 
     def remove_vcpu(self, vcpu: "VCpu") -> None:
-        account = self._account_of(vcpu)
+        account = self._forget(vcpu)
         if account.queued:
             self._queues[account.priority_class].remove(account)
-        del self._accounts[vcpu.name]
-
-    def _account_of(self, vcpu: "VCpu") -> _Account:
-        try:
-            return self._accounts[vcpu.name]
-        except KeyError:
-            raise SchedulerError(f"vCPU {vcpu.name!r} is not admitted") from None
 
     # ---------------------------------------------------------- state change
 
+    # The per-vCPU hooks below write out ``Scheduler._account_of``'s slot
+    # read and ownership check, and call it to raise on a miss.
+
     def wake(self, vcpu: "VCpu") -> None:
-        account = self._accounts.get(vcpu.name)
-        if account is None:
+        account = vcpu.sched
+        if account is None or account.owner is not self:
             account = self._account_of(vcpu)
         if not account.queued:
             self._queues[account.priority_class].append(account)
@@ -159,8 +155,8 @@ class CreditScheduler(Scheduler):
     put_back = wake
 
     def sleep(self, vcpu: "VCpu") -> None:
-        account = self._accounts.get(vcpu.name)
-        if account is None:
+        account = vcpu.sched
+        if account is None or account.owner is not self:
             account = self._account_of(vcpu)
         if account.queued:
             self._queues[account.priority_class].remove(account)
@@ -211,8 +207,8 @@ class CreditScheduler(Scheduler):
         return None
 
     def slice_for(self, vcpu: "VCpu", now: float) -> float:
-        account = self._accounts.get(vcpu.name)
-        if account is None:
+        account = vcpu.sched
+        if account is None or account.owner is not self:
             account = self._account_of(vcpu)
         cap = account.cap
         if cap <= 0.0:
@@ -222,10 +218,10 @@ class CreditScheduler(Scheduler):
         return budget if budget < self.quantum else self.quantum
 
     def charge(self, vcpu: "VCpu", wall_dt: float, now: float) -> None:
-        name = vcpu.name
-        account = self._accounts.get(name)
-        if account is None:
+        account = vcpu.sched
+        if account is None or account.owner is not self:
             account = self._account_of(vcpu)
+        name = vcpu.name
         account.credit_s -= wall_dt
         account.usage_in_period += wall_dt
         # Inline of _Account.cap_budget (keep in sync with it).
@@ -242,12 +238,11 @@ class CreditScheduler(Scheduler):
         by_domain[name] = by_domain.get(name, 0.0) + wall_dt
 
     def should_preempt(self, current: "VCpu", waking: "VCpu") -> bool:
-        accounts = self._accounts
-        current_account = accounts.get(current.name)
-        if current_account is None:
+        current_account = current.sched
+        if current_account is None or current_account.owner is not self:
             current_account = self._account_of(current)
-        waking_account = accounts.get(waking.name)
-        if waking_account is None:
+        waking_account = waking.sched
+        if waking_account is None or waking_account.owner is not self:
             waking_account = self._account_of(waking)
         if waking_account.parked:
             return False
@@ -276,10 +271,16 @@ class CreditScheduler(Scheduler):
         return False
 
     def _run_accounting(self) -> None:
-        active = [
-            account for account in self._accounts.values() if account.vcpu.runnable
-        ]
-        total_weight = sum(account.weight for account in active)
+        # One pass opens the new period and collects the runnable accounts
+        # (the refill reads no field the reset writes).  Summing a list is
+        # the same sum, in the same order, without a generator.
+        active = []
+        for account in self._accounts.values():
+            account.usage_in_period = 0.0
+            account.parked = False
+            if account.vcpu.runnable:
+                active.append(account)
+        total_weight = sum([account.weight for account in active])
         if total_weight > 0:
             period = self.accounting_period
             clamp = self.credit_clamp
@@ -287,9 +288,6 @@ class CreditScheduler(Scheduler):
                 share = account.weight / total_weight
                 credit_s = account.credit_s + share * period
                 account.credit_s = clamp if credit_s > clamp else credit_s
-        for account in self._accounts.values():
-            account.usage_in_period = 0.0
-            account.parked = False
 
     # ----------------------------------------------------------- cap control
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import SchedulerError
 from ..units import check_positive
 from .base import Scheduler
 
@@ -33,9 +32,10 @@ CREDIT_INIT = 0.5
 
 @dataclass
 class _Credit2Account:
-    """Per-vCPU Credit2 state."""
+    """Per-vCPU Credit2 state (the vCPU's ``sched`` slot)."""
 
     vcpu: "VCpu"
+    owner: "Credit2Scheduler"
     weight: float
     credit_s: float = CREDIT_INIT
 
@@ -56,26 +56,17 @@ class Credit2Scheduler(Scheduler):
         super().__init__()
         self.quantum = check_positive(quantum, "quantum")
         self.tick_period = None  # No periodic accounting; resets are lazy.
-        self._accounts: dict[str, _Credit2Account] = {}
         self._resets = 0
 
     # ------------------------------------------------------------ membership
 
     def add_vcpu(self, vcpu: "VCpu") -> None:
-        if vcpu.name in self._accounts:
-            raise SchedulerError(f"vCPU {vcpu.name!r} already admitted")
+        self._check_new(vcpu)
         weight = vcpu.domain.config.effective_weight
-        self._accounts[vcpu.name] = _Credit2Account(vcpu=vcpu, weight=weight)
+        self._admit(vcpu, _Credit2Account(vcpu=vcpu, owner=self, weight=weight))
 
     def remove_vcpu(self, vcpu: "VCpu") -> None:
-        self._account_of(vcpu)
-        del self._accounts[vcpu.name]
-
-    def _account_of(self, vcpu: "VCpu") -> _Credit2Account:
-        try:
-            return self._accounts[vcpu.name]
-        except KeyError:
-            raise SchedulerError(f"vCPU {vcpu.name!r} is not admitted") from None
+        self._forget(vcpu)
 
     # ---------------------------------------------------------- state change
 
@@ -108,6 +99,7 @@ class Credit2Scheduler(Scheduler):
             account.credit_s = min(account.credit_s + CREDIT_INIT, CREDIT_INIT)
 
     def slice_for(self, vcpu: "VCpu", now: float) -> float:
+        self._account_of(vcpu)
         return self.quantum
 
     def charge(self, vcpu: "VCpu", wall_dt: float, now: float) -> None:

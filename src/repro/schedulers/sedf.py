@@ -37,9 +37,10 @@ ADMISSION_SLACK = 1e-9
 
 @dataclass
 class _SedfAccount:
-    """Per-vCPU SEDF state."""
+    """Per-vCPU SEDF state (the vCPU's ``sched`` slot)."""
 
     vcpu: "VCpu"
+    owner: "SedfScheduler"
     slice_s: float
     period_p: float
     extra: bool
@@ -90,15 +91,13 @@ class SedfScheduler(Scheduler):
         super().__init__()
         self.extra_quantum = check_positive(extra_quantum, "extra_quantum")
         self.tick_period = check_positive(tick_interval, "tick_interval")
-        self._accounts: dict[str, _SedfAccount] = {}
         #: Round-robin order for extra-time dispatch.
         self._extra_ring: list[_SedfAccount] = []
 
     # ------------------------------------------------------------ membership
 
     def add_vcpu(self, vcpu: "VCpu") -> None:
-        if vcpu.name in self._accounts:
-            raise SchedulerError(f"vCPU {vcpu.name!r} already admitted")
+        self._check_new(vcpu)
         config = vcpu.domain.config
         if config.sedf_period <= 0:
             raise AdmissionError(f"vCPU {vcpu.name!r}: SEDF period must be positive")
@@ -109,8 +108,9 @@ class SedfScheduler(Scheduler):
                 f"vCPU {vcpu.name!r} rejected: total utilization "
                 f"{utilization + slice_s / config.sedf_period:.4f} exceeds 1.0"
             )
-        self._accounts[vcpu.name] = _SedfAccount(
+        account = _SedfAccount(
             vcpu=vcpu,
+            owner=self,
             slice_s=slice_s,
             period_p=config.sedf_period,
             extra=config.sedf_extra,
@@ -118,18 +118,12 @@ class SedfScheduler(Scheduler):
             base_weight=config.effective_weight,
             base_slice_s=slice_s,
         )
+        self._admit(vcpu, account)
 
     def remove_vcpu(self, vcpu: "VCpu") -> None:
-        account = self._account_of(vcpu)
+        account = self._forget(vcpu)
         if account in self._extra_ring:
             self._extra_ring.remove(account)
-        del self._accounts[vcpu.name]
-
-    def _account_of(self, vcpu: "VCpu") -> _SedfAccount:
-        try:
-            return self._accounts[vcpu.name]
-        except KeyError:
-            raise SchedulerError(f"vCPU {vcpu.name!r} is not admitted") from None
 
     # ---------------------------------------------------------- state change
 
@@ -196,9 +190,9 @@ class SedfScheduler(Scheduler):
 
     def should_preempt(self, current: "VCpu", waking: "VCpu") -> bool:
         waking_account = self._account_of(waking)
+        current_account = self._account_of(current)
         if not waking_account.has_budget:
             return False
-        current_account = self._account_of(current)
         if current_account.last_mode == "extra":
             return True  # Guaranteed time always beats extra time.
         return waking_account.deadline < current_account.deadline

@@ -13,7 +13,9 @@ ordering is a C-level tuple comparison (``sequence`` is unique, so the
 handle itself is never compared), and the :meth:`run_until` loop pops and
 dispatches without any per-event Python-level indirection beyond the
 callback itself — at 10^5-10^6 events per simulated scenario this loop is
-the floor under every sweep's wall time.
+the floor under every sweep's wall time.  Periodic timers fire most of
+those events, so the untraced loop re-arms a timer's handle itself and
+calls the timer's callback directly, one call frame per fire cheaper.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ class Engine:
         """High-water mark of the event heap (tombstones included).
 
         Maintained at schedule time only, so it is free on the pop side;
-        :meth:`~repro.sim.timers.PeriodicTimer._fire`'s inlined re-arm is
-        pop-then-push neutral and cannot move the peak.
+        a periodic timer's re-arm (in :meth:`run_until` or
+        :meth:`~repro.sim.timers.PeriodicTimer._fire`) is pop-then-push
+        neutral and cannot move the peak.
         """
         return self._heap_peak
 
@@ -162,11 +165,13 @@ class Engine:
         the caller holds the *only* remaining reference.  Owners of
         short-lived, high-frequency events (the host's per-slice end events)
         release them so the next ``schedule`` re-stamps the same object
-        instead of allocating — the same trick
-        :meth:`~repro.sim.timers.PeriodicTimer._fire` plays with its own
-        handle, generalised through a pool.  Handles still pending in the
-        heap must never be released: re-stamping one would leave a stale
-        heap entry firing the new callback at the old time.
+        instead of allocating — the same trick a periodic timer's re-arm
+        plays with its own handle, generalised through a pool.  Handles
+        still pending in the heap must never be released: re-stamping one
+        would leave a stale heap entry firing the new callback at the old
+        time.  A timer's handle is never fired in this sense (its callback
+        is restored before the timer's own callback runs), so the pool only
+        ever holds one-shot handles, whose ``timer`` is None.
         """
         if handle.callback is not None:
             raise SimulationError(
@@ -202,6 +207,15 @@ class Engine:
         the window, so periodic timers chain naturally.  *time* must be
         finite and not before :attr:`now`: a NaN target would never stop a
         periodic timer's chain.
+
+        Without a tracer, a periodic timer's handle is re-armed here rather
+        than through :meth:`~repro.sim.timers.PeriodicTimer._fire`: the same
+        steps in the same order (re-stamp and re-push the handle with the
+        next sequence number, count the fire, then run the callback), so
+        the event order, sequence numbers and counters are those of
+        :meth:`step` and the traced loop, which keep calling ``_fire``.
+        The pop and re-push are one ``heapreplace``; keys are unique, so
+        the heap's layout, the only thing that differs, orders nothing.
         """
         if not self._now <= time < _INF:
             raise SimulationError(f"cannot run to t={time!r} from t={self._now:.9f}")
@@ -210,6 +224,7 @@ class Engine:
         self._running = True
         heap = self._heap
         pop = heapq.heappop
+        replace = heapq.heapreplace
         # Hoisted once per window: with no tracer installed the hot loop
         # pays nothing per event (a tracer installed mid-window starts at
         # the next run_until call — installation is a between-runs act).
@@ -231,13 +246,30 @@ class Engine:
                     callback()
             else:
                 while heap:
-                    due = heap[0][0]
+                    entry = heap[0]
+                    due = entry[0]
                     if due > time:
                         break
-                    _, _, handle = pop(heap)
+                    handle = entry[2]
                     if handle._cancelled:
+                        pop(heap)
                         continue
                     self._now = due
+                    timer = handle.timer
+                    if timer is not None:
+                        # PeriodicTimer._fire, written out, with the pop
+                        # and the re-push as one heapreplace.
+                        next_time = due + timer._period
+                        sequence = self._sequence
+                        self._sequence = sequence + 1
+                        handle.time = next_time
+                        handle.sequence = sequence
+                        replace(heap, (next_time, sequence, handle))
+                        self._events_fired += 1
+                        timer._fire_count += 1
+                        timer._callback(due)
+                        continue
+                    pop(heap)
                     callback = handle.callback
                     handle.callback = None
                     self._events_fired += 1

@@ -13,7 +13,10 @@ back into Python to compare two events.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .timers import PeriodicTimer
 
 
 class EventHandle:
@@ -23,7 +26,7 @@ class EventHandle:
     in the order they were scheduled, which keeps runs deterministic.
     """
 
-    __slots__ = ("time", "sequence", "callback", "label", "_cancelled")
+    __slots__ = ("time", "sequence", "callback", "label", "_cancelled", "timer")
 
     def __init__(
         self,
@@ -40,6 +43,9 @@ class EventHandle:
         #: like ``"slice.web1"`` group meaningfully in Perfetto.
         self.label = label
         self._cancelled = False
+        #: The :class:`~repro.sim.timers.PeriodicTimer` this handle re-arms
+        #: for (the engine re-arms it in place), or None for a one-shot event.
+        self.timer: "PeriodicTimer | None" = None
 
     def cancel(self) -> None:
         """Tombstone this event; the engine will skip it when popped."""
@@ -55,7 +61,9 @@ class EventHandle:
         """True while the event is neither cancelled nor fired.
 
         Firing is represented by ``callback`` being cleared to None (the
-        engine and timers do this inline when they dispatch the event).
+        engine does this inline when it dispatches the event).  A periodic
+        timer's handle is re-armed as it fires, so it stays pending until
+        the timer is stopped.
         """
         return not self._cancelled and self.callback is not None
 

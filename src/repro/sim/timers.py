@@ -5,6 +5,12 @@ Governors sample every 100 ms or 1 s, the credit scheduler accounts every
 are :class:`PeriodicTimer` instances.  The timer re-arms itself *before*
 invoking the callback so a callback that stops the timer does not leave a
 stray event behind (the pending handle is cancelled on stop).
+
+A timer keeps one event handle, which carries the timer
+(``EventHandle.timer``), and re-stamps it at each fire.  The engine's
+untraced ``run_until`` loop writes that re-arm out and calls the timer's
+callback directly; :meth:`PeriodicTimer._fire` is the canonical copy, run
+by ``Engine.step`` and the traced loop.  Change both together.
 """
 
 from __future__ import annotations
@@ -65,7 +71,9 @@ class PeriodicTimer:
             raise SimulationError(f"timer {self._label!r} started twice")
         self._started = True
         delay = 0.0 if self._fire_immediately else self._period
-        self._handle = self._engine.schedule(delay, self._rearm, label=self._label)
+        handle = self._engine.schedule(delay, self._rearm, label=self._label)
+        handle.timer = self
+        self._handle = handle
 
     def stop(self) -> None:
         """Disarm the timer.  Safe to call when already stopped."""
@@ -97,29 +105,23 @@ class PeriodicTimer:
 
     def _fire(self) -> None:
         # Re-arm first: the callback may call stop(), which must cancel the
-        # handle we create here, not an already-fired one.  The re-arm is an
-        # inlined Engine.schedule — periodic timers account for most of the
-        # events in a run, and the period is validated positive once at
-        # construction, so the per-fire delay check and call layer are pure
-        # overhead.
+        # re-armed handle, not an already-fired one.  The re-arm is an
+        # inlined Engine.schedule on the handle the engine just popped: stop()
+        # cancels ``self._handle``, so an uncancelled timer handle that pops
+        # is always the current one.  The period is validated positive once
+        # at construction, so the per-fire delay check is pure overhead.
         engine = self._engine
-        time = engine._now + self._period
+        now = engine._now
+        time = now + self._period
         sequence = engine._sequence
         engine._sequence = sequence + 1
         handle = self._handle
-        if handle is not None and handle.callback is None and not handle._cancelled:
-            # Reuse the just-fired handle: nothing else references it once
-            # the engine popped it, so re-stamping beats re-allocating at
-            # one event per period for the lifetime of the run.
-            handle.time = time
-            handle.sequence = sequence
-            handle.callback = self._rearm
-        else:
-            handle = EventHandle(time, sequence, self._rearm, self._label)
-            self._handle = handle
+        handle.time = time
+        handle.sequence = sequence
+        handle.callback = self._rearm
         heappush(engine._heap, (time, sequence, handle))
         self._fire_count += 1
-        self._callback(engine._now)
+        self._callback(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self._started else "stopped"

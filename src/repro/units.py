@@ -91,19 +91,25 @@ def check_field_types(cls, data: Mapping[str, Any], what: str) -> None:
             )
 
 
-def check_keywords(cls: type, keywords: Iterable[str], what: str) -> None:
+def check_keywords(
+    cls: type, keywords: Iterable[str], what: str, *, supplied: int = 0
+) -> None:
     """Raise unless constructing *cls* accepts every name in *keywords*.
 
     A constructor taking ``**kwargs`` is read as forwarding them to its
     base class (as ``PasScheduler`` does to ``CreditScheduler``), whose
-    parameters are then accepted too.  The error names the accepted ones.
+    parameters are then accepted too.  The first *supplied* parameters are
+    the ones the caller passes itself (a manager's ``host``, say), so they
+    are not accepted as keywords.  The error names the accepted ones.
     """
     accepted: list[str] = []
+    skip = supplied + 1  # and ``self``
     for klass in cls.__mro__[:-1]:  # object.__init__ takes no keywords
         init = vars(klass).get("__init__")
         if init is None:
             continue
-        parameters = list(inspect.signature(init).parameters.values())[1:]
+        parameters = list(inspect.signature(init).parameters.values())[skip:]
+        skip = 1
         accepted += [
             p.name for p in parameters if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
         ]

@@ -286,6 +286,26 @@ def test_registry_missing_hook_fires(codes_of):
     assert codes_of(sources) == ["RPL301"]
 
 
+def test_registry_missing_hook_fires_with_annotated_names(lint_sources):
+    # The real registry annotates SCHEDULER_NAMES (an ast.AnnAssign).
+    sources = dict(_REGISTRY_SOURCES)
+    sources["src/repro/schedulers/registry.py"] = sources[
+        "src/repro/schedulers/registry.py"
+    ].replace("SCHEDULER_NAMES = ", "SCHEDULER_NAMES: tuple[str, ...] = ")
+    sources["src/repro/schedulers/fake.py"] = """
+        from .base import Scheduler
+
+        class FakeScheduler(Scheduler):
+            def pick_next(self, now):
+                return None
+        """
+    sources["tests/fake_test.py"] = 'NAME = "fake"\n'
+    findings = lint_sources(sources)
+    assert [finding.code for finding in findings] == ["RPL301"]
+    assert "scheduler `fake` (FakeScheduler)" in findings[0].message
+    assert "charge" in findings[0].message
+
+
 def test_registry_complete_hooks_quiet(codes_of):
     sources = dict(_REGISTRY_SOURCES)
     sources["src/repro/schedulers/fake.py"] = """

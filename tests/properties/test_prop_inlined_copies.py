@@ -2,19 +2,24 @@
 
 The dispatch loop writes a few small methods out in place to save call
 frames: the Credit scheduler's cap rule (``_Account.cap_budget``) inside
-``pick_next`` / ``slice_for`` / ``charge``, its requeue (``put_back``), and
-the processor's busy and idle billing behind ``Processor.account``.  Each
-test drives the copy and the original from the same random state and
-demands the same decision or the same bits.
+``pick_next`` / ``slice_for`` / ``charge``, its requeue (``put_back``), the
+processor's busy and idle billing behind ``Processor.account``, and the
+periodic-timer re-arm (``PeriodicTimer._fire``) inside the engine's
+untraced ``run_until`` loop.  Each test drives the copy and the original
+from the same random state and demands the same decision or the same bits.
 """
 
+import heapq
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from repro import Host, catalog
 from repro.cpu import Processor
+from repro.obs.hooks import observed
+from repro.obs.trace import Tracer
 from repro.schedulers.credit import MIN_BUDGET
+from repro.sim import Engine, PeriodicTimer
 
 PERIOD = 0.03
 
@@ -186,3 +191,126 @@ def test_busy_and_idle_billing_match_account(steps):
     expected = {key: value.hex() for key, value in reference.items()}
     expected["residency"] = {f: s.hex() for f, s in residency.items()}
     assert books(direct) == expected
+
+
+# ------------------------------------------------------- periodic-timer re-arm
+
+#: Periods and one-shot delays on a coarse grid, so timers often fall due
+#: at the same instant and the FIFO tie-break is exercised.
+GRID = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.25])
+#: What a timer's callback does on a given fire: nothing, stop, stop and
+#: start again, change its period, or schedule a one-shot event that hands
+#: its handle back to the free list when it fires (as the host's slice
+#: events do).
+ACTIONS = st.one_of(
+    st.sampled_from([("none",), ("stop",), ("restart",)]),
+    st.tuples(st.just("reschedule"), GRID),
+    st.tuples(st.just("oneshot"), st.one_of(st.just(0.0), GRID)),
+)
+TIMER_SPECS = st.lists(
+    st.tuples(
+        GRID,
+        st.booleans(),
+        st.dictionaries(st.integers(min_value=1, max_value=8), ACTIONS, max_size=4),
+    ),
+    min_size=1,
+    max_size=5,
+)
+HORIZON = 6.0
+
+
+def timer_run(specs, mode):
+    """Fire *specs* to :data:`HORIZON`; returns what each fire saw.
+
+    *mode* is ``"inline"`` (untraced ``run_until``, which re-arms in
+    place), ``"traced"`` (``run_until`` with a tracer installed) or
+    ``"step"`` (``Engine.step``); the last two go through
+    ``PeriodicTimer._fire``.
+    """
+    engine = Engine()
+    fired = []
+    timers = []
+    #: Sequence number each timer's pending handle was armed with.
+    armed = {}
+
+    def oneshot(delay, tag):
+        box = []
+
+        def fire():
+            handle = box[0]
+            fired.append((engine.now, handle.sequence, handle.label))
+            engine.release(handle)
+
+        box.append(engine.schedule(delay, fire, label=f"oneshot.{tag}"))
+
+    def make_callback(index, actions):
+        def callback(now):
+            timer = timers[index]
+            assert now == engine.now
+            fired.append((now, armed[index], f"timer.{index}"))
+            armed[index] = timer._handle.sequence
+            action = actions.get(timer.fire_count, ("none",))
+            if action[0] == "stop":
+                timer.stop()
+            elif action[0] == "restart":
+                timer.stop()
+                timer.start()
+                armed[index] = timer._handle.sequence
+            elif action[0] == "reschedule":
+                timer.reschedule(action[1])
+            elif action[0] == "oneshot":
+                oneshot(action[1], f"{index}.{timer.fire_count}")
+
+        return callback
+
+    for index, (period, immediately, actions) in enumerate(specs):
+        timer = PeriodicTimer(
+            engine,
+            period,
+            make_callback(index, actions),
+            label=f"timer.{index}",
+            fire_immediately=immediately,
+        )
+        timers.append(timer)
+        timer.start()
+        armed[index] = timer._handle.sequence
+    oneshot(0.5, "seed")
+    if mode == "step":
+        heap = engine._heap
+        while heap:
+            if heap[0][2].cancelled:
+                heapq.heappop(heap)
+            elif heap[0][0] > HORIZON:
+                break
+            else:
+                engine.step()
+    elif mode == "traced":
+        tracer = Tracer()
+        with observed(tracer=tracer):
+            for until in (1.0, 2.5, HORIZON):
+                engine.run_until(until)
+        labels = [event["name"] for event in tracer.events if event["cat"] == "engine"]
+        assert labels == [label for _, _, label in fired]
+    else:
+        for until in (1.0, 2.5, HORIZON):
+            engine.run_until(until)
+    return {
+        "fired": fired,
+        "fire_counts": [timer.fire_count for timer in timers],
+        "events_fired": engine.events_fired,
+        "heap_peak": engine.heap_peak,
+        "free_list_reuse": engine.free_list_reuse,
+        "pending": sorted(
+            (handle.time, handle.sequence, handle.label)
+            for handle in engine.pending_events()
+        ),
+    }
+
+
+@given(specs=TIMER_SPECS)
+@settings(max_examples=150, deadline=None)
+def test_run_until_timer_rearm_matches_fire(specs):
+    inline = timer_run(specs, "inline")
+    assert inline["events_fired"] == len(inline["fired"])
+    assert inline == timer_run(specs, "step")
+    assert inline == timer_run(specs, "traced")

@@ -297,6 +297,42 @@ def test_run_scenario_file_unknown_field_is_clean(capsys, tmp_path):
             {"governor": "ondemand", "governor_kwargs": {"bogus": 1}},
             "unknown ondemand governor parameter(s) 'bogus'; accepted: up_threshold,",
         ),
+        (
+            {"manager": "user-credit", "manager_kwargs": {"bogus": 1}},
+            "unknown user-credit manager parameter(s) 'bogus'; accepted: poll_period,",
+        ),
+        (
+            {"manager": "user-full", "manager_kwargs": {"host": 1}},
+            "unknown user-full manager parameter(s) 'host'; accepted: poll_period,",
+        ),
+        (
+            {"qos": "ladder", "qos_kwargs": {"bogus": 1}},
+            "unknown ladder QoS controller parameter(s) 'bogus'; accepted: levels,",
+        ),
+        (
+            {"qos": "naive", "qos_kwargs": {"monitor": {"bogus": 1}}},
+            "unknown QoS monitor parameter(s) 'bogus'; accepted: period,",
+        ),
+        (
+            {"qos": "naive", "qos_kwargs": {"monitor": 3}},
+            "qos_kwargs: monitor takes a JSON object, got 3",
+        ),
+        (
+            {"guests": [{"name": "A", "credit": "20"}]},
+            "guest spec: credit takes a number, got '20'",
+        ),
+        (
+            {
+                "guests": [
+                    {
+                        "name": "A",
+                        "credit": 20,
+                        "workloads": [{"kind": "constant", "demand_percent": "8"}],
+                    }
+                ]
+            },
+            "workload spec: demand_percent takes a number, got '8'",
+        ),
     ],
 )
 def test_run_scenario_file_bad_values_are_clean(capsys, tmp_path, spec, message):
@@ -325,6 +361,46 @@ def test_run_scenario_file_bad_values_are_clean(capsys, tmp_path, spec, message)
 )
 def test_run_set_rejects_unknown_constructor_kwargs(capsys, assignment, message):
     argv = ["run", "--preset", "paper-5.3", "--duration", "20", "--set", assignment]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("run: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "preset, assignments, message",
+    [
+        (
+            "paper-5.3",
+            ["manager=user-credit", 'manager_kwargs={"bogus": 1}'],
+            "unknown user-credit manager parameter(s) 'bogus'; accepted: poll_period,",
+        ),
+        (
+            "qos-noisy-neighbor",
+            ['qos_kwargs={"bogus": 1}'],
+            "unknown ladder QoS controller parameter(s) 'bogus'; accepted: levels,",
+        ),
+        (
+            "qos-noisy-neighbor",
+            ['qos_kwargs={"monitor": {"bogus": 1}}'],
+            "unknown QoS monitor parameter(s) 'bogus'; accepted: period,",
+        ),
+        (
+            "paper-5.3",
+            ['guests=[{"name": "A", "credit": "20"}]'],
+            "guest spec: credit takes a number, got '20'",
+        ),
+        (
+            "paper-5.3",
+            ['guests=[{"name": "A", "credit": 20, "workloads": [{"kind": "pi", "work": "9"}]}]'],
+            "workload spec: work takes a number, got '9'",
+        ),
+    ],
+)
+def test_run_set_rejects_bad_nested_values(capsys, preset, assignments, message):
+    argv = ["run", "--preset", preset, "--duration", "20"]
+    for assignment in assignments:
+        argv += ["--set", assignment]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert message in err
