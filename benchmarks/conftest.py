@@ -1,15 +1,15 @@
 """Benchmark harness helpers.
 
-Every benchmark regenerates one table or figure of the paper through
-:mod:`repro.experiments`, prints the paper-vs-measured report (run pytest
-with ``-s`` to see it inline; reports are also written to
-``benchmarks/reports/`` — human-readable ``.txt`` plus machine-readable
-``.json`` side by side), asserts the DESIGN.md shape criteria, and times
-the full experiment via pytest-benchmark.
+Every benchmark rebuilds one result through :mod:`repro.experiments`,
+prints the paper-vs-measured report (run pytest with ``-s`` to see it
+inline; reports are also written to ``benchmarks/reports/`` —
+human-readable ``.txt`` plus machine-readable ``.json`` side by side),
+asserts the report's shape checks, and times the experiment via
+pytest-benchmark.
 
 Run them with::
 
-    pytest benchmarks/ --benchmark-only
+    python -m pytest benchmarks/ -q
 """
 
 from __future__ import annotations
@@ -48,12 +48,3 @@ def emit(report) -> None:
     (REPORT_DIR / f"{slug}.json").write_text(
         json.dumps(report_as_dict(report), sort_keys=True, indent=2, default=str) + "\n"
     )
-
-
-def run_and_check(benchmark, runner, *, unpack: bool = True):
-    """Benchmark *runner* once, emit its report, assert its checks."""
-    outcome = benchmark.pedantic(runner, rounds=1, iterations=1)
-    report = outcome[-1] if unpack and isinstance(outcome, tuple) else outcome
-    emit(report)
-    assert report.all_passed, f"shape criteria failed: {[str(c) for c in report.failures]}"
-    return outcome

@@ -14,14 +14,13 @@ Two questions the paper raises but does not plot:
 Run:  python examples/energy_audit.py
 """
 
-from repro.experiments import run_cf_ablation, run_energy_ablation
+from repro.experiments import run_claims
 
 
 def main() -> None:
-    print(run_energy_ablation().render())
-    print()
-    print(run_cf_ablation().render())
-    print()
+    for _, report in run_claims(["energy", "cf"]).values():
+        print(report.render())
+        print()
     print("Take-away: PAS reaches the credit scheduler's energy level while")
     print("delivering SEDF's throughput guarantee - but only if it accounts")
     print("for the machine's measured cf (Table 1), not just the frequency ratio.")

@@ -11,12 +11,14 @@ This is the long-running example (~20 s): it executes 14 full simulations.
 Run:  python examples/platform_comparison.py
 """
 
-from repro.experiments import run_table2
+from repro.experiments import run_claim
+from repro.experiments.claims import table2_rows
 from repro.telemetry import table_to_text
 
 
 def main() -> None:
-    rows, report = run_table2()
+    results, report = run_claim("table2")
+    rows = table2_rows(results)
     print(
         table_to_text(
             [

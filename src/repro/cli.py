@@ -3,10 +3,9 @@
 Examples::
 
     python -m repro list
-    python -m repro figure 9
-    python -m repro table 2
-    python -m repro validate eq1
-    python -m repro ablation energy
+    python -m repro reproduce
+    python -m repro reproduce fig9 table2 --workers 2
+    python -m repro reproduce energy --store results-store
     python -m repro calibrate "Intel Xeon E5-2620"
     python -m repro run --preset paper-5.3 --set scheduler=pas --set v20_load=thrashing
     python -m repro run --preset mixed-guests
@@ -23,70 +22,36 @@ Examples::
     python -m repro sweep --preset dc-diurnal --store results-store
     python -m repro cluster compare --preset dc-diurnal --out-dir dc-series
 
-Every command prints the same paper-vs-measured report the benchmarks
+``reproduce`` prints the same paper-vs-measured reports the benchmarks
 assert on, and exits non-zero when a shape criterion fails — so the CLI
 doubles as a reproduction smoke-check in CI.  Sweeps (and the sweep-backed
-ablations/tables) accept ``--store DIR``: finished cells persist as they
-complete and re-runs only compute what is missing, so repeated builds are
-warm-cache and interrupted grids resume where they died.
+claims) accept ``--store DIR``: finished cells persist as they complete and
+re-runs only compute what is missing, so repeated builds are warm-cache and
+interrupted grids resume where they died.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import pathlib
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import experiments
 from .cpu import catalog
 from .errors import ConfigurationError, StoreError
 from .experiments import (
+    CLAIMS,
     get_preset,
     PRESETS,
     preset_grid,
+    run_claims,
     ScenarioConfig,
     run_scenario,
 )
 from .platforms import calibrate_cf_table
 from .telemetry import render_chart, table_to_text
 from .units import check_field_types
-
-_FIGURES: dict[int, Callable] = {
-    1: experiments.run_compensation,
-    2: experiments.run_fig2,
-    3: experiments.run_fig3,
-    4: experiments.run_fig4,
-    5: experiments.run_fig5,
-    6: experiments.run_fig6,
-    7: experiments.run_fig7,
-    8: experiments.run_fig8,
-    9: experiments.run_fig9,
-    10: experiments.run_fig10,
-}
-
-_TABLES: dict[int, Callable] = {
-    1: experiments.run_table1,
-    2: experiments.run_table2,
-}
-
-_VALIDATIONS: dict[str, Callable] = {
-    "eq1": experiments.validate_frequency_load,
-    "eq2": experiments.validate_frequency_time,
-    "eq3": experiments.validate_credit_time,
-}
-
-_ABLATIONS: dict[str, Callable] = {
-    "energy": experiments.run_energy_ablation,
-    "designs": experiments.run_design_comparison,
-    "cf": experiments.run_cf_ablation,
-    "qos": experiments.run_qos_ablation,
-    "consolidation": experiments.run_consolidation_ablation,
-    "sensitivity": experiments.run_pas_sensitivity,
-}
-
 
 def _observation_for(trace_out: str | None, metrics_out: str | None) -> tuple:
     """``(tracer, registry)`` per ``--trace``/``--metrics-out`` (None = off)."""
@@ -177,67 +142,41 @@ def _verbosity_of(args) -> int:
     return 1 + getattr(args, "verbose", 0)
 
 
-def _report_of(outcome) -> object:
-    return outcome[-1] if isinstance(outcome, tuple) else outcome
-
-
-def _emit_and_exit_code(outcome) -> int:
-    report = _report_of(outcome)
-    print(report.render())
-    return 0 if report.all_passed else 1
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
-    print("figures   :", ", ".join(str(n) for n in sorted(_FIGURES)))
-    print("tables    :", ", ".join(str(n) for n in sorted(_TABLES)))
-    print("validate  :", ", ".join(sorted(_VALIDATIONS)))
-    print("ablations :", ", ".join(sorted(_ABLATIONS)))
+    print("claims    :", ", ".join(CLAIMS))
     print("processors:", ", ".join(sorted(catalog.ALL_PROCESSORS)))
     print("presets   :", ", ".join(PRESETS))
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    return _emit_and_exit_code(_FIGURES[args.number]())
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    names = args.names or list(CLAIMS)
+    unknown = [name for name in names if name not in CLAIMS]
+    if unknown:
+        print(
+            f"unknown claim(s) {', '.join(unknown)}; choose from: {', '.join(CLAIMS)}",
+            file=sys.stderr,
+        )
+        return 2
+    counts = {"warm": 0, "computed": 0}
 
+    def progress(result, from_cache: bool) -> None:
+        counts["warm" if from_cache else "computed"] += 1
 
-def _runner_kwargs(runner: Callable, args: argparse.Namespace) -> dict:
-    """The store/workers options *runner* understands (warn about the rest).
-
-    Experiment runners adopt sweep persistence incrementally; passing
-    ``--store`` to one that hand-builds its cells is a no-op worth naming,
-    not a crash.
-    """
-    params = inspect.signature(runner).parameters
-    kwargs = {}
-    for name, value, default in (
-        ("workers", getattr(args, "workers", 1), 1),
-        ("store", getattr(args, "store", None), None),
-    ):
-        if value == default:
-            continue
-        if name in params:
-            kwargs[name] = value
-        else:
-            print(
-                f"note: {runner.__name__} does not support --{name}; ignored",
-                file=sys.stderr,
-            )
-    return kwargs
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    runner = _TABLES[args.number]
-    return _emit_and_exit_code(runner(**_runner_kwargs(runner, args)))
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    return _emit_and_exit_code(_VALIDATIONS[args.equation]())
-
-
-def _cmd_ablation(args: argparse.Namespace) -> int:
-    runner = _ABLATIONS[args.name]
-    return _emit_and_exit_code(runner(**_runner_kwargs(runner, args)))
+    if args.store is not None:
+        for name in names:
+            if not CLAIMS[name].metrics:
+                print(
+                    f"note: {name} does not support --store (no store-cacheable cells); "
+                    "ignored",
+                    file=sys.stderr,
+                )
+    outcomes = run_claims(names, workers=args.workers, store=args.store, progress=progress)
+    reports = [report for _, report in outcomes.values()]
+    print("\n\n".join(report.render() for report in reports))
+    if args.store is not None:
+        print(f"{counts['warm']} cells warm, {counts['computed']} computed", file=sys.stderr)
+    return 0 if all(report.all_passed for report in reports) else 1
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -1316,33 +1255,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("list", help="list available experiments").set_defaults(fn=_cmd_list)
 
-    figure = commands.add_parser("figure", help="regenerate a figure (1-10)")
-    figure.add_argument("number", type=int, choices=sorted(_FIGURES))
-    figure.set_defaults(fn=_cmd_figure)
-
-    table = commands.add_parser("table", help="regenerate a table (1-2)")
-    table.add_argument("number", type=int, choices=sorted(_TABLES))
-    table.add_argument("--workers", type=int, default=1, help="process-pool size (table 2)")
-    table.add_argument(
+    reproduce = commands.add_parser(
+        "reproduce",
+        help="rebuild the paper's figures, tables and validations and our ablations",
+        description=(
+            "Run the named claims (all of them by default, see 'list') and "
+            "print each paper-vs-measured report.  Exits 1 when a shape check "
+            "fails and 2 on an unknown name."
+        ),
+    )
+    reproduce.add_argument("names", nargs="*", metavar="NAME", help="claim names (default: all)")
+    reproduce.add_argument(
+        "--workers", type=int, default=1, help="process-pool size for the sweep-backed claims"
+    )
+    reproduce.add_argument(
         "--store",
         default=None,
-        help="experiment-store DIR: reuse stored cells, persist new ones (table 2)",
+        help="experiment-store DIR: reuse stored cells, persist new ones (sweep-backed claims)",
     )
-    table.set_defaults(fn=_cmd_table)
-
-    validate = commands.add_parser("validate", help="run a §5.2 validation sweep")
-    validate.add_argument("equation", choices=sorted(_VALIDATIONS))
-    validate.set_defaults(fn=_cmd_validate)
-
-    ablation = commands.add_parser("ablation", help="run an ablation study")
-    ablation.add_argument("name", choices=sorted(_ABLATIONS))
-    ablation.add_argument("--workers", type=int, default=1, help="process-pool size")
-    ablation.add_argument(
-        "--store",
-        default=None,
-        help="experiment-store DIR: reuse stored cells, persist new ones",
-    )
-    ablation.set_defaults(fn=_cmd_ablation)
+    reproduce.set_defaults(fn=_cmd_reproduce)
 
     calibrate = commands.add_parser("calibrate", help="measure cf on a catalog processor")
     calibrate.add_argument("processor", nargs="?", default=catalog.OPTIPLEX_755.name)

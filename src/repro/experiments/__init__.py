@@ -1,9 +1,11 @@
 """Experiment harness (subsystem S10).
 
-One runner per table/figure of the paper's evaluation (§5), all built on the
-shared §5.3 scenario (V20/V70 three-phase execution profile).  Benchmarks
-under ``benchmarks/`` call these runners and print paper-vs-measured
-reports; integration tests assert the shape criteria listed in DESIGN.md.
+Every result of the paper's evaluation (§5) and our ablations is one entry
+of the :data:`~.claims.CLAIMS` registry: the cells it runs (mostly the
+shared §5.3 scenario, V20/V70 three-phase execution profile) and the
+reducer to its paper-vs-measured :class:`~.report.ExperimentReport`.
+``python -m repro reproduce`` and ``benchmarks/bench_claims.py`` run them
+and assert each report's shape checks.
 """
 
 from .scenario import (
@@ -23,29 +25,7 @@ from .scenario import (
 )
 from .presets import get_preset, Preset, preset_config, preset_grid, PRESETS
 from .report import Check, ExperimentReport
-from .validation import (
-    validate_credit_time,
-    validate_frequency_load,
-    validate_frequency_time,
-)
-from .compensation import CompensationPoint, run_compensation
-from .figures import (
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-)
-from .tables import run_table1, run_table2
-from .energy import run_energy_ablation, run_cf_ablation
-from .designs import run_design_comparison
-from .qos import run_qos_ablation
-from .consolidation import run_consolidation_ablation
-from .sensitivity import run_pas_sensitivity
+from .claims import Claim, CLAIMS, run_claim, run_claims
 
 __all__ = [
     "ScenarioConfig",
@@ -68,26 +48,8 @@ __all__ = [
     "PHASE_SOLO_LATE",
     "Check",
     "ExperimentReport",
-    "validate_frequency_load",
-    "validate_frequency_time",
-    "validate_credit_time",
-    "CompensationPoint",
-    "run_compensation",
-    "run_fig2",
-    "run_fig3",
-    "run_fig4",
-    "run_fig5",
-    "run_fig6",
-    "run_fig7",
-    "run_fig8",
-    "run_fig9",
-    "run_fig10",
-    "run_table1",
-    "run_table2",
-    "run_energy_ablation",
-    "run_cf_ablation",
-    "run_design_comparison",
-    "run_qos_ablation",
-    "run_consolidation_ablation",
-    "run_pas_sensitivity",
+    "Claim",
+    "CLAIMS",
+    "run_claim",
+    "run_claims",
 ]

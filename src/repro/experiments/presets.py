@@ -334,14 +334,14 @@ _CALIB_CAPS = (20.0, 40.0, 60.0, 80.0)
 _CALIB_REDUCED_MHZ = 2133
 
 
-def _pi_guest(cap: float) -> tuple[GuestSpec, ...]:
+def _pi_guest(cap: float, work: float = 20.0) -> tuple[GuestSpec, ...]:
     """One capped pi batch guest (the paper's measurement configuration)."""
     return (
         GuestSpec(
             name="pi",
             credit=min(cap, 100.0),
             cap=cap,
-            workloads=(WorkloadSpec(kind="pi", work=20.0),),
+            workloads=(WorkloadSpec(kind="pi", work=work),),
         ),
     )
 

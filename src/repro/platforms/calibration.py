@@ -41,7 +41,7 @@ class CalibrationResult:
         return abs(self.cf_measured - self.cf_spec) / self.cf_spec
 
 
-def _measure_load(spec: ProcessorSpec, freq_mhz: int, demand_percent: float, *, settle: float, window: float) -> float:
+def measure_load(spec: ProcessorSpec, freq_mhz: int, demand_percent: float, *, settle: float, window: float) -> float:
     """Mean nominal host load with *demand_percent* absolute demand at *freq_mhz*."""
     host = Host(processor=spec, scheduler="credit", governor="userspace")
     vm = host.create_domain("load", credit=0)  # null credit: uncapped (§3.1)
@@ -85,12 +85,12 @@ def calibrate_cf_table(
     check_positive(demand_percent, "demand_percent")
     table = spec.table()
     max_freq = table.max_state.freq_mhz
-    load_at_max = _measure_load(spec, max_freq, demand_percent, settle=settle, window=window)
+    load_at_max = measure_load(spec, max_freq, demand_percent, settle=settle, window=window)
     results = []
     for state in table:
         if state.freq_mhz == max_freq:
             continue
-        load_at_freq = _measure_load(
+        load_at_freq = measure_load(
             spec, state.freq_mhz, demand_percent, settle=settle, window=window
         )
         ratio = state.freq_mhz / max_freq

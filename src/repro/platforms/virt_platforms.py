@@ -230,7 +230,7 @@ def build_row(platform: VirtPlatform, times: dict[str, float | None]) -> Table2R
     *times* maps ``"performance"``/``"ondemand"`` to V20's pi execution
     time; ``None`` (the job never finished) raises the shared
     did-not-finish error.  One assembly path for :func:`run_platform` and
-    the sweep-based :func:`repro.experiments.tables.run_table2`.
+    the sweep-based ``table2`` claim (:mod:`repro.experiments.claims`).
     """
     for mode in ("performance", "ondemand"):
         if times.get(mode) is None:

@@ -28,7 +28,7 @@ so a vCPU admitted to another scheduler is refused, not misread.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..errors import SchedulerError
@@ -47,12 +47,6 @@ class SchedulerStats:
     preemptions: int = 0
     idle_picks: int = 0
     charged_seconds: float = 0.0
-    charged_by_domain: dict[str, float] = field(default_factory=dict)
-
-    def charge(self, name: str, dt: float) -> None:
-        """Accumulate *dt* seconds against domain *name*."""
-        self.charged_seconds += dt
-        self.charged_by_domain[name] = self.charged_by_domain.get(name, 0.0) + dt
 
 
 class Scheduler(ABC):

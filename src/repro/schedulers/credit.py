@@ -221,7 +221,6 @@ class CreditScheduler(Scheduler):
         account = vcpu.sched
         if account is None or account.owner is not self:
             account = self._account_of(vcpu)
-        name = vcpu.name
         account.credit_s -= wall_dt
         account.usage_in_period += wall_dt
         # Inline of _Account.cap_budget (keep in sync with it).
@@ -230,12 +229,9 @@ class CreditScheduler(Scheduler):
             if not account.parked:
                 trace = _obs.TRACER
                 if trace is not None:
-                    trace.credit_event(now, "park", name)
+                    trace.credit_event(now, "park", vcpu.name)
             account.parked = True
-        stats = self.stats
-        stats.charged_seconds += wall_dt
-        by_domain = stats.charged_by_domain
-        by_domain[name] = by_domain.get(name, 0.0) + wall_dt
+        self.stats.charged_seconds += wall_dt
 
     def should_preempt(self, current: "VCpu", waking: "VCpu") -> bool:
         current_account = current.sched

@@ -108,7 +108,7 @@ class Credit2Scheduler(Scheduler):
         # share of the processor under contention.
         reference = max(entry.weight for entry in self._accounts.values())
         account.credit_s -= wall_dt * reference / account.weight
-        self.stats.charge(vcpu.name, wall_dt)
+        self.stats.charged_seconds += wall_dt
 
     def should_preempt(self, current: "VCpu", waking: "VCpu") -> bool:
         return self._account_of(waking).credit_s > self._account_of(current).credit_s

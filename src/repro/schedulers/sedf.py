@@ -186,7 +186,7 @@ class SedfScheduler(Scheduler):
         account = self._account_of(vcpu)
         if account.last_mode == "edf":
             account.remaining = max(0.0, account.remaining - wall_dt)
-        self.stats.charge(vcpu.name, wall_dt)
+        self.stats.charged_seconds += wall_dt
 
     def should_preempt(self, current: "VCpu", waking: "VCpu") -> bool:
         waking_account = self._account_of(waking)

@@ -94,7 +94,7 @@ from .metrics import (
     METRICS,
     reduce_outcome,
 )
-from .runner import run_cells, run_sweep, SweepRunner, WorkerPool
+from .runner import run_sweep, SweepRunner, WorkerPool
 from .store import CellResult, SweepResults
 
 __all__ = [
@@ -105,7 +105,6 @@ __all__ = [
     "SweepRunner",
     "WorkerPool",
     "run_sweep",
-    "run_cells",
     "SweepResults",
     "CellResult",
     "METRICS",

@@ -5,7 +5,7 @@ processor utilization" most of the time — the diurnal, bursty reality that
 makes DVFS worthwhile.  :class:`TraceLoad` replays any recorded utilisation
 trace against a domain, and :class:`SyntheticTrace` generates realistic
 diurnal traces (base load + day/night swing + seeded noise + bursts) when no
-production trace is available, per the substitution rule in DESIGN.md.
+production trace is available (a synthetic stand-in, not measured data).
 """
 
 from __future__ import annotations

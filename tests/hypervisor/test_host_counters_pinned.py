@@ -42,8 +42,6 @@ def snapshot(host) -> dict:
         "cpu.busy_seconds": processor.busy_seconds.hex(),
         "cpu.elapsed_seconds": processor.elapsed_seconds.hex(),
     }
-    for name, seconds in sorted(stats.charged_by_domain.items()):
-        counters[f"sched.charged.{name}"] = seconds.hex()
     for domain in host.domains:
         vcpu = domain.vcpu
         name = domain.name
@@ -85,10 +83,6 @@ PINNED: dict[str, dict] = {'mixed-guests.credit': {'events_fired': 41470,
                          'cpu.energy': '0x1.4f903efa8da06p+12',
                          'cpu.busy_seconds': '0x1.19cc6a2c17c89p+6',
                          'cpu.elapsed_seconds': '0x1.2c00000000000p+7',
-                         'sched.charged.B30': '0x1.e0189374bb100p+3',
-                         'sched.charged.Dom0': '0x1.de147ae146533p+3',
-                         'sched.charged.T25': '0x1.483be6210446ap+4',
-                         'sched.charged.W20': '0x1.3fdf3b645a2a0p+4',
                          'Dom0.dispatch_count': 5033,
                          'Dom0.cpu_seconds': '0x1.de147ae146533p+3',
                          'Dom0.work_done': '0x1.49dcb3d89ec18p+3',
@@ -116,10 +110,6 @@ PINNED: dict[str, dict] = {'mixed-guests.credit': {'events_fired': 41470,
                        'cpu.energy': '0x1.a4e3371e7e52ep+12',
                        'cpu.busy_seconds': '0x1.5dc57aad871f2p+6',
                        'cpu.elapsed_seconds': '0x1.2c00000000000p+7',
-                       'sched.charged.B30': '0x1.a749932787e0cp+4',
-                       'sched.charged.Dom0': '0x1.de147ae147cc5p+3',
-                       'sched.charged.T25': '0x1.32767bd634510p+4',
-                       'sched.charged.W20': '0x1.ae4b9e47bc648p+4',
                        'Dom0.dispatch_count': 1594,
                        'Dom0.cpu_seconds': '0x1.de147ae147cc5p+3',
                        'Dom0.work_done': '0x1.5f561404ee198p+3',
@@ -147,10 +137,6 @@ PINNED: dict[str, dict] = {'mixed-guests.credit': {'events_fired': 41470,
                       'cpu.energy': '0x1.2b4b057d3981dp+12',
                       'cpu.busy_seconds': '0x1.67c30df59e2e5p+6',
                       'cpu.elapsed_seconds': '0x1.2c00000000000p+7',
-                      'sched.charged.B30': '0x1.30ea0fb5fac14p+4',
-                      'sched.charged.Dom0': '0x1.2f4bb601ada7cp+4',
-                      'sched.charged.T25': '0x1.67e6dc235553cp+4',
-                      'sched.charged.W20': '0x1.d6ef95fb7afc6p+4',
                       'Dom0.dispatch_count': 6734,
                       'Dom0.cpu_seconds': '0x1.2f4bb601ada7cp+4',
                       'Dom0.work_done': '0x1.80000000002b5p+3',
@@ -178,9 +164,6 @@ PINNED: dict[str, dict] = {'mixed-guests.credit': {'events_fired': 41470,
              'cpu.energy': '0x1.9ba199bb6d59cp+10',
              'cpu.busy_seconds': '0x1.56b1fc7831204p+4',
              'cpu.elapsed_seconds': '0x1.e000000000000p+4',
-             'sched.charged.batch': '0x1.83e42cbed9988p+2',
-             'sched.charged.light': '0x1.d296a161db483p+0',
-             'sched.charged.web': '0x1.b11f0e64ba0b2p+3',
              'web.dispatch_count': 3019,
              'web.cpu_seconds': '0x1.b11f0e64ba0b2p+3',
              'web.work_done': '0x1.5000000000108p+3',

@@ -196,4 +196,4 @@ def test_stats_track_charges():
     # 0.5 absolute seconds at max frequency = 0.5 seconds of CPU time
     # (the 50% cap stretches the wall-clock, not the CPU time).
     assert host.scheduler.stats.charged_seconds == pytest.approx(0.5, rel=0.05)
-    assert host.scheduler.stats.charged_by_domain["vm"] == pytest.approx(0.5, rel=0.05)
+    assert vm.cpu_seconds == pytest.approx(0.5, rel=0.05)

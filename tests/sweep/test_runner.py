@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import ClusterScenarioConfig
 from repro.errors import ConfigurationError
 from repro.experiments import ScenarioConfig
-from repro.sweep import run_cells, run_sweep, SweepGrid, SweepResults
+from repro.sweep import run_sweep, SweepGrid, SweepResults
 
 #: Compressed §5.3 timeline: full three-phase structure in 200 simulated s.
 FAST = ScenarioConfig(
@@ -92,15 +92,6 @@ def test_pas_cells_hold_sla_credit_cells_do_not(serial):
         assert cell.metrics["v20_absolute_solo_early"] == pytest.approx(20.0, abs=1.5)
     for cell in serial.filter(scheduler="credit"):
         assert cell.metrics["v20_absolute_solo_early"] < 15.0
-
-
-def test_run_cells_keeps_full_outcomes(small_grid):
-    outcomes = run_cells(
-        SweepGrid.from_variants({"one": small_grid.cells[0].config})
-    )
-    result = outcomes["one"]
-    assert result.host.scheduler.name == "credit"
-    assert len(result.series("host.freq_mhz")) > 0
 
 
 def test_cluster_grid_serial_vs_parallel_identical():

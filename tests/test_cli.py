@@ -6,29 +6,73 @@ from repro.cli import build_parser, main
 
 
 def test_list_command(capsys):
+    from repro.experiments import CLAIMS
+
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "figures" in out and "tables" in out and "ablations" in out
+    assert "claims" in out
+    assert ", ".join(CLAIMS) in out
 
 
-def test_figure_command_passes(capsys):
-    assert main(["figure", "4"]) == 0
+def test_reproduce_figure_passes(capsys):
+    assert main(["reproduce", "fig4"]) == 0
     out = capsys.readouterr().out
     assert "Figure 4" in out
     assert "[PASS]" in out
     assert "[FAIL]" not in out
 
 
-def test_table_command_passes(capsys):
-    assert main(["table", "1"]) == 0
+def test_reproduce_table_passes(capsys):
+    assert main(["reproduce", "table1"]) == 0
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "0.80338" in out  # the E5-2620 outlier
 
 
-def test_validate_command(capsys):
-    assert main(["validate", "eq3"]) == 0
+def test_reproduce_validation(capsys):
+    assert main(["reproduce", "eq3"]) == 0
     assert "Eq. 3" in capsys.readouterr().out
+
+
+def test_reproduce_unknown_name_exits_2_and_lists_names(capsys):
+    from repro.experiments import CLAIMS
+
+    assert main(["reproduce", "fig4", "fig11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fig11" in captured.err
+    assert ", ".join(CLAIMS) in captured.err
+
+
+def test_reproduce_failing_check_exits_1(capsys, monkeypatch):
+    import dataclasses
+
+    from repro.experiments import claims
+    from repro.experiments.report import ExperimentReport
+
+    def failing(outcome):
+        report = ExperimentReport(experiment="Table 1", title="forced failure")
+        report.check("a check that does not hold", False)
+        return report
+
+    forced = dataclasses.replace(
+        claims.CLAIMS["table1"], cells=lambda **overrides: {}, reduce=failing
+    )
+    monkeypatch.setitem(claims.CLAIMS, "table1", forced)
+    assert main(["reproduce", "table1"]) == 1
+    assert "[FAIL] a check that does not hold" in capsys.readouterr().out
+
+
+def test_reproduce_with_store_twice_is_warm_and_identical(capsys, tmp_path):
+    store_dir = str(tmp_path / "st")
+    assert main(["reproduce", "energy", "--store", store_dir]) in (0, 1)
+    cold = capsys.readouterr()
+    assert "0 cells warm, 4 computed" in cold.err
+    assert main(["reproduce", "energy", "--store", store_dir]) in (0, 1)
+    warm = capsys.readouterr()
+    assert "4 cells warm, 0 computed" in warm.err
+    assert warm.out == cold.out
+    assert "Ablation A (energy)" in warm.out
 
 
 def test_calibrate_command(capsys):
@@ -419,9 +463,9 @@ def test_run_requires_a_source():
         main(["run"])
 
 
-def test_invalid_figure_number_rejected():
-    with pytest.raises(SystemExit):
-        main(["figure", "11"])
+def test_invalid_claim_name_rejected(capsys):
+    assert main(["reproduce", "fig11"]) == 2
+    assert "unknown claim" in capsys.readouterr().err
 
 
 def test_missing_command_rejected():
@@ -431,8 +475,10 @@ def test_missing_command_rejected():
 
 def test_parser_builds():
     parser = build_parser()
-    args = parser.parse_args(["figure", "9"])
-    assert args.number == 9
+    args = parser.parse_args(["reproduce", "fig9", "table2", "--workers", "2"])
+    assert args.names == ["fig9", "table2"]
+    assert args.workers == 2
+    assert args.store is None
 
 
 def test_one_run_and_one_sweep_command():
@@ -446,6 +492,8 @@ def test_one_run_and_one_sweep_command():
 
     commands = subcommands(build_parser())
     assert "scenario" not in commands
+    assert not {"figure", "table", "validate", "ablation"} & set(commands)
+    assert "reproduce" in commands
     assert set(subcommands(commands["cluster"])) == {"compare"}
 
 
@@ -528,10 +576,10 @@ def test_store_on_non_store_directory(capsys, tmp_path):
     assert "not an experiment store" in capsys.readouterr().err
 
 
-def test_ablation_accepts_store(capsys, tmp_path):
-    # The cf ablation hand-builds its runs; --store must warn, not crash.
-    assert main(["ablation", "cf", "--store", str(tmp_path / "st")]) in (0, 1)
-    assert "does not support --store" in capsys.readouterr().err
+def test_reproduce_store_on_a_claim_without_sweep_cells(capsys, tmp_path):
+    # The cf ablation keeps its runs' full outcomes; --store must warn, not crash.
+    assert main(["reproduce", "cf", "--store", str(tmp_path / "st")]) in (0, 1)
+    assert "cf does not support --store" in capsys.readouterr().err
 
 
 def test_run_cluster_scenario_file(capsys, tmp_path):
