@@ -1,6 +1,6 @@
 """Every reproduced result at paper scale: one benchmark per registry claim.
 
-Each test runs one entry of :data:`repro.experiments.CLAIMS` (the paper's
+Each test runs one entry of :data:`repro.experiments.claims.CLAIMS` (the paper's
 Figs. 1-10, Tables 1-2, the §5.2 Eqs. 1-3 and our ablations), prints its
 paper-vs-measured report, writes it under ``benchmarks/reports/``, and
 asserts its shape checks.  What each claim shows, and the paper's words
@@ -9,7 +9,7 @@ for it, is the claim's ``about`` text.
 
 import pytest
 
-from repro.experiments import CLAIMS, run_claim
+from repro.experiments.claims import CLAIMS, run_claim
 
 from .conftest import emit
 

@@ -14,7 +14,7 @@ Two questions the paper raises but does not plot:
 Run:  python examples/energy_audit.py
 """
 
-from repro.experiments import run_claims
+from repro.experiments.claims import run_claims
 
 
 def main() -> None:

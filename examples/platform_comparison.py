@@ -11,7 +11,7 @@ This is the long-running example (~20 s): it executes 14 full simulations.
 Run:  python examples/platform_comparison.py
 """
 
-from repro.experiments import run_claim
+from repro.experiments.claims import run_claim
 from repro.experiments.claims import table2_rows
 from repro.telemetry import table_to_text
 

@@ -13,6 +13,7 @@ Examples::
     python -m repro run --preset dc-diurnal-small --set policy=static --out-series epochs.csv
     python -m repro sweep --workers 4 --out results.json
     python -m repro sweep --preset governors --replicates 3 --out-aggregated agg.csv
+    python -m repro sweep --preset governors --set duration=20 --set poisson=true
     python -m repro sweep --preset stress-fleet --store results-store
     python -m repro sweep --preset stress-fleet --store results-store --resume
     python -m repro sweep --list-presets
@@ -40,16 +41,7 @@ from typing import Sequence
 
 from .cpu import catalog
 from .errors import ConfigurationError, StoreError
-from .experiments import (
-    CLAIMS,
-    get_preset,
-    PRESETS,
-    preset_grid,
-    run_claims,
-    ScenarioConfig,
-    run_scenario,
-)
-from .platforms import calibrate_cf_table
+from .experiments import get_preset, PRESETS, preset_grid, ScenarioConfig, run_scenario
 from .telemetry import render_chart, table_to_text
 from .units import check_field_types
 
@@ -143,6 +135,8 @@ def _verbosity_of(args) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .experiments.claims import CLAIMS
+
     print("claims    :", ", ".join(CLAIMS))
     print("processors:", ", ".join(sorted(catalog.ALL_PROCESSORS)))
     print("presets   :", ", ".join(PRESETS))
@@ -150,6 +144,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from .experiments.claims import CLAIMS, run_claims
+
     names = args.names or list(CLAIMS)
     unknown = [name for name in names if name not in CLAIMS]
     if unknown:
@@ -180,6 +176,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from .platforms import calibrate_cf_table
+
     try:
         spec = catalog.ALL_PROCESSORS[args.processor]
     except KeyError:
@@ -566,16 +564,28 @@ def _parse_set(config, assignment: str) -> tuple[str, object]:
     return name, type(config).coerce_field(name, value)
 
 
+def _config_overrides(config, args: argparse.Namespace) -> dict:
+    """The overrides of *config* the command line asks for, in order.
+
+    Each ``--set FIELD=VALUE`` (VALUE parsed as JSON when it parses, kept
+    as a string otherwise, then coerced by the config's ``coerce_field``),
+    then ``--duration`` and ``--seed``.  An unknown field or a bad value
+    raises :class:`ConfigurationError`.
+    """
+    overrides = dict(_parse_set(config, assignment) for assignment in args.set)
+    for name in ("duration", "seed"):
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    return overrides
+
+
 def _config_from_args(args: argparse.Namespace) -> tuple:
     """Resolve ``(config, title, slug)`` from ``--preset``/``--scenario``.
 
     A scenario file holds a single-host spec, or a fleet spec when it says
-    ``"kind": "cluster"``.  The overrides apply in one ``with_changes``:
-    each ``--set FIELD=VALUE`` (VALUE parsed as JSON when it parses, kept
-    as a string otherwise, then coerced by the config's ``coerce_field``),
-    then ``--duration`` and ``--seed``.  Every failure is a
-    :class:`ConfigurationError`; each command prints it under its own
-    prefix.
+    ``"kind": "cluster"``.  The :func:`_config_overrides` apply in one
+    ``with_changes``.  Every failure is a :class:`ConfigurationError`;
+    each command prints it under its own prefix.
     """
     from .cluster import ClusterScenarioConfig
 
@@ -597,10 +607,7 @@ def _config_from_args(args: argparse.Namespace) -> tuple:
     else:
         config = get_preset(args.preset).config
         title, slug = f"preset {args.preset}", args.preset
-    overrides = dict(_parse_set(config, assignment) for assignment in args.set)
-    for name in ("duration", "seed"):
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
+    overrides = _config_overrides(config, args)
     if overrides:
         config = config.with_changes(**overrides)
     return config, title, slug
@@ -683,7 +690,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .cluster import ClusterScenarioConfig
-    from .obs import profile_cluster, profile_scenario
+    from .obs.profile import profile_cluster, profile_scenario
 
     try:
         config, title, _ = _config_from_args(args)
@@ -770,11 +777,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     metrics = None
     kind = "scenario"
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if args.preset:
         conflicting = [
             flag
@@ -796,6 +798,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.preset:
             preset = get_preset(args.preset)
             metrics, kind = preset.metrics, preset.kind
+            overrides = _config_overrides(preset.config, args)
             grid = preset_grid(
                 args.preset,
                 overrides=overrides,
@@ -821,7 +824,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "governor": args.governors.split(","),
                     "v20_load": args.v20_loads.split(","),
                 }
-            base = ScenarioConfig().with_changes(**overrides)
+            base = ScenarioConfig()
+            base = base.with_changes(**_config_overrides(base, args))
             grid = SweepGrid(
                 axes,
                 base=base,
@@ -1393,6 +1397,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--seed", type=int, default=None, help="root seed for per-cell seeds"
+    )
+    sweep.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="FIELD=VALUE",
+        help="override base-config field FIELD (repeatable), as for 'run': "
+        "VALUE is parsed as JSON when it parses; an unknown field or a bad "
+        "value exits 2; --duration/--seed apply after it",
     )
     sweep.add_argument(
         "--fixed-seed",

@@ -30,7 +30,7 @@ from ..cpu import catalog
 from ..cpu.domains import FrequencyDomain
 from ..cpu.processor import ProcessorSpec
 from ..errors import ConfigurationError
-from ..units import check_non_negative, check_positive
+from ..units import check_field_types, check_known_fields, check_non_negative, check_positive
 from .vm import ClusterVM
 
 
@@ -91,13 +91,8 @@ class MachineSpec:
         :class:`ConfigurationError` naming the valid fields.
         """
         kwargs = dict(data)
-        known = ("processor", "memory_mb", "overhead_percent", "count")
-        unknown = sorted(set(kwargs) - set(known))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown machine spec field(s) {', '.join(map(repr, unknown))}; "
-                f"valid fields: {', '.join(known)}"
-            )
+        check_known_fields(cls, kwargs, "machine spec")
+        check_field_types(cls, kwargs, "machine spec")
         processor = kwargs.get("processor")
         if isinstance(processor, str):
             kwargs["processor"] = catalog.processor_from_name(processor)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..errors import ConfigurationError
-from ..units import check_non_negative
+from ..units import check_field_types, check_non_negative
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,7 @@ class MigrationModel:
                 f"unknown migration model field(s) {', '.join(map(repr, unknown))}; "
                 f"valid fields: {', '.join(sorted(known))}"
             )
+        check_field_types(cls, data, "migration model")
         return cls(**data)
 
 

@@ -6,6 +6,10 @@ shared §5.3 scenario, V20/V70 three-phase execution profile) and the
 reducer to its paper-vs-measured :class:`~.report.ExperimentReport`.
 ``python -m repro reproduce`` and ``benchmarks/bench_claims.py`` run them
 and assert each report's shape checks.
+
+The package itself loads only what a single-host run needs: import the
+registry from :mod:`repro.experiments.claims` (it pulls in the §5.2
+calibration, the Table 2 platforms and the fleet tier).
 """
 
 from .scenario import (
@@ -25,7 +29,6 @@ from .scenario import (
 )
 from .presets import get_preset, Preset, preset_config, preset_grid, PRESETS
 from .report import Check, ExperimentReport
-from .claims import Claim, CLAIMS, run_claim, run_claims
 
 __all__ = [
     "ScenarioConfig",
@@ -48,8 +51,4 @@ __all__ = [
     "PHASE_SOLO_LATE",
     "Check",
     "ExperimentReport",
-    "Claim",
-    "CLAIMS",
-    "run_claim",
-    "run_claims",
 ]

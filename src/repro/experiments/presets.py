@@ -86,14 +86,15 @@ run``, ``sweep`` and ``cluster compare``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping, TYPE_CHECKING
 
-from ..cluster import ClusterScenarioConfig, ORCHESTRATION_POLICIES
-from ..cluster.machine import MachineSpec
 from ..core import laws
 from ..cpu import catalog
 from ..errors import ConfigurationError
 from .scenario import GuestSpec, ScenarioConfig, WorkloadSpec
+
+if TYPE_CHECKING:
+    from ..cluster import ClusterScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,7 @@ class Preset:
     @property
     def kind(self) -> str:
         """``"cluster"`` for fleet specs, ``"scenario"`` for single-host."""
-        return (
-            "cluster" if isinstance(self.config, ClusterScenarioConfig) else "scenario"
-        )
+        return "scenario" if isinstance(self.config, ScenarioConfig) else "cluster"
 
 
 def _paper_53() -> Preset:
@@ -442,6 +441,8 @@ def _dc_config(**changes) -> ClusterScenarioConfig:
     policies actually differ.  ``dayshape_scale=0.45`` puts mean host
     demand in the paper's "below 30 %" hosting-center band.
     """
+    from ..cluster import ClusterScenarioConfig
+
     base = ClusterScenarioConfig(
         policy="consolidate",
         duration=400.0,
@@ -457,46 +458,68 @@ def _dc_config(**changes) -> ClusterScenarioConfig:
     return base.with_changes(**changes)
 
 
-def _dc_diurnal() -> Preset:
+def _dc_policy_sweep(name: str, description: str, **changes) -> Preset:
+    """A datacenter preset swept over every orchestration policy."""
+    from ..cluster import ORCHESTRATION_POLICIES
+
     return Preset(
-        name="dc-diurnal",
-        description="24-VM day-shape mix on 10 machines, all policies, 200W cap",
-        config=_dc_config(n_machines=10, n_vms=24, power_budget_w=200.0),
+        name=name,
+        description=description,
+        config=_dc_config(**changes),
         axes={"policy": ORCHESTRATION_POLICIES},
         metrics=("fleet", "cluster"),
+    )
+
+
+def _dc_diurnal() -> Preset:
+    return _dc_policy_sweep(
+        "dc-diurnal",
+        "24-VM day-shape mix on 10 machines, all policies, 200W cap",
+        n_machines=10,
+        n_vms=24,
+        power_budget_w=200.0,
     )
 
 
 def _dc_diurnal_small() -> Preset:
-    return Preset(
-        name="dc-diurnal-small",
-        description="CI smoke fleet: the day-shape mix on 4 machines / 8 VMs",
-        config=_dc_config(
-            n_machines=4,
-            n_vms=8,
-            duration=200.0,
-            day_length=200.0,
-            power_budget_w=80.0,
-        ),
-        axes={"policy": ORCHESTRATION_POLICIES},
-        metrics=("fleet", "cluster"),
+    return _dc_policy_sweep(
+        "dc-diurnal-small",
+        "CI smoke fleet: the day-shape mix on 4 machines / 8 VMs",
+        n_machines=4,
+        n_vms=8,
+        duration=200.0,
+        day_length=200.0,
+        power_budget_w=80.0,
     )
 
 
 def _dc_fleet_medium() -> Preset:
-    return Preset(
-        name="dc-fleet-medium",
-        description="fleet-size point: 16 machines / 40 VMs, day-shape mix",
-        config=_dc_config(
-            n_machines=16, n_vms=40, duration=300.0, day_length=300.0,
-            power_budget_w=330.0,
-        ),
-        axes={"policy": ORCHESTRATION_POLICIES},
-        metrics=("fleet", "cluster"),
+    return _dc_policy_sweep(
+        "dc-fleet-medium",
+        "fleet-size point: 16 machines / 40 VMs, day-shape mix",
+        n_machines=16,
+        n_vms=40,
+        duration=300.0,
+        day_length=300.0,
+        power_budget_w=330.0,
+    )
+
+
+def _dc_fleet_large() -> Preset:
+    return _dc_policy_sweep(
+        "dc-fleet-large",
+        "fleet-size point: 32 machines / 96 VMs, day-shape mix",
+        n_machines=32,
+        n_vms=96,
+        duration=200.0,
+        day_length=200.0,
+        power_budget_w=800.0,
     )
 
 
 def _dc_hetero() -> Preset:
+    from ..cluster.machine import MachineSpec
+
     # Two reference i7 hosts next to two big.LITTLE blades: the blades
     # hold 90 % of an i7's capacity at half its full-load draw, so
     # efficiency-packing and performance-bursting genuinely disagree —
@@ -523,41 +546,55 @@ def _dc_hetero() -> Preset:
     )
 
 
-def _dc_fleet_large() -> Preset:
-    return Preset(
-        name="dc-fleet-large",
-        description="fleet-size point: 32 machines / 96 VMs, day-shape mix",
-        config=_dc_config(
-            n_machines=32, n_vms=96, duration=200.0, day_length=200.0,
-            power_budget_w=800.0,
-        ),
-        axes={"policy": ORCHESTRATION_POLICIES},
-        metrics=("fleet", "cluster"),
-    )
+class _PresetRegistry(Mapping[str, Preset]):
+    """Preset name -> :class:`Preset`, each built on its first lookup.
+
+    Names and their order are fixed up front; a preset's config is built
+    only when someone asks for it, so a single-host run never loads the
+    fleet tier that the ``dc-*`` presets are made of.
+    """
+
+    def __init__(self, factories: Mapping[str, Callable[[], Preset]]) -> None:
+        self._factories = dict(factories)
+        self._built: dict[str, Preset] = {}
+
+    def __getitem__(self, name: str) -> Preset:
+        preset = self._built.get(name)
+        if preset is None:
+            preset = self._built[name] = self._factories[name]()
+        return preset
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._factories
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._factories)
+
+    def __len__(self) -> int:
+        return len(self._factories)
 
 
 #: All presets, keyed by name, in documentation order.
-PRESETS: dict[str, Preset] = {
-    preset.name: preset
-    for preset in (
-        _paper_53(),
-        _governors(),
-        _diurnal_web(),
-        _pi_batch(),
-        _mixed_guests(),
-        _stress_fleet(),
-        _qos_noisy_neighbor(),
-        _calib_eq1(),
-        _calib_eq2(),
-        _calib_eq3(),
-        _calib_compensation(),
-        _dc_diurnal(),
-        _dc_diurnal_small(),
-        _dc_fleet_medium(),
-        _dc_fleet_large(),
-        _dc_hetero(),
-    )
-}
+PRESETS: Mapping[str, Preset] = _PresetRegistry(
+    {
+        "paper-5.3": _paper_53,
+        "governors": _governors,
+        "diurnal-web": _diurnal_web,
+        "pi-batch": _pi_batch,
+        "mixed-guests": _mixed_guests,
+        "stress-fleet": _stress_fleet,
+        "qos-noisy-neighbor": _qos_noisy_neighbor,
+        "calib-eq1": _calib_eq1,
+        "calib-eq2": _calib_eq2,
+        "calib-eq3": _calib_eq3,
+        "calib-compensation": _calib_compensation,
+        "dc-diurnal": _dc_diurnal,
+        "dc-diurnal-small": _dc_diurnal_small,
+        "dc-fleet-medium": _dc_fleet_medium,
+        "dc-fleet-large": _dc_fleet_large,
+        "dc-hetero": _dc_hetero,
+    }
+)
 
 
 def get_preset(name: str) -> Preset:

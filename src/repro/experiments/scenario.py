@@ -45,6 +45,7 @@ by :func:`effective_guests` into the equivalent spec, so
 
 from __future__ import annotations
 
+import math
 import pathlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
@@ -78,6 +79,19 @@ PHASE_SOLO_LATE = (600.0, 740.0)
 #: Workload kinds a :class:`WorkloadSpec` can describe.
 WORKLOAD_KINDS = ("web", "pi", "constant", "trace")
 
+#: The :class:`WorkloadSpec` fields each kind reads (``active`` aside); the
+#: rest must keep their defaults, which is what ``to_dict`` assumes.
+_KIND_FIELDS = {
+    "web": ("load", "rate_rps", "request_cost", "poisson"),
+    "pi": ("work", "start_at"),
+    "constant": ("demand_percent",),
+    "trace": ("trace", "diurnal", "trace_file", "dayshape", "repeat"),
+}
+
+#: The :class:`ScenarioConfig` fields of the paper's two-guest profile,
+#: which a non-empty ``guests`` overrides entirely.
+_LEGACY_FIELDS = ("v20_load", "v70_load", "v20_active", "v70_active")
+
 #: Web-app intensity kinds (the paper's §5.3 vocabulary plus helpers).
 LOAD_KINDS = ("exact", "near_exact", "thrashing", "idle")
 
@@ -89,10 +103,22 @@ MANAGER_KINDS = ("user-credit", "user-full")
 SERVICE_CLASSES = ("lc", "be")
 
 
+def _number_pair(value: Any, what: str) -> tuple[float, float]:
+    """*value* (a 2-list or 2-tuple of finite numbers) as a float pair."""
+    if isinstance(value, (tuple, list)) and len(value) == 2:
+        first, second = value
+        if type(first) in (int, float) and type(second) in (int, float):
+            try:
+                first, second = float(first), float(second)
+            except OverflowError:  # an integer beyond the float range
+                first = math.inf
+            if math.isfinite(first) and math.isfinite(second):
+                return (first, second)
+    raise ConfigurationError(f"{what} must be a pair of finite numbers, got {value!r}")
+
+
 def _window_tuple(value: Any, what: str) -> tuple[float, float]:
-    if not isinstance(value, (tuple, list)) or len(value) != 2:
-        raise ConfigurationError(f"{what} must be a (start, end) pair, got {value!r}")
-    start, end = float(value[0]), float(value[1])
+    start, end = _number_pair(value, f"{what} (start, end)")
     if end <= start:
         raise ConfigurationError(f"{what} end ({end}) must follow start ({start})")
     return (start, end)
@@ -152,12 +178,26 @@ class WorkloadSpec:
             "active",
             tuple(_window_tuple(w, "active window") for w in self.active),
         )
+        for kind, names in _KIND_FIELDS.items():
+            for name in names:
+                default = self.__dataclass_fields__[name].default
+                if kind != self.kind and getattr(self, name) != default:
+                    raise ConfigurationError(
+                        f"{name!r} applies to {kind} workloads, not {self.kind!r}"
+                    )
         object.__setattr__(
             self,
             "trace",
-            tuple((float(t), float(p)) for t, p in self.trace),
+            tuple(_number_pair(point, "a trace (time, percent) point") for point in self.trace),
         )
         if self.diurnal is not None:
+            if not isinstance(self.diurnal, Mapping):
+                raise ConfigurationError(
+                    f"diurnal takes a JSON object of SyntheticTrace parameters, "
+                    f"got {self.diurnal!r}"
+                )
+            check_keywords(SyntheticTrace, self.diurnal, "diurnal")
+            check_field_types(SyntheticTrace, self.diurnal, "diurnal")
             object.__setattr__(self, "diurnal", dict(self.diurnal))
         if (
             self.kind == "trace"
@@ -273,6 +313,11 @@ class GuestSpec:
                 for w in self.workloads
             ),
         )
+        for workload in self.workloads:
+            if not isinstance(workload, WorkloadSpec):
+                raise ConfigurationError(
+                    f"workloads must hold workload specs (JSON objects), got {workload!r}"
+                )
 
     def describe(self) -> str:
         """Compact human-readable label (grid cell labelling)."""
@@ -301,6 +346,11 @@ class GuestSpec:
         """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
         check_known_fields(cls, data, "guest spec")
         check_field_types(cls, data, "guest spec")
+        missing = [name for name in ("name", "credit") if name not in data]
+        if missing:
+            raise ConfigurationError(
+                f"guest spec: missing required field(s) {', '.join(map(repr, missing))}"
+            )
         return cls(**data)
 
 
@@ -379,6 +429,15 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "'Dom0' is reserved; its demand is set by dom0_demand_percent"
             )
+        # Fields the config ignores keep their defaults, so two configs that
+        # run alike compare equal, as their to_dict (and store key) already do.
+        if self.guests:
+            for name in _LEGACY_FIELDS:
+                object.__setattr__(self, name, self.__dataclass_fields__[name].default)
+        if self.manager is None and self.manager_kwargs:
+            object.__setattr__(self, "manager_kwargs", {})
+        if self.qos == "none" and self.qos_kwargs:
+            object.__setattr__(self, "qos_kwargs", {})
         if self.manager is not None and self.manager not in MANAGER_KINDS:
             raise ConfigurationError(
                 f"unknown manager {self.manager!r}; "

@@ -142,25 +142,43 @@ _DIMENSIONLESS_PARAMS = frozenset(
 )
 
 
+#: Tokens that join a quantity to what it is measured at or of
+#: (``time_at_credit``, ``share_of_load``): the name is the head's quantity.
+_QUALIFIERS = frozenset({"at", "of"})
+
+
+def _is_time_word(tokens: list[str]) -> bool:
+    """Whether the name made of *tokens* is simulated-time vocabulary."""
+    return "_".join(tokens) in _TIME_NAMES or (
+        len(tokens) >= 2 and tokens[-1] in _TIME_LAST_TOKENS
+    )
+
+
 def infer_unit_of_name(name: str) -> str | None:
     """The dimension a bare name carries by convention, or None.
 
-    Precedence: explicit suffix beats stem conventions beats the
-    simulated-time vocabulary — ``utilization_fraction`` is a fraction even
-    though the ``utilization`` stem alone would read as a percentage.
+    Precedence: a one-letter subscript on a time word (the paper's
+    ``T_j``: ``time_j``) reads as seconds; then an explicit suffix beats
+    the head of an ``_at_``/``_of_`` name (``time_at_credit`` is a time),
+    which beats stem conventions, which beat the simulated-time vocabulary
+    — ``utilization_fraction`` is a fraction even though the
+    ``utilization`` stem alone would read as a percentage.
     """
     lowered = name.lower()
     tokens = lowered.split("_")
     if "per" in tokens:
         return None  # rates (work_per_period, moves_per_epoch) are ratios
     last = tokens[-1]
+    if len(tokens) >= 2 and len(last) == 1 and _is_time_word(tokens[:-1]):
+        return "s"
     if last in _SUFFIX_UNITS and (len(tokens) >= 2 or len(last) >= 3):
         return _SUFFIX_UNITS[last]
+    for index in range(1, len(tokens) - 1):
+        if tokens[index] in _QUALIFIERS:
+            return infer_unit_of_name("_".join(tokens[:index]))
     if lowered in _PERCENT_STEMS or last in _PERCENT_STEMS:
         return "%"
-    if lowered in _TIME_NAMES:
-        return "s"
-    if len(tokens) >= 2 and last in _TIME_LAST_TOKENS:
+    if _is_time_word(tokens):
         return "s"
     if tokens[0] == "work" or last == "work":
         return "work-s"

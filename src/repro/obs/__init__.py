@@ -8,7 +8,8 @@ Three layers, strictly separated by their relationship to determinism:
   from counters the subsystems already keep; equally deterministic;
 * :mod:`repro.obs.profile` — the **only** module in the library allowed to
   read a wall clock, attached dynamically so the static determinism walk
-  never sees it.
+  never sees it.  This package does not re-export it: import it as
+  ``repro.obs.profile``, so a run that profiles nothing never loads it.
 
 The hot paths consult :mod:`repro.obs.hooks` (two nullable module globals)
 — with nothing installed the whole layer costs one ``is not None`` test
@@ -30,12 +31,10 @@ from .metrics import (
     collect_outcome,
     collect_sweep,
 )
-from .profile import PhaseProfiler, profile_cluster, profile_scenario, wall_now
 from .trace import TRACE_SCHEMA, Tracer, validate_trace_file, validate_trace_text
 
 __all__ = [
     "MetricsRegistry",
-    "PhaseProfiler",
     "TRACE_SCHEMA",
     "Tracer",
     "collect_cluster",
@@ -46,11 +45,8 @@ __all__ = [
     "install_metrics",
     "install_tracer",
     "observed",
-    "profile_cluster",
-    "profile_scenario",
     "uninstall_metrics",
     "uninstall_tracer",
     "validate_trace_file",
     "validate_trace_text",
-    "wall_now",
 ]

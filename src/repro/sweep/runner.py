@@ -24,10 +24,8 @@ Two scaling layers ride on that contract:
 from __future__ import annotations
 
 import atexit
-import multiprocessing
-import multiprocessing.pool
 import pathlib
-from typing import Any, Callable, ClassVar, Iterator, Sequence
+from typing import Any, Callable, ClassVar, Iterator, Sequence, TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from ..obs import hooks as _obs
@@ -42,6 +40,9 @@ from .metrics import (
 )
 from .store import CellResult, SweepResults
 
+if TYPE_CHECKING:
+    import multiprocessing.pool
+
 
 def execute_config(config: Any):
     """Run one cell's config to completion and return the raw outcome.
@@ -49,13 +50,16 @@ def execute_config(config: Any):
     Dispatches on config type: :class:`ScenarioConfig` runs the §5.3
     single-host scenario, :class:`ClusterScenarioConfig` the fleet model.
     Imports are deferred so this module can be loaded before the
-    experiments package finishes initialising (they import each other).
+    experiments package finishes initialising (they import each other),
+    and the fleet tier is imported only for a config that is not a
+    single-host one.
     """
-    from ..cluster.scenario import ClusterScenarioConfig, run_cluster_scenario
     from ..experiments.scenario import ScenarioConfig, run_scenario
 
     if isinstance(config, ScenarioConfig):
         return run_scenario(config)
+    from ..cluster.scenario import ClusterScenarioConfig, run_cluster_scenario
+
     if isinstance(config, ClusterScenarioConfig):
         return run_cluster_scenario(config)
     raise ConfigurationError(
@@ -65,6 +69,10 @@ def execute_config(config: Any):
 
 def default_metrics_for(config: Any) -> tuple[str, ...]:
     """The default metric set for a cell's config type."""
+    from ..experiments.scenario import ScenarioConfig
+
+    if isinstance(config, ScenarioConfig):
+        return DEFAULT_SCENARIO_METRICS
     from ..cluster.scenario import ClusterScenarioConfig
 
     if isinstance(config, ClusterScenarioConfig):
@@ -100,9 +108,15 @@ class WorkerPool:
 
     @classmethod
     def get(cls, workers: int) -> multiprocessing.pool.Pool:
-        """The persistent pool of *workers* processes (created on first use)."""
+        """The persistent pool of *workers* processes (created on first use).
+
+        ``multiprocessing`` is imported here, on the first parallel sweep,
+        so a serial run never loads it.
+        """
         pool = cls._pools.get(workers)
         if pool is None:
+            import multiprocessing
+
             try:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX fallback

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import sys
 from typing import Any, Iterable, Mapping
 
 from .errors import ConfigurationError
@@ -72,22 +73,40 @@ _FIELD_TYPES: dict[str, tuple[tuple[type, ...], str]] = {
 }
 
 
+#: The largest integer a float holds (``float(n)`` overflows beyond it).
+_LARGEST_FLOAT_INT = int(sys.float_info.max)
+
+
 def check_field_types(cls, data: Mapping[str, Any], what: str) -> None:
     """Raise unless each value of *data* has a JSON type its field accepts.
 
-    Fields of dataclass *cls* are judged by their (string) annotation, per
+    Fields of dataclass *cls* (or, for any other class, the parameters of
+    its constructor) are judged by their (string) annotation, per
     :data:`_FIELD_TYPES`; other annotations and unknown names pass.  The
-    error reads ``"<what>: <field> takes <type>, got <value>"``.
+    error reads ``"<what>: <field> takes <type>, got <value>"``.  An
+    integer too large for a float (JSON allows any) is refused too: the
+    range checks downstream compare it as a float.
     """
-    annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    if dataclasses.is_dataclass(cls):
+        annotations = {f.name: f.type for f in dataclasses.fields(cls)}
+    else:
+        parameters = inspect.signature(cls).parameters.values()
+        annotations = {p.name: p.annotation for p in parameters}
     for name, value in data.items():
         annotation = annotations.get(name, "")
         expected = _FIELD_TYPES.get(annotation)
         if annotation.startswith("tuple["):
             expected = ((list,), "a JSON array")
-        if expected is not None and type(value) not in expected[0]:
+        if expected is None:
+            continue
+        if type(value) not in expected[0]:
             raise ConfigurationError(
                 f"{what}: {name} takes {expected[1]}, got {value!r}"
+            )
+        if type(value) is int and abs(value) > _LARGEST_FLOAT_INT:
+            raise ConfigurationError(
+                f"{what}: {name} takes {expected[1]} within the float range, "
+                f"got an integer of {value.bit_length()} bits"
             )
 
 

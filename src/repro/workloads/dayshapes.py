@@ -213,7 +213,7 @@ def require_dayshape(name: str) -> DayShape:
     """The catalog entry called *name*; unknown names list the choices."""
     try:
         return DAYSHAPES[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigurationError(
             f"unknown day shape {name!r}; use one of: {', '.join(DAYSHAPES)}"
         ) from None

@@ -25,6 +25,10 @@ class PiApp(Workload):
         Simulated time the work was queued (None before start).
     finished_at:
         Simulated time the queue drained (None while running).
+    injected_work:
+        Absolute work-seconds queued so far: 0.0 before the start, *work*
+        after it (the work-conservation counter ``ConstantLoad`` and
+        ``TraceLoad`` keep too).
     """
 
     def __init__(self, work: float, *, start_at: float = 0.0) -> None:
@@ -33,6 +37,7 @@ class PiApp(Workload):
         self.start_at = check_non_negative(start_at, "start_at")
         self.started_at: float | None = None
         self.finished_at: float | None = None
+        self.injected_work = 0.0
 
     def bind(self, domain) -> None:
         super().bind(domain)
@@ -48,6 +53,7 @@ class PiApp(Workload):
 
     def _begin(self) -> None:
         self.started_at = self.engine.now
+        self.injected_work = self.work
         self.domain.add_work(self.work)
 
     def _on_idle(self, now: float) -> None:

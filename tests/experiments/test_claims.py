@@ -16,7 +16,7 @@ import pytest
 
 from repro import catalog
 from repro.errors import ConfigurationError
-from repro.experiments import CLAIMS, run_claim, run_claims
+from repro.experiments.claims import CLAIMS, run_claim, run_claims
 
 FAST = dict(
     v20_active=(20.0, 180.0),

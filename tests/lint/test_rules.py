@@ -578,6 +578,51 @@ def test_cross_dimension_assignment_suppressed(codes_of):
         """}) == []
 
 
+def test_time_subscript_holds_seconds(codes_of):
+    # The paper's T_j (Eq. 3's time at credit j) is a time, not joules.
+    assert codes_of({LIB: """
+        def eq3(busy_s, delay_s):
+            time_j = busy_s
+            t_i = delay_s
+            return time_j + t_i
+        """}) == []
+
+
+def test_energy_subscript_stays_joules(codes_of):
+    assert codes_of({LIB: """
+        def convert(busy_s):
+            energy_j = busy_s
+            return energy_j
+        """}) == ["RPL702"]
+
+
+def test_qualified_name_takes_its_head_dimension(codes_of):
+    assert codes_of({LIB: """
+        def times(busy_s):
+            time_at_credit = busy_s
+            time_at_level = busy_s
+            share_of_load = busy_s  # the head has no dimension; the tail's stem is not the name's
+            return time_at_credit, time_at_level, share_of_load
+        """}) == []
+
+
+def test_qualified_name_mismatch_with_its_head_fires(codes_of):
+    assert codes_of({LIB: """
+        def times(load_percent, busy_s):
+            time_at_credit = load_percent
+            load_at_max = busy_s
+            return time_at_credit, load_at_max
+        """}) == ["RPL702", "RPL702"]
+
+
+def test_explicit_suffix_beats_the_qualified_head(codes_of):
+    assert codes_of({LIB: """
+        def loads(busy_s):
+            load_at_max_percent = busy_s
+            return load_at_max_percent
+        """}) == ["RPL702"]
+
+
 def test_percent_compared_to_fraction_bound_fires(codes_of):
     assert codes_of({LIB: """
         def busy(load_percent):

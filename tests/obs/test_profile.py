@@ -4,7 +4,7 @@ import pytest
 
 from repro import Host
 from repro.experiments import get_preset, run_scenario, ScenarioConfig
-from repro.obs import PhaseProfiler, profile_cluster, profile_scenario, wall_now
+from repro.obs.profile import PhaseProfiler, profile_cluster, profile_scenario, wall_now
 from repro.workloads import ConstantLoad
 
 

@@ -6,7 +6,7 @@ from repro.cli import build_parser, main
 
 
 def test_list_command(capsys):
-    from repro.experiments import CLAIMS
+    from repro.experiments.claims import CLAIMS
 
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -35,7 +35,7 @@ def test_reproduce_validation(capsys):
 
 
 def test_reproduce_unknown_name_exits_2_and_lists_names(capsys):
-    from repro.experiments import CLAIMS
+    from repro.experiments.claims import CLAIMS
 
     assert main(["reproduce", "fig4", "fig11"]) == 2
     captured = capsys.readouterr()
@@ -896,3 +896,29 @@ def test_run_preset_all_rejects_single_run_outputs(capsys, tmp_path):
     trace = str(tmp_path / "t.json")
     assert main(["run", "--preset", "all", "--trace", trace]) == 2
     assert "--preset all" in capsys.readouterr().err
+
+
+def test_sweep_set_matches_the_duration_flag(capsys, tmp_path):
+    by_set = tmp_path / "set.json"
+    by_flag = tmp_path / "flag.json"
+    common = ["sweep", "--preset", "governors", "--quiet"]
+    assert main([*common, "--set", "duration=20", "--out", str(by_set)]) == 0
+    assert main([*common, "--duration", "20", "--out", str(by_flag)]) == 0
+    assert by_set.read_bytes() == by_flag.read_bytes()
+
+
+def test_sweep_set_applies_to_the_default_grid(capsys):
+    argv = [
+        "sweep", "--quiet", "--schedulers", "credit", "--governors", "stable",
+        "--v20-loads", "exact", "--set", "duration=30",
+        "--set", "v20_active=[5,25]", "--set", "v70_active=[10,20]",
+    ]
+    assert main(argv) == 0
+    assert "1 cells" in capsys.readouterr().out
+
+
+def test_sweep_set_unknown_field_names_the_valid_fields(capsys):
+    assert main(["sweep", "--preset", "governors", "--set", "bogus=1"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep: unknown scenario config field(s) 'bogus'" in err
+    assert "valid fields: scheduler, governor" in err

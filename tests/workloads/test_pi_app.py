@@ -84,3 +84,30 @@ def test_two_pi_apps_on_separate_domains():
     host.run(until=10.0)
     assert app_a.execution_time == pytest.approx(2.0, rel=0.05)
     assert app_b.execution_time == pytest.approx(2.0, rel=0.05)
+
+
+def test_injected_work_counter():
+    host = make_host()
+    vm = host.create_domain("vm", credit=100)
+    app = PiApp(0.5, start_at=3.0)
+    vm.attach_workload(app)
+    host.run(until=2.0)
+    assert app.injected_work == 0.0
+    host.run(until=5.0)
+    assert app.injected_work == 0.5
+
+
+def test_work_is_conserved_on_every_calib_eq2_pi_domain():
+    from repro.experiments import preset_grid, run_scenario
+
+    checked = 0
+    for cell in preset_grid("calib-eq2"):
+        host = run_scenario(cell.config).host
+        for domain in host.domains:
+            for app in domain.workloads:
+                if isinstance(app, PiApp):
+                    accounted = domain.work_done + domain.vcpu.pending_work
+                    assert app.injected_work == pytest.approx(accounted, rel=1e-9, abs=0.0)
+                    assert app.injected_work == app.work
+                    checked += 1
+    assert checked == len(preset_grid("calib-eq2"))
