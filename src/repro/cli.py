@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 from typing import Sequence
@@ -689,19 +690,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from .cluster import ClusterScenarioConfig
-    from .obs.profile import profile_cluster, profile_scenario
+    from .obs.profile import SamplingProfiler
 
+    profiler = SamplingProfiler()
     try:
         config, title, _ = _config_from_args(args)
-        if isinstance(config, ClusterScenarioConfig):
-            _, profiler = profile_cluster(config)
-        else:
-            _, profiler = profile_scenario(config)
+        profiler.run(config)
     except ConfigurationError as error:
         print(f"profile: {error}", file=sys.stderr)
         return 2
-    print(f"wall-clock phase profile — {title}")
+    print(f"sampling profile — {title}")
     print()
     print(profiler.render_table())
     return 0
@@ -1331,12 +1329,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = commands.add_parser(
         "profile",
-        help="wall-clock phase profile of one scenario run",
+        help="sampling wall-clock profile of one scenario run",
         description=(
-            "Run one preset or scenario spec under the opt-in phase profiler "
-            "and print per-subsystem self-time (scheduler, governor, "
-            "accounting, dispatch, workload, ...).  Wall-clock timings vary "
-            "run to run by nature; the simulation itself is unaffected."
+            "Run one preset or scenario spec under the opt-in sampling "
+            "profiler and print where host time went: the share of samples "
+            "per layer (sim, hypervisor, schedulers, governors, cluster, "
+            "...) and the busiest functions.  Wall-clock samples vary run "
+            "to run by nature; the simulation itself is unaffected."
         ),
     )
     _add_config_source(profile, "preset name (see sweep --list-presets)")
@@ -1609,7 +1608,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro sweep ... | head``).  Send
+        # whatever is still buffered to devnull, so the exit-time flush
+        # cannot fail again, and stop quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -124,6 +124,18 @@ def _window_tuple(value: Any, what: str) -> tuple[float, float]:
     return (start, end)
 
 
+def _as_spec(value: Any, spec: type) -> Any:
+    """*value* as a *spec*: a spec passes as is, a JSON object is parsed.
+
+    Anything else passes too, for the caller's type check to reject.  The
+    spec test comes first because it is cheap and the ``Mapping`` ABC test
+    is not, and every ``replace`` of a config re-validates each guest.
+    """
+    if isinstance(value, spec) or not isinstance(value, Mapping):
+        return value
+    return spec.from_dict(value)
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     """One workload a guest runs — declarative, JSON-round-trippable.
@@ -308,10 +320,7 @@ class GuestSpec:
         object.__setattr__(
             self,
             "workloads",
-            tuple(
-                WorkloadSpec.from_dict(w) if isinstance(w, Mapping) else w
-                for w in self.workloads
-            ),
+            tuple(_as_spec(w, WorkloadSpec) for w in self.workloads),
         )
         for workload in self.workloads:
             if not isinstance(workload, WorkloadSpec):
@@ -408,10 +417,7 @@ class ScenarioConfig:
         object.__setattr__(
             self,
             "guests",
-            tuple(
-                GuestSpec.from_dict(g) if isinstance(g, Mapping) else g
-                for g in self.guests
-            ),
+            tuple(_as_spec(g, GuestSpec) for g in self.guests),
         )
         for guest in self.guests:
             if not isinstance(guest, GuestSpec):
@@ -470,9 +476,7 @@ class ScenarioConfig:
         dicts (straight from JSON) and window fields as 2-lists.
         """
         if name == "guests" and isinstance(value, (list, tuple)):
-            return tuple(
-                GuestSpec.from_dict(g) if isinstance(g, Mapping) else g for g in value
-            )
+            return tuple(_as_spec(g, GuestSpec) for g in value)
         if name == "processor" and isinstance(value, str):
             return catalog.processor_from_name(value)
         if isinstance(value, list):

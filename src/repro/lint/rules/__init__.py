@@ -90,11 +90,12 @@ def in_library(path: str) -> bool:
     return path.startswith("src/repro/")
 
 
-#: The one module allowed to read a wall clock: the opt-in phase profiler.
-#: It attaches dynamically (setattr / timer-callback rebinding), so the
-#: RPL8xx reachability walk never sees it from the determinism roots — the
-#: sanction is a *rule-scope* carve-out, not a suppression comment, and
-#: tests/lint/test_meta.py proves the same source is flagged anywhere else.
+#: The one module allowed to read a wall clock: the opt-in sampling
+#: profiler.  Only the CLI imports it and its sampler runs as a signal
+#: handler, so the RPL8xx reachability walk never sees it from the
+#: determinism roots — the sanction is a *rule-scope* carve-out, not a
+#: suppression comment, and tests/lint/test_meta.py proves the same source
+#: is flagged anywhere else.
 WALL_CLOCK_SANCTIONED = frozenset({"src/repro/obs/profile.py"})
 
 

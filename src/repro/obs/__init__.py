@@ -1,4 +1,4 @@
-"""Observability: sim-time tracing, runtime metrics, wall-clock profiling.
+"""Observability: sim-time tracing, runtime metrics, sampling profiling.
 
 Three layers, strictly separated by their relationship to determinism:
 
@@ -7,9 +7,10 @@ Three layers, strictly separated by their relationship to determinism:
 * :mod:`repro.obs.metrics` — monotonic counters/gauges, mostly harvested
   from counters the subsystems already keep; equally deterministic;
 * :mod:`repro.obs.profile` — the **only** module in the library allowed to
-  read a wall clock, attached dynamically so the static determinism walk
-  never sees it.  This package does not re-export it: import it as
-  ``repro.obs.profile``, so a run that profiles nothing never loads it.
+  read a wall clock: a ``SIGPROF`` sampler that credits each sample to the
+  innermost ``repro`` frame, so the static determinism walk never sees it.
+  This package does not re-export it: import it as ``repro.obs.profile``,
+  so a run that profiles nothing never loads it.
 
 The hot paths consult :mod:`repro.obs.hooks` (two nullable module globals)
 — with nothing installed the whole layer costs one ``is not None`` test

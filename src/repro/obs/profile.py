@@ -1,36 +1,47 @@
-"""Opt-in wall-clock phase profiling (the one sanctioned wall-clock module).
+"""Opt-in wall-clock sampling profiler (the one sanctioned wall-clock module).
 
 Everything else under ``src/repro/`` is banned from reading a wall clock
 (RPL101, and transitively from the hot loop by RPL801).  This module is the
 single sanctioned exception — ``WALL_CLOCK_SANCTIONED`` in
 :mod:`repro.lint.rules` names it — because a profiler's whole job is to
-read wall time, and it must never influence simulation results:
+read wall time, and it must never influence simulation results.
 
-* nothing in the library imports this module; only ``repro profile`` and
-  the bench harness reach for it;
-* it attaches by **rebinding instance attributes** (``setattr`` on the
-  scheduler/governor/host, reassigning ``PeriodicTimer._callback`` slots),
-  which the static RPL8xx call-graph walk cannot see — the determinism
-  net stays intact for every un-profiled run;
-* wrapped calls return their wrapped function's value untouched, so a
-  profiled run computes the same results as a plain one (the profiled run
-  is slower; that is the only difference).
+:class:`SamplingProfiler` runs a config through the ordinary
+:func:`repro.sweep.runner.execute_config` with a ``SIGPROF`` interval timer
+armed.  Each signal credits one sample to the innermost frame whose file
+lies under ``src/repro/``: its **layer** is the package (``repro/<pkg>/``,
+or a top-level module such as ``units.py`` on its own) and its
+**function** is ``module:qualname``.  Time spent in the standard library
+or in C code lands on the repro frame that called it.
 
-Self-time accounting uses an explicit phase stack: each wrapper measures
-its own elapsed wall time, subtracts the time its callees (also wrapped)
-accumulated, and credits the remainder to its phase — so "scheduler" time
-excludes the "accounting" work the scheduler triggered, and the table
-``repro profile`` prints sums to (roughly) the run's wall clock.
+The handler only reads the interrupted frame stack and bumps a counter, so
+a sampled run computes and exports the same bytes as a plain one.  Only
+the CLI imports this module (``repro profile``, the sweep's live rate
+line), and no other module knows the sampler exists.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from collections import Counter
+from types import CodeType, FrameType
+from typing import Any
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cluster.orchestrator import Orchestrator
-    from ..hypervisor.host import Host
+from ..errors import ConfigurationError
+
+#: Process CPU time between samples.  The kernel delivers ``SIGPROF`` at
+#: most once per scheduler tick, so a 250 Hz kernel caps this at about
+#: 250 samples per CPU second.
+SAMPLE_INTERVAL_S = 0.001
+
+#: How many of the busiest functions the table lists.
+TOP_FUNCTIONS = 12
+
+#: The ``src/repro`` directory (with a trailing separator); frames from
+#: files under it are credited.
+_PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "")
 
 
 def wall_now() -> float:
@@ -44,200 +55,104 @@ def wall_now() -> float:
     return time.perf_counter()
 
 
-class PhaseProfiler:
-    """Accumulates self-time per named phase via attach-time wrappers."""
+def _label_of(code: CodeType) -> tuple[str, str] | None:
+    """``(layer, "module:function")`` for a repro code object, else None."""
+    path = os.path.realpath(code.co_filename)
+    if not path.startswith(_PACKAGE_DIR):
+        return None
+    parts = path[len(_PACKAGE_DIR) :].split(os.sep)
+    module = os.path.splitext(parts[-1])[0]
+    if module == "__init__" and len(parts) > 1:
+        module = parts[-2]
+    layer = parts[0] if len(parts) > 1 else module
+    # ``co_qualname`` (Class.method) exists from Python 3.11 on.
+    return layer, f"{module}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
+class SamplingProfiler:
+    """Counts ``SIGPROF`` samples per repro function over one run."""
 
     def __init__(self) -> None:
-        self.self_s: dict[str, float] = {}
-        self.calls: dict[str, int] = {}
-        #: One frame per in-flight wrapped call: [phase, child_elapsed_s].
-        self._stack: list[list[Any]] = []
-        self._run_wall_s = 0.0
+        #: Samples per ``(layer, "module:function")``.
+        self.samples: Counter[tuple[str, str]] = Counter()
+        #: Samples that found no repro frame on the stack.
+        self.outside = 0
+        self.run_wall_s = 0.0
+        self._labels: dict[CodeType, tuple[str, str] | None] = {}
 
-    # ------------------------------------------------------------- wrapping
+    def handle(self, signum: int, frame: FrameType | None) -> None:
+        """The ``SIGPROF`` handler: credit the innermost repro frame."""
+        labels = self._labels
+        while frame is not None:
+            code = frame.f_code
+            if code not in labels:
+                labels[code] = _label_of(code)
+            label = labels[code]
+            if label is not None:
+                self.samples[label] += 1
+                return
+            frame = frame.f_back
+        self.outside += 1
 
-    def wrap_phase(self, phase: str, func: Callable[..., Any]) -> Callable[..., Any]:
-        """A wrapper around *func* crediting its self-time to *phase*."""
-        stack = self._stack
-        perf = time.perf_counter
+    def run(self, config: Any) -> Any:
+        """Run *config* through ``execute_config`` under the sampler.
 
-        def _timed(*args: Any, **kwargs: Any) -> Any:
-            frame = [phase, 0.0]
-            stack.append(frame)
-            began = perf()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                elapsed = perf() - began
-                stack.pop()
-                self.self_s[phase] = (
-                    self.self_s.get(phase, 0.0) + elapsed - frame[1]
-                )
-                self.calls[phase] = self.calls.get(phase, 0) + 1
-                if stack:
-                    stack[-1][1] += elapsed
-
-        return _timed
-
-    def _wrap_timer(self, timer: Any, phase: str) -> None:
-        """Reassign a :class:`~repro.sim.timers.PeriodicTimer` callback."""
-        if timer is not None:
-            timer._callback = self.wrap_phase(phase, timer._callback)
-
-    # ------------------------------------------------------------ attaching
-
-    def attach_host(self, host: "Host") -> None:
-        """Instrument a started :class:`~repro.hypervisor.host.Host`.
-
-        Phases: ``scheduler`` (every scheduler entry point), ``governor``
-        (policy decisions), ``cpufreq`` (sampling + P-state application),
-        ``accounting`` (lazy book folding), ``dispatch`` (the host's slice
-        machinery), ``telemetry`` (load-monitor sampling), ``workload``
-        (demand generation timers).  Call after ``host.start()`` so the
-        workload timers exist; the engine looks timer callbacks and bound
-        methods up at fire time, so rebinding here takes effect for the
-        whole subsequent run.
+        Returns the run's outcome.  Raises :class:`ConfigurationError` on a
+        platform without ``signal.setitimer``.
         """
-        scheduler = host.scheduler
-        for name in (
-            "pick_next",
-            "slice_for",
-            "charge",
-            "wake",
-            "sleep",
-            "put_back",
-            "tick",
-            "should_preempt",
-            "set_cap",
-        ):
-            setattr(scheduler, name, self.wrap_phase("scheduler", getattr(scheduler, name)))
-        governor = host.cpufreq.governor
-        if governor is not None:
-            governor.decide = self.wrap_phase("governor", governor.decide)
-        cpufreq = host.cpufreq
-        cpufreq.set_speed = self.wrap_phase("cpufreq", cpufreq.set_speed)
-        self._wrap_timer(cpufreq._timer, "cpufreq")
-        host.sync_accounting = self.wrap_phase("accounting", host.sync_accounting)
-        host._begin_dispatch = self.wrap_phase("dispatch", host._begin_dispatch)
-        host._close_slice = self.wrap_phase("dispatch", host._close_slice)
-        self._wrap_timer(host._monitor._timer, "telemetry")
-        for domain in host.domains:
-            for workload in domain.workloads:
-                for attr in ("_timer", "_progress_timer"):
-                    self._wrap_timer(getattr(workload, attr, None), "workload")
-                injector = getattr(workload, "_injector", None)
-                if injector is not None:
-                    self._wrap_timer(injector._timer, "workload")
+        if not hasattr(signal, "setitimer"):
+            raise ConfigurationError(
+                "sampling needs signal.setitimer, which this platform lacks"
+            )
+        from ..sweep.runner import execute_config
 
-    def attach_orchestrator(self, sim: "Orchestrator") -> None:
-        """Instrument an :class:`~repro.cluster.orchestrator.Orchestrator`.
-
-        Phases: ``planning`` (policy consultation), ``migration``
-        (assignment application), ``serving`` (per-machine epoch serving),
-        ``epoch`` (the remaining per-epoch bookkeeping).
-        """
-        sim.policy.plan = self.wrap_phase("planning", sim.policy.plan)
-        sim._apply_assignment = self.wrap_phase("migration", sim._apply_assignment)
-        for machine in sim.machines:
-            machine.run_epoch = self.wrap_phase("serving", machine.run_epoch)
-        sim._run_one_epoch = self.wrap_phase("epoch", sim._run_one_epoch)
+        previous = signal.signal(signal.SIGPROF, self.handle)
+        began = wall_now()
+        signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
+        try:
+            return execute_config(config)
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0.0)
+            self.run_wall_s = wall_now() - began
+            signal.signal(signal.SIGPROF, previous)
 
     # -------------------------------------------------------------- results
 
-    def note_run_wall(self, wall_s: float) -> None:
-        """Record the whole run's wall time (the table's ``other`` row)."""
-        self._run_wall_s = wall_s
+    @property
+    def total(self) -> int:
+        """Every sample taken, inside repro frames or not."""
+        return sum(self.samples.values()) + self.outside
 
-    def phase_rows(self) -> list[dict[str, Any]]:
-        """Per-phase rows sorted by self-time (descending).
+    def layer_rows(self) -> list[tuple[str, int]]:
+        """``(layer, samples)`` by samples (descending), then name.
 
-        Each row: ``{"phase", "self_s", "calls", "share"}`` where ``share``
-        is the fraction of accounted self-time.  When a whole-run wall time
-        was noted, an ``other`` row holds the unattributed remainder (engine
-        heap machinery, event plumbing, interpreter overhead).
+        Samples with no repro frame on the stack form an ``(outside repro)``
+        row, present only when there are any.
         """
-        accounted = sum(self.self_s.values())
-        rows = [
-            {"phase": phase, "self_s": spent, "calls": self.calls.get(phase, 0)}
-            for phase, spent in self.self_s.items()
-        ]
-        if self._run_wall_s > accounted:
-            rows.append(
-                {
-                    "phase": "other",
-                    "self_s": self._run_wall_s - accounted,
-                    "calls": 0,
-                }
-            )
-        total = max(self._run_wall_s, accounted)
-        for row in rows:
-            row["share"] = row["self_s"] / total if total > 0 else 0.0
-        rows.sort(key=lambda row: (-row["self_s"], row["phase"]))
-        return rows
+        per_layer: Counter[str] = Counter()
+        for (layer, _), count in self.samples.items():
+            per_layer[layer] += count
+        if self.outside:
+            per_layer["(outside repro)"] = self.outside
+        return sorted(per_layer.items(), key=lambda row: (-row[1], row[0]))
 
     def render_table(self) -> str:
-        """The sorted self-time table ``repro profile`` prints."""
-        rows = self.phase_rows()
-        lines = [f"{'phase':<12} {'self_s':>9} {'share':>7} {'calls':>10}"]
-        lines.append("-" * len(lines[0]))
-        for row in rows:
-            lines.append(
-                f"{row['phase']:<12} {row['self_s']:>9.3f} "
-                f"{row['share']:>6.1%} {row['calls']:>10}"
+        """The per-layer and top-function table ``repro profile`` prints."""
+        total = self.total
+        if not total:
+            return (
+                f"no samples: the run took {self.run_wall_s:.3f} s of wall time, "
+                "too short for the sampling timer to fire"
             )
-        if self._run_wall_s > 0:
-            lines.append("-" * len(lines[0]))
-            lines.append(f"{'run wall':<12} {self._run_wall_s:>9.3f}")
+        lines = [f"{'layer':<16} {'samples':>8} {'share':>7}"]
+        lines.append("-" * len(lines[0]))
+        for layer, count in self.layer_rows():
+            lines.append(f"{layer:<16} {count:>8} {count / total:>7.1%}")
+        lines += ["", f"top {TOP_FUNCTIONS} functions"]
+        header = f"{'samples':>8} {'share':>7}  {'layer':<12} function"
+        lines += [header, "-" * len(header)]
+        ranked = sorted(self.samples.items(), key=lambda item: (-item[1], item[0]))
+        for (layer, name), count in ranked[:TOP_FUNCTIONS]:
+            lines.append(f"{count:>8} {count / total:>7.1%}  {layer:<12} {name}")
+        lines += ["", f"{total} samples over {self.run_wall_s:.3f} s of run wall"]
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------- drivers
-
-
-def profile_scenario(config: Any) -> tuple[Any, PhaseProfiler]:
-    """Run a scenario with the profiler attached; (result, profiler).
-
-    Mirrors :func:`repro.experiments.scenario.run_scenario` exactly —
-    build, start, apply policy limits, run to the configured duration
-    (stepping when ``stop_when_batch_done``) — with the profiler attached
-    between start and run.
-    """
-    from ..experiments.scenario import (
-        ScenarioResult,
-        _batch_workloads,
-        build_scenario,
-    )
-
-    profiler = PhaseProfiler()
-    host = build_scenario(config)
-    host.start()
-    if config.cpufreq_min_mhz is not None or config.cpufreq_max_mhz is not None:
-        host.cpufreq.set_policy_limits(
-            min_mhz=config.cpufreq_min_mhz, max_mhz=config.cpufreq_max_mhz
-        )
-        if config.cpufreq_max_mhz is not None:
-            host.cpufreq.set_speed(host.processor.state.freq_mhz)
-    profiler.attach_host(host)
-    began = wall_now()
-    batch = _batch_workloads(host) if config.stop_when_batch_done else []
-    if batch:
-        step = min(200.0, config.duration)
-        while host.now < config.duration and not all(pi.done for pi in batch):
-            host.run(until=min(config.duration, host.now + step))
-    else:
-        host.run(until=config.duration)
-    profiler.note_run_wall(wall_now() - began)
-    return ScenarioResult(config=config, host=host), profiler
-
-
-def profile_cluster(config: Any) -> tuple["Orchestrator", PhaseProfiler]:
-    """Run a cluster scenario with the profiler attached; (sim, profiler)."""
-    from ..cluster.scenario import build_cluster
-
-    profiler = PhaseProfiler()
-    sim = build_cluster(config)
-    profiler.attach_orchestrator(sim)
-    began = wall_now()
-    sim.run(config.duration)
-    profiler.note_run_wall(wall_now() - began)
-    return sim, profiler

@@ -1,9 +1,11 @@
 """CLI-level observability: --trace/--metrics-out/-v/-q and repro profile."""
 
+import io
 import json
+import re
 
 from repro.cli import main
-from repro.obs import validate_trace_file
+from repro.obs import profile, validate_trace_file
 
 _FAST_GRID = (
     '{"scheduler": ["credit", "pas"], "duration": [60.0],'
@@ -113,20 +115,59 @@ def test_sweep_cluster_preset_quiet_and_metrics(capsys, tmp_path):
     assert json.loads(path.read_text())["sweep.cells"] > 0
 
 
-def test_profile_command_prints_self_time_table(capsys):
+def test_profile_command_prints_layer_and_function_tables(capsys):
     assert main(["profile", "--preset", "paper-5.3", "--duration", "60"]) == 0
-    out = capsys.readouterr().out
-    assert "phase" in out and "self_s" in out
-    assert "scheduler" in out
-    assert "run wall" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sampling profile — preset paper-5.3"
+    # Which layers a random sample hits varies run to run: check the
+    # table's structure, not its rows.
+    assert lines[2].split() == ["layer", "samples", "share"]
+    assert f"top {profile.TOP_FUNCTIONS} functions" in lines
+    assert re.fullmatch(r"\d+ samples over \d+\.\d{3} s of run wall", lines[-1])
 
 
 def test_profile_cluster_preset(capsys):
-    assert main(["profile", "--preset", "dc-diurnal-small"]) == 0
+    assert main(["profile", "--preset", "dc-fleet-large"]) == 0
     out = capsys.readouterr().out
-    assert "planning" in out
+    assert out.startswith("sampling profile — preset dc-fleet-large\n")
+    assert "of run wall" in out or "no samples: " in out
+
+
+def test_profile_run_shorter_than_one_sample_says_so(capsys, monkeypatch):
+    monkeypatch.setattr(profile, "SAMPLE_INTERVAL_S", 60.0)
+    assert main(["profile", "--preset", "paper-5.3", "--duration", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[2].startswith("no samples: the run took ")
 
 
 def test_profile_unknown_preset_is_clean(capsys):
     assert main(["profile", "--preset", "nope"]) == 2
     assert "profile:" in capsys.readouterr().err
+
+
+def test_profile_without_setitimer_exits_2(capsys, monkeypatch):
+    monkeypatch.delattr("signal.setitimer")
+    assert main(["profile", "--preset", "paper-5.3", "--duration", "1"]) == 2
+    assert "signal.setitimer" in capsys.readouterr().err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away: every write fails."""
+
+    def __init__(self, fileno: int) -> None:
+        super().__init__()
+        self._fileno = fileno
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self._fileno
+
+
+def test_broken_stdout_pipe_exits_quietly(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(target.fileno()))
+        assert main(["sweep", "--grid", _FAST_GRID, "-q"]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,11 +1,33 @@
-"""Profiler smoke tests: phases populate, results stay untouched."""
+"""Sampling profiler: sampled runs export the same bytes; samples land right."""
+
+import json
+import signal
+import sys
 
 import pytest
 
 from repro import Host
-from repro.experiments import get_preset, run_scenario, ScenarioConfig
-from repro.obs.profile import PhaseProfiler, profile_cluster, profile_scenario, wall_now
+from repro.experiments import preset_config
+from repro.obs import collect_outcome, MetricsRegistry
+from repro.obs.profile import SamplingProfiler, TOP_FUNCTIONS, wall_now
+from repro.schedulers.credit import CreditScheduler
+from repro.sim.engine import Engine
+from repro.sweep.metrics import reduce_outcome
+from repro.sweep.runner import default_metrics_for, execute_config
 from repro.workloads import ConstantLoad
+
+
+def _name(function) -> str:
+    code = function.__code__
+    return getattr(code, "co_qualname", code.co_name)
+
+
+def _export(config, outcome) -> str:
+    """The run's metrics snapshot and its sweep-cell metrics, as JSON text."""
+    registry = MetricsRegistry()
+    collect_outcome(registry, outcome)
+    cell = reduce_outcome(outcome, default_metrics_for(config))
+    return registry.to_json() + json.dumps(cell, sort_keys=True)
 
 
 def test_wall_now_is_monotonic():
@@ -14,93 +36,79 @@ def test_wall_now_is_monotonic():
     assert second >= first
 
 
-def test_wrap_phase_self_time_excludes_children():
-    profiler = PhaseProfiler()
-
-    def inner() -> int:
-        return 7
-
-    wrapped_inner = profiler.wrap_phase("inner", inner)
-
-    def outer() -> int:
-        return wrapped_inner() + 1
-
-    wrapped_outer = profiler.wrap_phase("outer", outer)
-    assert wrapped_outer() == 8
-    assert profiler.calls == {"inner": 1, "outer": 1}
-    # Parent self-time excludes the child's elapsed time, so the two phases
-    # sum to (roughly) the outer call's total elapsed wall time.
-    assert profiler.self_s["outer"] >= 0.0
-    assert profiler.self_s["inner"] >= 0.0
+@pytest.mark.parametrize(
+    "config",
+    [
+        preset_config("paper-5.3").with_changes(duration=200.0),
+        preset_config("dc-fleet-large"),
+    ],
+    ids=["paper-5.3", "dc-fleet-large"],
+)
+def test_sampled_run_exports_the_same_bytes(config):
+    plain = _export(config, execute_config(config))
+    profiler = SamplingProfiler()
+    sampled = _export(config, profiler.run(config))
+    assert profiler.total > 0
+    assert sampled == plain
 
 
-def test_profile_scenario_populates_subsystem_phases():
-    config = ScenarioConfig().with_changes(duration=40.0)
-    result, profiler = profile_scenario(config)
-    assert result.host.now == pytest.approx(40.0)
-    phases = set(profiler.self_s)
-    assert {"scheduler", "dispatch", "accounting"} <= phases
-    assert all(spent >= 0.0 for spent in profiler.self_s.values())
-    assert profiler.calls["scheduler"] > 0
+def test_handler_credits_the_engine_loop_for_an_event_callback():
+    profiler = SamplingProfiler()
+    engine = Engine()
+    engine.schedule(1.0, lambda: profiler.handle(signal.SIGPROF, sys._getframe()))
+    engine.run_until(2.0)
+    # The lambda lives in this test file; the innermost repro frame is the
+    # engine loop that fired it.
+    assert dict(profiler.samples) == {("sim", f"engine:{_name(Engine.run_until)}"): 1}
+    assert profiler.outside == 0
 
 
-def test_dispatch_phase_counts_every_pick_and_slice_close():
-    # Natural slice ends and preemptions close slices through one helper;
-    # the dispatch phase must see both, plus every dispatch decision.
+def test_handler_credits_the_scheduler_function_it_interrupts():
+    profiler = SamplingProfiler()
     host = Host(scheduler="credit", governor="ondemand")
-    for name, load in (("a", 40), ("b", 30)):
-        domain = host.create_domain(name, credit=load)
-        domain.attach_workload(ConstantLoad(load, injection_period=0.02))
+    domain = host.create_domain("a", credit=40)
+    domain.attach_workload(ConstantLoad(40, injection_period=0.02))
     host.start()
-    stats = host.scheduler.stats
+    tick = CreditScheduler.tick.__code__
 
-    def dispatched() -> int:
-        return sum(domain.vcpu.dispatch_count for domain in host.domains)
+    def on_call(frame, event, arg):
+        if event == "call" and frame.f_code is tick:
+            sys.setprofile(None)
+            profiler.handle(signal.SIGPROF, frame)
 
-    decisions, slices, in_flight = stats.decisions, dispatched(), host._current is not None
-    profiler = PhaseProfiler()
-    profiler.attach_host(host)
-    host.run(until=5.0)
-    closes = dispatched() - slices + in_flight - (host._current is not None)
-    assert host.preemptions > 0
-    assert profiler.calls["dispatch"] == stats.decisions - decisions + closes
-
-
-def test_profile_scenario_result_matches_plain_run():
-    config = ScenarioConfig().with_changes(duration=40.0)
-    plain = run_scenario(config)
-    profiled, _ = profile_scenario(config)
-    assert profiled.energy_joules == pytest.approx(plain.energy_joules, abs=0.0)
-    assert profiled.host.engine.events_fired == plain.host.engine.events_fired
+    sys.setprofile(on_call)
+    try:
+        host.run(until=1.0)
+    finally:
+        sys.setprofile(None)
+    assert dict(profiler.samples) == {
+        ("schedulers", f"credit:{_name(CreditScheduler.tick)}"): 1
+    }
 
 
-def test_profile_cluster_populates_orchestration_phases():
-    sim, profiler = profile_cluster(get_preset("dc-diurnal-small").config)
-    assert len(sim.stats) > 0
-    assert {"planning", "epoch", "serving"} <= set(profiler.self_s)
-    assert profiler.calls["epoch"] == len(sim.stats)
+def test_handler_counts_a_stack_without_repro_frames_as_outside():
+    profiler = SamplingProfiler()
+    profiler.handle(signal.SIGPROF, sys._getframe())
+    assert profiler.samples == {}
+    assert profiler.outside == 1
+    assert profiler.layer_rows() == [("(outside repro)", 1)]
 
 
-def test_render_table_lists_phases_sorted_by_self_time():
-    profiler = PhaseProfiler()
-    profiler.self_s = {"governor": 0.5, "scheduler": 2.0}
-    profiler.calls = {"governor": 10, "scheduler": 40}
-    profiler.note_run_wall(3.0)
-    table = profiler.render_table()
-    lines = table.splitlines()
-    assert "phase" in lines[0]
-    body = "\n".join(lines)
-    assert body.index("scheduler") < body.index("governor")
-    # Unattributed remainder shows up as "other"; the footer notes run wall.
-    assert "other" in body
-    assert "run wall" in body
+def test_table_lists_layers_then_top_functions():
+    profiler = SamplingProfiler()
+    for index in range(TOP_FUNCTIONS + 3):
+        profiler.samples[("hypervisor", f"host:f{index:02d}")] = 1
+    profiler.samples[("schedulers", "credit:CreditScheduler.pick_next")] = 30
+    profiler.run_wall_s = 1.5
+    lines = profiler.render_table().splitlines()
+    assert lines[0].split() == ["layer", "samples", "share"]
+    assert lines[2].split() == ["schedulers", "30", "66.7%"]
+    assert lines[3].split() == ["hypervisor", "15", "33.3%"]
+    rows = lines[lines.index(f"top {TOP_FUNCTIONS} functions") + 3 : -2]
+    assert len(rows) == TOP_FUNCTIONS
+    assert rows[0].split() == ["30", "66.7%", "schedulers", "credit:CreditScheduler.pick_next"]
+    assert lines[-1] == "45 samples over 1.500 s of run wall"
 
 
-def test_phase_rows_shares_sum_to_one_with_other_row():
-    profiler = PhaseProfiler()
-    profiler.self_s = {"a": 1.0, "b": 1.0}
-    profiler.calls = {"a": 1, "b": 1}
-    profiler.note_run_wall(4.0)
-    rows = profiler.phase_rows()
-    assert [row["phase"] for row in rows] == ["other", "a", "b"]
-    assert sum(row["share"] for row in rows) == pytest.approx(1.0)
+def test_table_without_samples_is_one_line():
+    assert SamplingProfiler().render_table().startswith("no samples: ")
