@@ -209,7 +209,6 @@ class WorkloadSpec:
                     f"got {self.diurnal!r}"
                 )
             check_keywords(SyntheticTrace, self.diurnal, "diurnal")
-            check_field_types(SyntheticTrace, self.diurnal, "diurnal")
             object.__setattr__(self, "diurnal", dict(self.diurnal))
         if (
             self.kind == "trace"

@@ -128,18 +128,20 @@ def in_order_sensitive(path: str) -> bool:
     )
 
 
-#: PR-5 hot-path modules: allocation discipline is load-bearing here.
+#: Hot-path modules: the slice-dispatch loop plus the latency tracker the
+#: web app feeds on every poll.  Allocation discipline is load-bearing here.
 _HOT_PATH = frozenset(
     {
         "src/repro/sim/events.py",
         "src/repro/sim/timers.py",
         "src/repro/hypervisor/vcpu.py",
+        "src/repro/workloads/latency.py",
     }
 )
 
 
 def in_hot_path(path: str) -> bool:
-    """The slice-dispatch hot path (slotted, allocation-audited in PR 5)."""
+    """The per-event hot path (slotted, allocation-audited)."""
     return path in _HOT_PATH
 
 

@@ -1,10 +1,12 @@
-"""RPL4xx — slots discipline on the PR-5 hot path.
+"""RPL4xx — slots discipline on the per-event hot path.
 
-``sim/events.py``, ``sim/timers.py``, and ``hypervisor/vcpu.py`` sit inside
-the slice-dispatch loop that PR 5 audited allocation-by-allocation; their
-classes are slotted so instances stay dict-free (smaller, faster attribute
-access, and — the invariant that actually matters — no drive-by attribute
-grows the per-event footprint unreviewed).  A ``self.x = ...`` outside
+``sim/events.py``, ``sim/timers.py`` and ``hypervisor/vcpu.py`` sit inside
+the slice-dispatch loop that PR 5 audited allocation-by-allocation, and
+``workloads/latency.py`` runs on every web-app poll; their classes are
+slotted so instances stay dict-free (smaller, faster attribute access, and
+— the invariant that actually matters — no drive-by attribute grows the
+per-event footprint unreviewed).  A ``@dataclass(slots=True)`` class counts
+as slotted, its fields being its slots.  A ``self.x = ...`` outside
 ``__slots__`` raises AttributeError at runtime only on the path that
 executes it; statically it is always visible.
 """
@@ -35,7 +37,7 @@ class MissingSlotsRule(Rule):
     name = "hot-path-slots"
     summary = (
         "every class in the hot-path modules (sim/events, sim/timers, "
-        "hypervisor/vcpu) must declare __slots__"
+        "hypervisor/vcpu, workloads/latency) must declare __slots__"
     )
 
     def applies_to(self, module: SourceModule) -> bool:

@@ -217,8 +217,46 @@ def _collect_classes(module: SourceModule) -> Iterator[ClassInfo]:
                     info.class_attrs[stmt.target.id] = stmt.value
                 if stmt.target.id == "__slots__" and stmt.value is not None:
                     info.slots = _slot_names(stmt.value)
+        if info.slots is None and _is_slotted_dataclass(node):
+            info.slots = _dataclass_fields(node)
         info.abstract_methods = frozenset(abstract)
         yield info
+
+
+def _is_slotted_dataclass(node: ast.ClassDef) -> bool:
+    """True for a class decorated ``@dataclass(..., slots=True)``."""
+    for decorator in node.decorator_list:
+        if not isinstance(decorator, ast.Call) or _base_name(decorator.func) != "dataclass":
+            continue
+        for keyword in decorator.keywords:
+            if (
+                keyword.arg == "slots"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is True
+            ):
+                return True
+    return False
+
+
+def _dataclass_fields(node: ast.ClassDef) -> tuple[str, ...]:
+    """The slots ``@dataclass(slots=True)`` makes: its annotated fields.
+
+    ``ClassVar`` and ``InitVar`` annotations name no instance field.
+    """
+    names = []
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        annotation = stmt.annotation
+        if isinstance(annotation, ast.Subscript):
+            annotation = annotation.value
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            kind = annotation.value.split("[")[0].split(".")[-1]
+        else:
+            kind = _base_name(annotation)
+        if kind not in ("ClassVar", "InitVar"):
+            names.append(stmt.target.id)
+    return tuple(names)
 
 
 def _slot_names(value: ast.expr) -> tuple[str, ...]:

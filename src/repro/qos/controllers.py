@@ -103,6 +103,14 @@ class QuotaLadder:
         low: float = 0.2,
         cooldown_s: float = 5.0,
     ) -> None:
+        # Numbers only: a config's JSON string or boolean would convert.
+        numbers = isinstance(levels, (list, tuple)) and all(
+            type(value) in (int, float) for value in levels
+        )
+        if not numbers:
+            raise ConfigurationError(
+                f"ladder levels must be a sequence of numbers, got {levels!r}"
+            )
         self.levels = tuple(float(value) for value in levels)
         if not self.levels or self.levels[0] != 1.0:
             raise ConfigurationError(

@@ -22,10 +22,10 @@ the processor frequency — which is the flaw Figs. 3–5 demonstrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING
 
-from ..errors import SchedulerError
+from ..errors import ConfigurationError, SchedulerError
 from ..obs import hooks as _obs
 from ..units import check_positive
 from .base import Scheduler
@@ -37,6 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Remaining cap budget below which a vCPU is parked for the period.
 MIN_BUDGET = 1e-6
 
+_INF = float("inf")
+
 
 @dataclass(slots=True)
 class _Account:
@@ -45,33 +47,48 @@ class _Account:
     vcpu: "VCpu"
     owner: "CreditScheduler"
     weight: float
-    cap: float  # nominal percent; 0 = uncapped
+    initial_cap: InitVar[float]  # nominal percent; 0 = uncapped
     priority_class: int
     credit_s: float = 0.0  # seconds of owed CPU time
     usage_in_period: float = 0.0
     parked: bool = False
     queued: bool = False
-    initial_cap: float = field(init=False)
+    _cap: float = field(init=False)
+    #: The cap in CPU seconds per accounting period (``cap / 100.0 *
+    #: period``), ``inf`` when uncapped; the :attr:`cap` setter refreshes it.
+    cap_limit: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.initial_cap = self.cap
+    def __post_init__(self, initial_cap: float) -> None:
+        self.cap = initial_cap
+
+    @property
+    def cap(self) -> float:
+        """Nominal cap in percent of one pCPU (0 = uncapped)."""
+        return self._cap
+
+    @cap.setter
+    def cap(self, percent: float) -> None:
+        self._cap = percent
+        if percent <= 0.0:
+            self.cap_limit = _INF
+        else:
+            self.cap_limit = percent / 100.0 * self.owner.accounting_period
 
     @property
     def under(self) -> bool:
         """Xen's UNDER priority: positive credit balance."""
         return self.credit_s > 0.0
 
-    def cap_budget(self, period: float) -> float:
+    def cap_budget(self) -> float:
         """Remaining CPU seconds allowed in the current accounting period.
 
-        Canonical definition of the cap rule.  ``pick_next`` / ``slice_for``
-        / ``charge`` inline this exact expression (uncapped test included)
-        to stay call-free on the dispatch hot path — change it here and in
-        those three copies together.
+        Canonical definition of the cap rule: the cached :attr:`cap_limit`
+        less this period's usage (``inf`` when uncapped).  ``pick_next`` /
+        ``slice_for`` / ``charge`` write this subtraction out to stay
+        call-free on the dispatch hot path; the limit itself lives only
+        here, so a cap rule change is a change to the :attr:`cap` setter.
         """
-        if self.cap <= 0.0:
-            return float("inf")
-        return self.cap / 100.0 * period - self.usage_in_period
+        return self.cap_limit - self.usage_in_period
 
 
 class CreditScheduler(Scheduler):
@@ -105,7 +122,9 @@ class CreditScheduler(Scheduler):
         self.quantum = check_positive(quantum, "quantum")
         self.tick_period = check_positive(tick_interval, "tick_interval")
         if ticks_per_accounting < 1:
-            raise SchedulerError(f"ticks_per_accounting must be >= 1, got {ticks_per_accounting}")
+            raise ConfigurationError(
+                f"ticks_per_accounting must be >= 1, got {ticks_per_accounting}"
+            )
         self.ticks_per_accounting = ticks_per_accounting
         self.accounting_period = tick_interval * ticks_per_accounting
         self.credit_clamp = credit_clamp_periods * self.accounting_period
@@ -124,7 +143,7 @@ class CreditScheduler(Scheduler):
             vcpu=vcpu,
             owner=self,
             weight=config.effective_weight,
-            cap=config.effective_cap,
+            initial_cap=config.effective_cap,
             priority_class=config.priority_class,
         )
         self._admit(vcpu, account)
@@ -173,7 +192,6 @@ class CreditScheduler(Scheduler):
         # build-three-lists original, including dropping stale entries in
         # every class scanned before the pick.
         self.stats.decisions += 1
-        period = self.accounting_period
         for queue in self._queue_scan:
             under = None
             fallback = None
@@ -187,8 +205,7 @@ class CreditScheduler(Scheduler):
                     continue
                 if under is None and not account.parked:
                     # Inline of _Account.cap_budget (keep in sync with it).
-                    cap = account.cap
-                    if cap <= 0.0 or cap / 100.0 * period - account.usage_in_period > MIN_BUDGET:
+                    if account.cap_limit - account.usage_in_period > MIN_BUDGET:
                         if account.credit_s > 0.0:
                             under = account
                         elif fallback is None:
@@ -210,11 +227,9 @@ class CreditScheduler(Scheduler):
         account = vcpu.sched
         if account is None or account.owner is not self:
             account = self._account_of(vcpu)
-        cap = account.cap
-        if cap <= 0.0:
-            return self.quantum
-        # Inline of _Account.cap_budget (keep in sync with it).
-        budget = cap / 100.0 * self.accounting_period - account.usage_in_period
+        # Inline of _Account.cap_budget (keep in sync with it); an uncapped
+        # budget is inf, so the quantum bounds it.
+        budget = account.cap_limit - account.usage_in_period
         return budget if budget < self.quantum else self.quantum
 
     def charge(self, vcpu: "VCpu", wall_dt: float, now: float) -> None:
@@ -224,8 +239,7 @@ class CreditScheduler(Scheduler):
         account.credit_s -= wall_dt
         account.usage_in_period += wall_dt
         # Inline of _Account.cap_budget (keep in sync with it).
-        cap = account.cap
-        if cap > 0.0 and cap / 100.0 * self.accounting_period - account.usage_in_period <= MIN_BUDGET:
+        if account.cap_limit - account.usage_in_period <= MIN_BUDGET:
             if not account.parked:
                 trace = _obs.TRACER
                 if trace is not None:
@@ -298,7 +312,7 @@ class CreditScheduler(Scheduler):
             raise SchedulerError(f"cap must be >= 0, got {cap_percent}")
         account = self._account_of(domain.vcpu)
         account.cap = cap_percent
-        if account.parked and account.cap_budget(self.accounting_period) > MIN_BUDGET:
+        if account.parked and account.cap_budget() > MIN_BUDGET:
             account.parked = False
 
     def cap_of(self, domain: "Domain") -> float:

@@ -92,8 +92,14 @@ def check_field_types(cls, data: Mapping[str, Any], what: str) -> None:
     else:
         parameters = inspect.signature(cls).parameters.values()
         annotations = {p.name: p.annotation for p in parameters}
+    _check_value_types(annotations, data, what)
+
+
+def _check_value_types(annotations: Mapping[str, Any], data: Mapping[str, Any], what: str) -> None:
     for name, value in data.items():
         annotation = annotations.get(name, "")
+        if not isinstance(annotation, str):
+            continue  # unannotated: nothing to judge by
         expected = _FIELD_TYPES.get(annotation)
         if annotation.startswith("tuple["):
             expected = ((list,), "a JSON array")
@@ -111,17 +117,20 @@ def check_field_types(cls, data: Mapping[str, Any], what: str) -> None:
 
 
 def check_keywords(
-    cls: type, keywords: Iterable[str], what: str, *, supplied: int = 0
+    cls: type, keywords: Mapping[str, Any], what: str, *, supplied: int = 0
 ) -> None:
-    """Raise unless constructing *cls* accepts every name in *keywords*.
+    """Raise unless constructing *cls* accepts every item of *keywords*.
 
-    A constructor taking ``**kwargs`` is read as forwarding them to its
-    base class (as ``PasScheduler`` does to ``CreditScheduler``), whose
-    parameters are then accepted too.  The first *supplied* parameters are
-    the ones the caller passes itself (a manager's ``host``, say), so they
-    are not accepted as keywords.  The error names the accepted ones.
+    Each name must be a constructor parameter, and each value must have a
+    JSON type its parameter's annotation accepts (as in
+    :func:`check_field_types`).  A constructor taking ``**kwargs`` is read
+    as forwarding them to its base class (as ``PasScheduler`` does to
+    ``CreditScheduler``), whose parameters are then accepted too.  The
+    first *supplied* parameters are the ones the caller passes itself (a
+    manager's ``host``, say), so they are not accepted as keywords.  An
+    unknown name's error names the accepted ones.
     """
-    accepted: list[str] = []
+    accepted: dict[str, Any] = {}
     skip = supplied + 1  # and ``self``
     for klass in cls.__mro__[:-1]:  # object.__init__ takes no keywords
         init = vars(klass).get("__init__")
@@ -129,9 +138,9 @@ def check_keywords(
             continue
         parameters = list(inspect.signature(init).parameters.values())[skip:]
         skip = 1
-        accepted += [
-            p.name for p in parameters if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
-        ]
+        for p in parameters:
+            if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY):
+                accepted.setdefault(p.name, p.annotation)
         if not any(p.kind is p.VAR_KEYWORD for p in parameters):
             break
     unknown = sorted(set(keywords) - set(accepted))
@@ -140,6 +149,7 @@ def check_keywords(
             f"unknown {what} parameter(s) {', '.join(map(repr, unknown))}; "
             f"accepted: {', '.join(accepted) or 'none'}"
         )
+    _check_value_types(accepted, keywords, what)
 
 
 def check_non_negative(value: float, name: str) -> float:

@@ -40,9 +40,12 @@ class ConstantLoad(Workload):
         self.stop_at = stop_at
         self._timer: PeriodicTimer | None = None
         self._work_per_period = self.percent / 100.0 * self.injection_period
+        self._add_work = None
         self.injected_work = 0.0
 
     def start(self) -> None:
+        # Bound once: every injection period adds work.
+        self._add_work = self.domain.add_work
         self._timer = PeriodicTimer(
             self.engine,
             self.injection_period,
@@ -71,4 +74,4 @@ class ConstantLoad(Workload):
         # identical float, so compute once and reuse.
         work = self._work_per_period
         self.injected_work += work
-        self.domain.add_work(work)
+        self._add_work(work)

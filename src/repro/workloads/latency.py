@@ -13,11 +13,14 @@ recording ``completion - arrival`` for every fully drained chunk, weighted
 by the chunk's request count.  Resolution is the polling period (50 ms by
 default via the Web-app's injection timer) — far finer than the multi-second
 latencies the experiments exhibit under starvation.
+
+Recording a sample is an append; the samples are sorted only when a
+percentile is asked for (once, at the end of a run), not kept sorted on the
+per-poll path.
 """
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,7 +31,7 @@ from ..units import check_non_negative
 _WORK_EPSILON = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class _Chunk:
     """A batch of requests that arrived together."""
 
@@ -38,15 +41,33 @@ class _Chunk:
 
 
 class LatencyTracker:
-    """FIFO response-time accounting over fluid request batches."""
+    """FIFO response-time accounting over fluid request batches.
+
+    Samples are appended in completion order and sorted by
+    :meth:`percentile` on its first call after new ones arrived.  Sorting
+    ``(latency, weight)`` pairs stably gives the list that inserting each
+    pair in order at its ``bisect_right`` point would: equal pairs keep
+    their completion order either way, so percentile sums run in the same
+    order and return the same bits.
+    """
+
+    __slots__ = (
+        "_fifo",
+        "_samples",
+        "_sorted",
+        "_total_weight",
+        "_weighted_sum",
+        "_max_latency",
+    )
 
     def __init__(self) -> None:
         self._fifo: deque[_Chunk] = deque()
-        #: Sorted ``(latency, weight)`` samples.  One list + C-level
-        #: ``bisect.insort`` instead of parallel lists with two Python-level
-        #: ``insert`` calls; ties sort by weight, which cannot change any
+        #: ``(latency, weight)`` samples, sorted by latency then weight
+        #: whenever :attr:`_sorted` is set; new samples are appended at the
+        #: end and clear it.  Ties order by weight, which cannot change any
         #: query (tied entries share the latency value that queries return).
         self._samples: list[tuple[float, float]] = []
+        self._sorted = True
         self._total_weight = 0.0
         self._weighted_sum = 0.0
         self._max_latency = 0.0
@@ -59,32 +80,39 @@ class LatencyTracker:
             check_non_negative(work, "work")
             check_non_negative(requests, "requests")
             return
-        self._fifo.append(_Chunk(arrival=now, remaining_work=work, requests=requests))
+        self._fifo.append(_Chunk(now, work, requests))
 
     def on_progress(self, now: float, work_done: float) -> None:
         """Drain *work_done* absolute seconds from the FIFO head.
 
-        Chunks that fully drain record a response-time sample at *now*.
+        Chunks that fully drain record a response-time sample at *now*:
+        ``now - arrival`` clamped at zero, weighted by the chunk's requests.
         """
         if work_done < 0.0:
             check_non_negative(work_done, "work_done")
         budget = work_done
-        while budget > _WORK_EPSILON and self._fifo:
-            head = self._fifo[0]
+        fifo = self._fifo
+        while budget > _WORK_EPSILON and fifo:
+            head = fifo[0]
             if head.remaining_work <= budget + _WORK_EPSILON:
                 budget -= head.remaining_work
-                self._fifo.popleft()
-                self._record(now - head.arrival, head.requests)
+                fifo.popleft()
+                # Record the sample (written out: one call per drained
+                # chunk on the web app's poll path).  The clamp and the
+                # maximum keep ``max()``'s results, -0.0 included.
+                latency = now - head.arrival
+                if latency < 0.0:
+                    latency = 0.0
+                weight = head.requests
+                self._samples.append((latency, weight))
+                self._sorted = False
+                self._total_weight += weight
+                self._weighted_sum += latency * weight
+                if latency > self._max_latency:
+                    self._max_latency = latency
             else:
                 head.remaining_work -= budget
                 budget = 0.0
-
-    def _record(self, latency: float, weight: float) -> None:
-        latency = max(latency, 0.0)
-        bisect.insort(self._samples, (latency, weight))
-        self._total_weight += weight
-        self._weighted_sum += latency * weight
-        self._max_latency = max(self._max_latency, latency)
 
     # ------------------------------------------------------------- queries
 
@@ -120,13 +148,17 @@ class LatencyTracker:
             )
         if self._total_weight == 0.0:
             raise WorkloadError("no completed requests to summarise")
+        samples = self._samples
+        if not self._sorted:
+            samples.sort()
+            self._sorted = True
         target = self._total_weight * p_percent / 100.0
         cumulative = 0.0
-        for latency, weight in self._samples:
+        for latency, weight in samples:
             cumulative += weight
             if cumulative >= target:
                 return latency
-        return self._samples[-1][0]
+        return samples[-1][0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -220,6 +220,7 @@ class TraceLoad(Workload):
         self.injection_period = check_positive(injection_period, "injection_period")
         self.repeat = repeat
         self._timer: PeriodicTimer | None = None
+        self._add_work = None
         self.injected_work = 0.0
 
     @property
@@ -245,6 +246,8 @@ class TraceLoad(Workload):
         return self._percents[index - 1] if index else 0.0
 
     def start(self) -> None:
+        # Bound once: every injection period adds work.
+        self._add_work = self.domain.add_work
         self._timer = PeriodicTimer(
             self.engine,
             self.injection_period,
@@ -264,7 +267,7 @@ class TraceLoad(Workload):
             return
         work = demand / 100.0 * self.injection_period
         self.injected_work += work
-        self.domain.add_work(work)
+        self._add_work(work)
 
 
 class SyntheticTrace:

@@ -93,6 +93,7 @@ class WebApp(Workload):
         self._last_work_done = 0.0
         self._vcpu = None
         self._sync_accounting = None
+        self._add_work = None
         self.offered_work = 0.0
         self.accepted_work = 0.0
         self.dropped_work = 0.0
@@ -114,6 +115,7 @@ class WebApp(Workload):
         # domain -> vcpu chains otherwise.
         self._vcpu = self.domain.vcpu
         self._sync_accounting = self.domain.host.sync_accounting
+        self._add_work = self.domain.add_work
         if self.track_latency:
             # Progress polling runs on its own timer so responses completed
             # after the last arrival (backlog drain) are still recorded.
@@ -170,7 +172,7 @@ class WebApp(Workload):
             if self.latency is not None:
                 self._poll_progress(now)
                 self.latency.on_arrival(now, accepted, accepted / self.request_cost)
-            self.domain.add_work(accepted)
+            self._add_work(accepted)
 
     def _poll_progress(self, now: float) -> None:
         if self.latency is None:  # pragma: no cover - timer only runs if tracking

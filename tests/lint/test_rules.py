@@ -398,6 +398,64 @@ def test_enum_exempt_from_slots(codes_of):
         """}) == []
 
 
+LATENCY = "src/repro/workloads/latency.py"  # hot-path scope (virtual twin)
+
+
+def test_slotted_dataclass_counts_as_slotted(codes_of):
+    assert codes_of({LATENCY: """
+        from dataclasses import dataclass
+
+        @dataclass(slots=True)
+        class _Chunk:
+            arrival: float
+            remaining_work: float
+
+            def drain(self, work):
+                self.remaining_work -= work
+        """}) == []
+
+
+def test_slotted_dataclass_assignment_outside_fields_fires(codes_of):
+    # The fields are the slots; ClassVar and InitVar names are not.
+    assert codes_of({LATENCY: """
+        import dataclasses
+        from dataclasses import InitVar
+        from typing import ClassVar
+
+        @dataclasses.dataclass(frozen=False, slots=True)
+        class _Chunk:
+            LIMIT: ClassVar[int] = 3
+            seed: InitVar[float]
+            arrival: float = 0.0
+
+            def __post_init__(self, seed):
+                self.arrival = seed
+                self.seed = seed
+
+            def tag(self, note):
+                self.note = note
+        """}) == ["RPL401", "RPL401"]
+
+
+def test_plain_dataclass_on_hot_path_fires(codes_of):
+    # Without slots=True a dataclass instance still carries a dict.
+    assert codes_of({LATENCY: """
+        from dataclasses import dataclass
+
+        @dataclass
+        class _Chunk:
+            arrival: float
+        """}) == ["RPL402"]
+
+
+def test_latency_tracker_without_slots_fires(codes_of):
+    assert codes_of({LATENCY: """
+        class LatencyTracker:
+            def __init__(self):
+                self._samples = []
+        """}) == ["RPL402"]
+
+
 def test_slots_rule_out_of_scope_elsewhere(codes_of):
     assert codes_of({LIB: """
         class Sampler:

@@ -1,7 +1,8 @@
 """Property-based checks that every inlined hot-path copy matches its original.
 
 The dispatch loop writes a few small methods out in place to save call
-frames: the Credit scheduler's cap rule (``_Account.cap_budget``) inside
+frames: the Credit scheduler's cap rule (``_Account.cap_budget``, the
+account's cached ``cap_limit`` less its period usage) inside
 ``pick_next`` / ``slice_for`` / ``charge``, its requeue (``put_back``), the
 processor's busy and idle billing behind ``Processor.account``, and the
 periodic-timer re-arm (``PeriodicTimer._fire``) inside the engine's
@@ -71,9 +72,20 @@ def credit_account(cap: float, usage: float):
     domain = host.create_domain("vm", credit=50)
     scheduler = host.scheduler
     account = scheduler._accounts["vm"]
-    account.cap = cap
+    # Through set_cap, which refreshes the account's cached cap limit.
+    scheduler.set_cap(domain, cap)
     account.usage_in_period = usage
     return scheduler, domain.vcpu, account
+
+
+def test_cap_limit_is_the_expression_the_copies_used():
+    # The cached limit is the exact float the copies once computed inline,
+    # and an uncapped account's limit is inf (cap_budget's uncapped value).
+    for cap, _ in [*EDGES, (50.0, 0.0), (3.7, 0.0), (150.0, 0.0)]:
+        scheduler, _, account = credit_account(cap, 0.0)
+        assert account.cap_limit == cap / 100.0 * scheduler.accounting_period
+    scheduler, _, account = credit_account(0.0, 0.01)
+    assert account.cap_limit == math.inf and account.cap_budget() == math.inf
 
 
 @given(state=cap_and_usage(), credit_s=st.floats(min_value=-0.1, max_value=0.1))
@@ -83,7 +95,7 @@ def test_pick_next_copy_matches_cap_budget(state, credit_s):
     account.credit_s = credit_s
     vcpu.mark_runnable()
     scheduler.wake(vcpu)
-    eligible = account.cap_budget(scheduler.accounting_period) > MIN_BUDGET
+    eligible = account.cap_budget() > MIN_BUDGET
     assert (scheduler.pick_next(0.0) is vcpu) == eligible
 
 
@@ -91,7 +103,7 @@ def test_pick_next_copy_matches_cap_budget(state, credit_s):
 @settings(max_examples=200, deadline=None)
 def test_slice_for_copy_matches_cap_budget(state):
     scheduler, vcpu, account = credit_account(*state)
-    expected = min(account.cap_budget(scheduler.accounting_period), scheduler.quantum)
+    expected = min(account.cap_budget(), scheduler.quantum)
     assert scheduler.slice_for(vcpu, 0.0) == expected
 
 
@@ -100,7 +112,37 @@ def test_slice_for_copy_matches_cap_budget(state):
 def test_charge_copy_matches_cap_budget(state, wall_dt):
     scheduler, vcpu, account = credit_account(*state)
     scheduler.charge(vcpu, wall_dt, 0.0)
-    assert account.parked == (account.cap_budget(scheduler.accounting_period) <= MIN_BUDGET)
+    assert account.parked == (account.cap_budget() <= MIN_BUDGET)
+
+
+@given(
+    before=cap_and_usage(),
+    after=cap_and_usage(),
+    wall_dt=st.floats(min_value=0.0, max_value=PERIOD),
+    credit_s=st.floats(min_value=-0.1, max_value=0.1),
+)
+@settings(max_examples=200, deadline=None)
+def test_copies_match_cap_budget_after_a_mid_period_cap_change(before, after, wall_dt, credit_s):
+    # Run on one cap, change it mid-period (as PAS and the QoS controllers
+    # do through set_cap), then every copy must follow the new cap.
+    scheduler, vcpu, account = credit_account(*before)
+    scheduler.charge(vcpu, wall_dt, 0.0)
+    cap, usage = after
+    scheduler.set_cap(vcpu.domain, cap)
+    assert account.cap_limit == (
+        math.inf if cap <= 0.0 else cap / 100.0 * scheduler.accounting_period
+    )
+    account.usage_in_period = usage
+    account.parked = False
+    expected = min(account.cap_budget(), scheduler.quantum)
+    assert scheduler.slice_for(vcpu, 0.0) == expected
+    account.credit_s = credit_s
+    vcpu.mark_runnable()
+    scheduler.wake(vcpu)
+    eligible = account.cap_budget() > MIN_BUDGET
+    assert (scheduler.pick_next(0.0) is vcpu) == eligible
+    scheduler.charge(vcpu, wall_dt, 0.0)
+    assert account.parked == (account.cap_budget() <= MIN_BUDGET)
 
 
 def two_guest_hosts():

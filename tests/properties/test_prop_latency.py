@@ -1,5 +1,8 @@
 """Property-based tests for the latency tracker."""
 
+import bisect
+from collections import deque
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -62,14 +65,13 @@ def test_latencies_nonnegative_and_ordered_percentiles(batches):
 
 
 class _ReferenceTracker:
-    """The pre-insort model: record in completion order, sort at query time.
+    """A latency-only model: record in completion order, sort at query time.
 
-    The production tracker keeps its samples sorted incrementally with
-    ``bisect.insort`` over ``(latency, weight)`` pairs; this reference keeps
-    the raw completion-order list and sorts (stably, by latency alone) only
-    when queried.  Every exported number must agree between the two, which
-    pins down that the insort rewrite changed neither completion ordering
-    nor percentile/mean/max outputs.
+    The production tracker sorts ``(latency, weight)`` pairs, so ties order
+    by weight; this reference sorts (stably) by latency alone.  Every
+    exported number must agree between the two, which pins down that the
+    tie order changes neither completion ordering nor percentile/mean/max
+    outputs.
     """
 
     def __init__(self):
@@ -166,3 +168,140 @@ def test_fifo_completion_latencies_reflect_arrival_order(batches):
     # latency, so max latency == completion - first arrival.
     expected_max = completion - arrivals[0][0]
     assert tracker.max_response_time == pytest.approx(expected_max)
+
+
+class _InsortTracker:
+    """The tracker as it was: every sample inserted in sorted place.
+
+    ``bisect.insort`` of ``(latency, weight)`` at record time, the same
+    FIFO walk, clamp and running sums.  The production tracker appends and
+    sorts at query time instead; the two must agree bit for bit.
+    """
+
+    def __init__(self):
+        self.fifo = deque()
+        self.samples = []
+        self.total_weight = 0.0
+        self.weighted_sum = 0.0
+        self.max_latency = 0.0
+
+    def on_arrival(self, now, work, requests):
+        if work <= 0.0 or requests <= 0.0:
+            return
+        self.fifo.append([now, work, requests])
+
+    def on_progress(self, now, work_done):
+        budget = work_done
+        while budget > 1e-12 and self.fifo:
+            head = self.fifo[0]
+            if head[1] <= budget + 1e-12:
+                budget -= head[1]
+                self.fifo.popleft()
+                self.record(now - head[0], head[2])
+            else:
+                head[1] -= budget
+                budget = 0.0
+
+    def record(self, latency, weight):
+        latency = max(latency, 0.0)
+        bisect.insort(self.samples, (latency, weight))
+        self.total_weight += weight
+        self.weighted_sum += latency * weight
+        self.max_latency = max(self.max_latency, latency)
+
+    def percentile(self, p):
+        target = self.total_weight * p / 100.0
+        cumulative = 0.0
+        for latency, weight in self.samples:
+            cumulative += weight
+            if cumulative >= target:
+                return latency
+        return self.samples[-1][0]
+
+
+#: Time steps on a coarse grid (so arrivals share instants and drained
+#: chunks tie on latency) including steps back in time, which make a
+#: completion precede its arrival and so exercise the clamp at zero.
+_STEPS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, -0.5, -3.0]) | st.floats(-1.0, 5.0)
+#: Request weights: a few repeated values so tied latencies meet both
+#: equal and different weights.
+_WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, 0.5]) | st.floats(0.01, 50.0)
+_WORK = st.sampled_from([0.1, 0.25, 1.0]) | st.floats(1e-6, 5.0)
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("arrive"), _STEPS, _WORK, _WEIGHTS),
+        st.tuples(st.just("progress"), _STEPS, _WORK | st.just(0.0)),
+        st.tuples(st.just("query")),
+    ),
+    min_size=1,
+    max_size=60,
+)
+_QUANTILES = (0.0, 50.0, 95.0, 99.0, 100.0)
+
+
+def _summary(tracker):
+    """Every query result, as exact bits (None while nothing completed)."""
+    if tracker.completed_requests == 0.0:
+        return None
+    return (
+        tracker.completed_requests.hex(),
+        tracker.mean_response_time.hex(),
+        tracker.max_response_time.hex(),
+        tuple(tracker.percentile(p).hex() for p in _QUANTILES),
+    )
+
+
+def _reference_summary(reference):
+    if reference.total_weight == 0.0:
+        return None
+    return (
+        reference.total_weight.hex(),
+        (reference.weighted_sum / reference.total_weight).hex(),
+        reference.max_latency.hex(),
+        tuple(reference.percentile(p).hex() for p in _QUANTILES),
+    )
+
+
+@given(operations=_OPERATIONS)
+@settings(max_examples=300, deadline=None)
+def test_sort_at_query_matches_insort_bit_for_bit(operations):
+    tracker = LatencyTracker()
+    reference = _InsortTracker()
+    now = 0.0
+    for operation in operations:
+        if operation[0] == "query":
+            # Sort, then keep recording: the next query sorts again.
+            assert _summary(tracker) == _reference_summary(reference)
+            continue
+        now += operation[1]
+        if operation[0] == "arrive":
+            tracker.on_arrival(now, operation[2], operation[3])
+            reference.on_arrival(now, operation[2], operation[3])
+        else:
+            tracker.on_progress(now, operation[2])
+            reference.on_progress(now, operation[2])
+    assert _summary(tracker) == _reference_summary(reference)
+    assert tracker.queued_requests == sum(head[2] for head in reference.fifo)
+    # The sorted sample list itself, -0.0 and tie order included.
+    if tracker.completed_requests:
+        tracker.percentile(50.0)  # sorts what arrived since the last query
+    assert [(l.hex(), w.hex()) for l, w in tracker._samples] == [
+        (l.hex(), w.hex()) for l, w in reference.samples
+    ]
+
+
+def test_tied_latencies_and_clamped_samples_match_insort():
+    # Hand-built: three chunks drained at one instant tie on latency with
+    # weights 3, 1, 2; one completion precedes its arrival (clamped to 0).
+    tracker = LatencyTracker()
+    reference = _InsortTracker()
+    for target in (tracker, reference):
+        target.on_arrival(1.0, 0.5, 3.0)
+        target.on_arrival(1.0, 0.5, 1.0)
+        target.on_arrival(1.0, 0.5, 2.0)
+        target.on_progress(2.0, 1.5)
+        target.on_arrival(5.0, 0.5, 4.0)
+        target.on_progress(4.0, 0.5)
+    assert _summary(tracker) == _reference_summary(reference)
+    assert tracker._samples == [(0.0, 4.0), (1.0, 1.0), (1.0, 2.0), (1.0, 3.0)]
+    assert tracker.percentile(0.0) == 0.0 and tracker.percentile(100.0) == 1.0

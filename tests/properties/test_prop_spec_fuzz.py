@@ -7,9 +7,15 @@ dropped or invented, junk nested inside lists and objects — and fed to
 ``from_dict``.  A spec that parses must survive ``to_dict`` -> ``from_dict``
 unchanged; one that does not must fail with :class:`ConfigurationError`,
 never a raw ``TypeError``/``ValueError``/``KeyError``/``AttributeError``.
+
+The ``*_kwargs`` fields hold constructor keywords, which are checked when
+the host is built: configs with drawn scheduler, governor, manager, QoS
+controller and monitor keywords (names, foreign names, values of any JSON
+type) must build or fail with :class:`ConfigurationError` there.
 """
 
 import copy
+import inspect
 import math
 
 import pytest
@@ -19,6 +25,7 @@ from repro.cluster import ClusterScenarioConfig
 from repro.cluster.machine import MachineSpec
 from repro.errors import ConfigurationError
 from repro.experiments import get_preset, GuestSpec, ScenarioConfig, WorkloadSpec
+from repro.experiments.scenario import build_scenario
 
 
 def _seeds() -> dict[type, list[dict]]:
@@ -215,3 +222,97 @@ def test_fields_a_config_ignores_keep_their_defaults(data):
     # may make two configs that run alike compare unequal.
     spec = ScenarioConfig.from_dict(data)
     assert spec == ScenarioConfig.from_dict(spec.to_dict())
+
+
+# ------------------------------------------------------------ *_kwargs values
+
+
+def _keywords(cls) -> list[str]:
+    """The keywords constructing *cls* takes, up its ``**kwargs`` chain."""
+    names = []
+    for klass in cls.__mro__[:-1]:
+        init = vars(klass).get("__init__")
+        if init is None:
+            continue
+        parameters = list(inspect.signature(init).parameters.values())[1:]
+        names += [
+            p.name for p in parameters if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        ]
+        if not any(p.kind is p.VAR_KEYWORD for p in parameters):
+            break
+    return names
+
+
+def _constructors() -> dict[str, dict[str, type]]:
+    """``*_kwargs`` field -> {name chosen in the config: class it builds}."""
+    from repro.core.pas import PasScheduler
+    from repro.core.user_credit_manager import UserCreditManager
+    from repro.core.user_full_manager import UserFullManager
+    from repro.governors.registry import _FACTORIES
+    from repro.qos.controllers import CONTROLLER_REGISTRY
+    from repro.schedulers import Credit2Scheduler, CreditScheduler, SedfScheduler
+
+    return {
+        "scheduler_kwargs": {
+            "credit": CreditScheduler,
+            "credit2": Credit2Scheduler,
+            "pas": PasScheduler,
+            "sedf": SedfScheduler,
+        },
+        "governor_kwargs": dict(_FACTORIES),
+        "manager_kwargs": {"user-credit": UserCreditManager, "user-full": UserFullManager},
+        "qos_kwargs": dict(CONTROLLER_REGISTRY),
+    }
+
+
+CONSTRUCTORS = _constructors()
+#: Every keyword any of them takes (``host`` included: a name the caller
+#: supplies itself, so never a valid keyword).
+_ANY_NAME = st.sampled_from(
+    sorted(
+        {name for built in CONSTRUCTORS.values() for cls in built.values() for name in _keywords(cls)}
+    )
+)
+#: Mostly plausible numbers, sometimes any JSON value at all.
+_KWARG_VALUES = (
+    st.floats(min_value=0.0, max_value=200.0)
+    | st.integers(min_value=-2, max_value=10)
+    | st.booleans()
+    | JUNK
+)
+
+
+def _kwargs(cls):
+    """Keyword dicts for *cls*: its own names, now and then a foreign one."""
+    own = _keywords(cls)
+    names = st.sampled_from(own) | _ANY_NAME if own else _ANY_NAME
+    return st.dictionaries(names, _KWARG_VALUES, max_size=3)
+
+
+@st.composite
+def kwargs_configs(draw):
+    """A host config whose ``*_kwargs`` hold drawn names and values."""
+    from repro.qos import ContentionMonitor
+
+    data = {"duration": 1.0}
+    for field, built in CONSTRUCTORS.items():
+        choice = draw(st.sampled_from(sorted(built)))
+        data[field.removesuffix("_kwargs")] = choice
+        data[field] = draw(_kwargs(built[choice]))
+    if draw(st.booleans()):
+        data["manager"] = None  # manager_kwargs then configure nothing
+    if data["qos"] != "none" and draw(st.booleans()):
+        data["qos_kwargs"]["monitor"] = draw(_kwargs(ContentionMonitor) | JUNK)
+    return data
+
+
+@_FUZZ
+@given(data=kwargs_configs())
+def test_fuzzed_constructor_kwargs_build_or_reject(data):
+    # Constructor keywords are checked at build, not at parse: a config
+    # either builds its host or fails with ConfigurationError there.
+    try:
+        config = ScenarioConfig.from_dict(data)
+        build_scenario(config)
+    except ConfigurationError:
+        return

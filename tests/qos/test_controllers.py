@@ -29,6 +29,12 @@ def test_ladder_rejects_non_decreasing_levels():
         QuotaLadder(levels=(1.0, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("levels", [8, "1", ["1", "0.5"], [True, 0.5], [1.0, None]])
+def test_ladder_rejects_levels_that_are_not_numbers(levels):
+    with pytest.raises(ConfigurationError, match="sequence of numbers"):
+        QuotaLadder(levels=levels)
+
+
 def test_ladder_rejects_inverted_hysteresis():
     with pytest.raises(ConfigurationError):
         QuotaLadder(high=0.2, low=0.6)

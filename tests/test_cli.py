@@ -401,6 +401,14 @@ def test_run_scenario_file_bad_values_are_clean(capsys, tmp_path, spec, message)
             'governor_kwargs={"bogus": 1}',
             "unknown stable governor parameter(s) 'bogus'; accepted: window,",
         ),
+        (
+            'scheduler_kwargs={"quantum": "x"}',
+            "credit scheduler: quantum takes a number, got 'x'",
+        ),
+        (
+            'governor_kwargs={"up_threshold": "x"}',
+            "stable governor: up_threshold takes a number, got 'x'",
+        ),
     ],
 )
 def test_run_set_rejects_unknown_constructor_kwargs(capsys, assignment, message):
@@ -428,6 +436,26 @@ def test_run_set_rejects_unknown_constructor_kwargs(capsys, assignment, message)
             "qos-noisy-neighbor",
             ['qos_kwargs={"monitor": {"bogus": 1}}'],
             "unknown QoS monitor parameter(s) 'bogus'; accepted: period,",
+        ),
+        (
+            "qos-noisy-neighbor",
+            ['qos_kwargs={"monitor": {"period": "x"}}'],
+            "QoS monitor: period takes a number, got 'x'",
+        ),
+        (
+            "qos-noisy-neighbor",
+            ['qos_kwargs={"high": "x"}'],
+            "ladder QoS controller: high takes a number, got 'x'",
+        ),
+        (
+            "paper-5.3",
+            ["scheduler=pas", 'scheduler_kwargs={"quantum": true}'],
+            "pas scheduler: quantum takes a number, got True",
+        ),
+        (
+            "paper-5.3",
+            ["manager=user-full", 'manager_kwargs={"window": 2.5}'],
+            "user-full manager: window takes an integer, got 2.5",
         ),
         (
             "paper-5.3",
