@@ -695,7 +695,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler = SamplingProfiler()
     try:
         config, title, _ = _config_from_args(args)
-        profiler.run(config)
+        configs = [config]
+        preset = get_preset(args.preset) if args.preset else None
+        if preset is not None and preset.axes:
+            # A grid preset: every cell, each with the overrides, under the
+            # one sampler.
+            overrides = _config_overrides(preset.config, args)
+            configs = [cell.config for cell in preset_grid(args.preset, overrides=overrides)]
+            title = f"{title} ({len(configs)} cells)"
+        for cell_config in configs:
+            profiler.run(cell_config)
     except ConfigurationError as error:
         print(f"profile: {error}", file=sys.stderr)
         return 2
@@ -1329,10 +1338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = commands.add_parser(
         "profile",
-        help="sampling wall-clock profile of one scenario run",
+        help="sampling wall-clock profile of a scenario or a preset's grid",
         description=(
-            "Run one preset or scenario spec under the opt-in sampling "
-            "profiler and print where host time went: the share of samples "
+            "Run a scenario spec, or every cell of a preset's grid, under the "
+            "opt-in sampling profiler and print where host time went, summed "
+            "over the cells: the share of samples "
             "per layer (sim, hypervisor, schedulers, governors, cluster, "
             "...) and the busiest functions.  Wall-clock samples vary run "
             "to run by nature; the simulation itself is unaffected."

@@ -21,6 +21,7 @@ pre-domain arithmetic bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Mapping
@@ -136,6 +137,13 @@ class Machine:
             )
         else:
             self._freq_choices = self._table.frequencies
+        #: Homogeneous serving capacity per frequency, in percent of the
+        #: top state: the per-epoch arithmetic, done once.
+        top_mhz = self._table.max_state.freq_mhz
+        self._capacity_at = {
+            state.freq_mhz: state.capacity_fraction(top_mhz) * 100.0
+            for state in self._table.states
+        }
 
     @property
     def table(self):
@@ -149,13 +157,14 @@ class Machine:
         """True when the processor has per-cluster frequency domains."""
         return bool(self.domains)
 
-    @property
+    @cached_property
     def capacity_percent(self) -> float:
         """Max-frequency capacity in percent of the reference host.
 
         Homogeneous machines are the reference (exactly 100.0, the
         historical convention every packing threshold is expressed in);
         heterogeneous ones sum their domains' top-state capacities.
+        Computed once: the domains' top states are fixed.
         """
         if self.domains:
             return sum(domain.max_capacity_percent for domain in self.domains)
@@ -241,6 +250,11 @@ class Machine:
         return list(self._vms.values())
 
     @property
+    def vm_count(self) -> int:
+        """How many VMs are placed here (``len(vms)`` without the list)."""
+        return len(self._vms)
+
+    @property
     def memory_used_mb(self) -> int:
         """Memory claimed by placed VMs."""
         return sum(vm.memory_mb for vm in self._vms.values())
@@ -282,7 +296,7 @@ class Machine:
 
     def run_epoch(
         self,
-        time: float,
+        demands: Mapping[str, float],
         dt: float,
         *,
         dvfs: bool,
@@ -292,9 +306,12 @@ class Machine:
     ) -> tuple[float, float]:
         """Serve one epoch; returns ``(demand, served)`` in absolute percent.
 
-        With *dvfs* the machine picks the lowest absorbing P-state for the
-        aggregate demand (Listing 1.1); without, it stays at maximum.  An
-        empty, powered-off machine consumes no energy.
+        *demands* maps VM names to this epoch's demand samples (the
+        orchestrator samples every VM once per epoch); the machine serves
+        the entries of the VMs placed on it.  With *dvfs* the machine picks
+        the lowest absorbing P-state for the aggregate demand (Listing
+        1.1); without, it stays at maximum.  An empty, powered-off machine
+        consumes no energy.
 
         ``extra_demand_percent`` is non-VM work charged to the host this
         epoch (migration dirty-page copies); it joins the frequency choice
@@ -303,7 +320,8 @@ class Machine:
         clamp the chosen frequency to the orchestration policy's bounds
         (snapped to table states; the ceiling wins when they conflict).
         """
-        check_non_negative(dt, "dt")
+        if not 0.0 <= dt < math.inf:
+            check_non_negative(dt, "dt")
         if not self.powered_on:
             if self._vms:
                 raise ConfigurationError(
@@ -315,17 +333,25 @@ class Machine:
             self.last_util = 0.0
             self.last_power_w = 0.0
             return 0.0, 0.0
-        check_non_negative(extra_demand_percent, "extra_demand_percent")
+        if not 0.0 <= extra_demand_percent < math.inf:
+            check_non_negative(extra_demand_percent, "extra_demand_percent")
         fraction = self.be_quota_fraction
-        if fraction < 1.0:
-            # Fleet QoS throttle: best-effort VMs admit only a fraction of
-            # their demand this epoch; latency-critical VMs are untouched.
-            demand = sum(
-                vm.demand_at(time) * (fraction if vm.service_class == "be" else 1.0)
-                for vm in self._vms.values()
-            )
-        else:
-            demand = sum(vm.demand_at(time) for vm in self._vms.values())
+        try:
+            if fraction < 1.0:
+                # Fleet QoS throttle: best-effort VMs admit only a fraction
+                # of their demand this epoch; latency-critical VMs are
+                # untouched.
+                demand = sum(
+                    demands[name] * (fraction if vm.service_class == "be" else 1.0)
+                    for name, vm in self._vms.items()
+                )
+            else:
+                demand = sum(map(demands.__getitem__, self._vms))
+        except KeyError as missing:
+            raise ConfigurationError(
+                f"machine {self.name!r} hosts VM {missing} but no demand "
+                f"sample was given for it"
+            ) from None
         overhead = self.spec.overhead_percent if self._vms else 0.0
         total = demand + overhead + extra_demand_percent
         if self.domains:
@@ -338,16 +364,18 @@ class Machine:
                 freq_floor_mhz=freq_floor_mhz,
                 freq_ceiling_mhz=freq_ceiling_mhz,
             )
+        table = self._table
         if dvfs:
-            self.freq_mhz = laws.compute_new_frequency(self._table, total)
+            freq_mhz = laws.compute_new_frequency(table, total)
         else:
-            self.freq_mhz = self._table.max_state.freq_mhz
-        if freq_floor_mhz is not None and self.freq_mhz < freq_floor_mhz:
-            self.freq_mhz = self._table.clamp(freq_floor_mhz).freq_mhz
-        if freq_ceiling_mhz is not None and self.freq_mhz > freq_ceiling_mhz:
-            self.freq_mhz = self._table.clamp_down(freq_ceiling_mhz).freq_mhz
-        state = self._table.state_for(self.freq_mhz)
-        capacity = state.capacity_fraction(self._table.max_state.freq_mhz) * 100.0
+            freq_mhz = self._freq_choices[-1]
+        if freq_floor_mhz is not None and freq_mhz < freq_floor_mhz:
+            freq_mhz = table.clamp(freq_floor_mhz).freq_mhz
+        if freq_ceiling_mhz is not None and freq_mhz > freq_ceiling_mhz:
+            freq_mhz = table.clamp_down(freq_ceiling_mhz).freq_mhz
+        self.freq_mhz = freq_mhz
+        state = table.state_for(freq_mhz)
+        capacity = self._capacity_at[freq_mhz]
         served = min(
             demand,
             max(0.0, capacity - self.spec.overhead_percent - extra_demand_percent),
@@ -357,7 +385,7 @@ class Machine:
             if capacity > 0
             else 0.0
         )
-        power = self.spec.processor.power.power(state, self._table, utilization)
+        power = self.spec.processor.power.power(state, table, utilization)
         self.energy_joules += power * dt
         self.last_util = utilization
         self.last_power_w = power

@@ -1,6 +1,7 @@
 """The epoch-driven datacenter orchestrator.
 
-Each epoch the :class:`Orchestrator` (1) asks its policy for an
+Each epoch the :class:`Orchestrator` samples every VM's demand once and
+reads the live placement once, then (1) asks its policy for an
 :class:`~repro.cluster.policies.EpochPlan`, (2) executes the plan's
 migrations — charging the configured
 :class:`~repro.cluster.migration.MigrationModel` costs: dirty-page copy CPU
@@ -21,7 +22,9 @@ live one, and powers off the machines the plan leaves empty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Mapping, Sequence
 
 from ..errors import ConfigurationError
@@ -62,6 +65,26 @@ HOST_RECORD_FIELDS = (
 
 #: Column order of :meth:`Orchestrator.migration_records`.
 MIGRATION_RECORD_FIELDS = ("time", "vm", "source", "dest")
+
+
+def epoch_count(duration: float, epoch_s: float) -> int:
+    """The number of epochs in *duration*: a positive whole number, or an error.
+
+    A fleet advances in whole epochs, so a duration that is not a positive
+    whole multiple of *epoch_s* (to a 1e-9 relative tolerance, which
+    absorbs decimal steps such as ``0.3 / 0.1``) raises a
+    :class:`ConfigurationError` naming both values rather than silently
+    simulating a rounded span.
+    """
+    check_positive(duration, "duration")
+    check_positive(epoch_s, "epoch_s")
+    epochs = round(duration / epoch_s)
+    if epochs < 1 or not math.isclose(epochs * epoch_s, duration, rel_tol=1e-9):
+        raise ConfigurationError(
+            f"duration {duration} s is not a whole number of "
+            f"{epoch_s} s epochs (epoch_s); use a positive multiple of it"
+        )
+    return epochs
 
 
 @dataclass(frozen=True)
@@ -170,7 +193,8 @@ class Orchestrator:
             self.fleet_qos = None
         self.stats: list[EpochStats] = []
         self.events: list[MigrationEvent] = []
-        self._host_stats: list[dict[str, Any]] = []
+        #: One row per (epoch, host), in :data:`HOST_RECORD_FIELDS` order.
+        self._host_stats: list[tuple] = []
         self._domain_stats: list[dict[str, Any]] = []
         self._time = 0.0
         self._epoch_index = 0
@@ -179,41 +203,56 @@ class Orchestrator:
     # ------------------------------------------------------------------ run
 
     def run(self, duration: float) -> list[EpochStats]:
-        """Advance the fleet *duration* seconds; returns the epoch stats."""
-        check_positive(duration, "duration")
-        epochs = int(round(duration / self.epoch_s))
-        for _ in range(epochs):
+        """Advance the fleet *duration* seconds; returns the epoch stats.
+
+        *duration* must be a positive whole number of epochs
+        (:func:`epoch_count`).
+        """
+        for _ in range(epoch_count(duration, self.epoch_s)):
             self._run_one_epoch()
         return self.stats
 
-    def _plan_epoch(self) -> tuple[EpochPlan, list[MigrationEvent]]:
-        """Consult the policy and execute its placement decision."""
+    def _plan_epoch(
+        self, demands: Mapping[str, float]
+    ) -> tuple[EpochPlan, list[MigrationEvent], set[str]]:
+        """Consult the policy and execute its placement decision.
+
+        Returns the plan, the executed migrations and the hosts party to
+        them (kept powered through this epoch).
+        """
+        current = current_assignment(self.machines)
         plan = self.policy.plan(
             self.machines,
             self.vms,
+            demands,
+            current,
             time=self._time,
             epoch_index=self._epoch_index,
             epoch_s=self.epoch_s,
             dvfs=self.dvfs,
         )
         events = (
-            [] if plan.assignment is None else self._apply_assignment(plan.assignment)
+            []
+            if plan.assignment is None
+            else self._apply_assignment(plan.assignment, current)
         )
         # Machines the plan leaves empty power down *before* serving: an
         # orchestration decision takes effect this epoch, not after one
         # epoch of idle burn.  Hosts party to one of this epoch's
         # migrations stay on through it — a drained source still burns CPU
-        # sending dirty pages — and power off next epoch.
+        # sending dirty pages — and power off after serving it.
         migrating = {event.source for event in events} | {
             event.dest for event in events
         }
         for machine in self.machines:
             if machine.name not in migrating:
                 machine.power_off_if_empty()
-        return plan, events
+        return plan, events, migrating
 
-    def _apply_assignment(self, desired: Mapping[str, str]) -> list[MigrationEvent]:
-        """Move the fleet to *desired*; returns the executed migrations.
+    def _apply_assignment(
+        self, desired: Mapping[str, str], current: Mapping[str, str]
+    ) -> list[MigrationEvent]:
+        """Move the fleet from *current* to *desired*; returns the migrations.
 
         Placements of brand-new VMs are not migrations (nothing moved), nor
         are evictions of VMs gone from the population; only
@@ -221,46 +260,45 @@ class Orchestrator:
         """
         machines = {machine.name: machine for machine in self.machines}
         vms = {vm.name: vm for vm in self.vms}
-        unknown_vms = sorted(set(desired) - set(vms))
+        unknown_vms = sorted(desired.keys() - vms.keys())
         if unknown_vms:
             raise ConfigurationError(
                 f"policy assigned unknown VM(s): {', '.join(unknown_vms)}"
             )
-        missing = sorted(set(vms) - set(desired))
+        missing = sorted(vms.keys() - desired.keys())
         if missing:
             raise ConfigurationError(
                 f"policy assignment leaves VM(s) unplaced: {', '.join(missing)}"
             )
-        unknown_machines = sorted(set(desired.values()) - set(machines))
+        unknown_machines = sorted(set(desired.values()) - machines.keys())
         if unknown_machines:
             raise ConfigurationError(
                 f"policy assigned unknown machine(s): {', '.join(unknown_machines)}"
             )
-        before = current_assignment(self.machines)
-        for name in sorted(before.keys() - vms.keys()):
-            host = machines[before.pop(name)]
+        for name in sorted(current.keys() - vms.keys()):
+            host = machines[current[name]]
             host.evict(next(vm for vm in host.vms if vm.name == name))
-        moves = [
-            (name, desired[name])
-            for name in sorted(desired)
-            if before.get(name) != desired[name]
-        ]
+        moves = sorted(
+            (name, dest) for name, dest in desired.items() if current.get(name) != dest
+        )
         # Evict every mover first so swaps never transiently overflow memory.
         for name, _ in moves:
-            source = before.get(name)
+            source = current.get(name)
             if source is not None:
                 machines[source].evict(vms[name])
         for name, dest in moves:
             machines[dest].place(vms[name])
         return [
-            MigrationEvent(time=self._time, vm=name, source=before[name], dest=dest)
+            MigrationEvent(time=self._time, vm=name, source=current[name], dest=dest)
             for name, dest in moves
-            if name in before
+            if name in current
         ]
 
     def _run_one_epoch(self) -> None:
         epoch_start = self._time
-        plan, events = self._plan_epoch()
+        # Every VM is sampled once per epoch; planning and serving share it.
+        demands = {vm.name: vm.demand_at(epoch_start) for vm in self.vms}
+        plan, events, migrating = self._plan_epoch(demands)
         self.events.extend(events)
         self.total_migrations += len(events)
         trace = _obs.TRACER
@@ -272,17 +310,16 @@ class Orchestrator:
         if self.migration_model is not None and events:
             overhead = self.migration_model.host_overhead_percent(self.epoch_s)
             blackout = self.migration_model.downtime_fraction(self.epoch_s)
-            vms = {vm.name: vm for vm in self.vms}
             for event in events:
                 extra[event.source] = extra.get(event.source, 0.0) + overhead
                 extra[event.dest] = extra.get(event.dest, 0.0) + overhead
-                downtime_loss += vms[event.vm].demand_at(self._time) * blackout
+                downtime_loss += demands[event.vm] * blackout
         energy_before = self.fleet_energy_joules
         demand_total = 0.0
         served_total = 0.0
         for machine in self.machines:
             demand, served = machine.run_epoch(
-                self._time,
+                demands,
                 self.epoch_s,
                 dvfs=self.dvfs,
                 extra_demand_percent=extra.get(machine.name, 0.0),
@@ -308,24 +345,29 @@ class Orchestrator:
                         shortfall,
                     )
                 machine.be_quota_fraction = fraction
-            machine.power_off_if_empty()
+        # Planning powered off every other empty host; a migration source
+        # drained this epoch has now sent its pages and powers off too.
+        if migrating:
+            for machine in self.machines:
+                if machine.name in migrating:
+                    machine.power_off_if_empty()
         served_total = max(0.0, served_total - downtime_loss)
         epoch_energy = self.fleet_energy_joules - energy_before
         self._time += self.epoch_s
         self._epoch_index += 1
         for machine in self.machines:
             self._host_stats.append(
-                {
-                    "time": self._time,
-                    "machine": machine.name,
-                    "powered_on": machine.powered_on,
-                    "vms": len(machine.vms),
-                    "freq_mhz": machine.freq_mhz,
-                    "util": machine.last_util,
-                    "power_w": machine.last_power_w,
-                }
+                (
+                    self._time,
+                    machine.name,
+                    machine.powered_on,
+                    machine.vm_count,
+                    machine.freq_mhz,
+                    machine.last_util,
+                    machine.last_power_w,
+                )
             )
-            if machine.is_heterogeneous:
+            if machine.domains:
                 if trace is not None:
                     for record in machine.domain_records():
                         trace.domain_freq(
@@ -372,7 +414,7 @@ class Orchestrator:
     @property
     def fleet_energy_joules(self) -> float:
         """Total energy across the fleet so far."""
-        return sum(machine.energy_joules for machine in self.machines)
+        return sum(map(attrgetter("energy_joules"), self.machines))
 
     @property
     def energy_kwh(self) -> float:
@@ -427,7 +469,7 @@ class Orchestrator:
 
     def host_records(self) -> list[dict[str, Any]]:
         """One flat dict per (epoch, host): utilisation, frequency, power."""
-        return [dict(record) for record in self._host_stats]
+        return [dict(zip(HOST_RECORD_FIELDS, row)) for row in self._host_stats]
 
     def migration_records(self) -> list[dict[str, Any]]:
         """One flat dict per executed migration, in execution order."""

@@ -5,7 +5,10 @@ An :class:`OrchestrationPolicy` is consulted by the
 with an :class:`EpochPlan`: the VM→host assignment it wants (``None`` to
 keep the current placement, so "no churn" is the explicit default) plus
 per-host frequency floors and ceilings (the multi-host analogue of pinning
-a cpufreq policy's ``scaling_min_freq``/``scaling_max_freq``).
+a cpufreq policy's ``scaling_min_freq``/``scaling_max_freq``).  The
+orchestrator takes each epoch's facts once and hands them to the policy:
+every VM's demand sample (by name) and the live VM→host assignment, so no
+policy re-samples a VM or re-reads the fleet's placement.
 
 Registry (:data:`POLICY_REGISTRY`, addressable by name from a
 :class:`~repro.cluster.scenario.ClusterScenarioConfig`):
@@ -13,7 +16,8 @@ Registry (:data:`POLICY_REGISTRY`, addressable by name from a
 ``static``
     Provision by *booked credit* once, never migrate.  The classic
     hosting-center baseline: SLA-safe by construction, blind to the fact
-    that demand rarely reaches the booking.
+    that demand rarely reaches the booking.  Once the fleet holds the
+    booked placement, its plans keep it (``assignment=None``).
 ``consolidate``
     Demand-aware incremental packing with power-off/on hysteresis:
     overloaded hosts spill immediately, but a host is only drained and
@@ -146,13 +150,20 @@ class OrchestrationPolicy:
         self,
         machines: Sequence[Machine],
         vms: Sequence[ClusterVM],
+        demands: Mapping[str, float],
+        current: Assignment,
         *,
         time: float,
         epoch_index: int,
         epoch_s: float,
         dvfs: bool,
     ) -> EpochPlan:
-        """The plan for the epoch starting at *time*."""
+        """The plan for the epoch starting at *time*.
+
+        *demands* holds every VM's demand sample at *time*, keyed by VM
+        name (exactly the names of *vms*); *current* is the live placement
+        (:func:`current_assignment` of *machines*).  Both are read-only.
+        """
         raise NotImplementedError
 
 
@@ -177,9 +188,10 @@ def pack_first_fit(
     empty machine — so overloads degrade to clipped service rather than
     unplaceable fleets.  Machines are tried in the order given: pass an
     :func:`efficiency_order` / :func:`performance_order` view to steer
-    heterogeneous packing.  A machine whose free memory drops below the
-    smallest VM's footprint can take no further VM and is no longer
-    visited.
+    heterogeneous packing.  A machine that can take no further VM is no
+    longer visited: its free memory dropped below the smallest VM's
+    footprint, or it holds load and even the smallest weight (the last to
+    be placed) would no longer fit its budget.
     """
     loads: dict[str, float] = {machine.name: 0.0 for machine in machines}
     free_mb: dict[str, int] = {machine.name: machine.spec.memory_mb for machine in machines}
@@ -189,9 +201,11 @@ def pack_first_fit(
         for machine in machines
     }
     smallest_mb = min((vm.memory_mb for vm in vms), default=0)
+    ordered = sorted(vms, key=lambda v: (-weight(v), v.name))
+    smallest_share = weight(ordered[-1]) if ordered else 0.0
     open_names = [machine.name for machine in machines]
     assignment: dict[str, str] = {}
-    for vm in sorted(vms, key=lambda v: (-weight(v), v.name)):
+    for vm in ordered:
         share = weight(vm)
         for position, name in enumerate(open_names):
             if vm.memory_mb > free_mb[name]:
@@ -201,7 +215,9 @@ def pack_first_fit(
             assignment[vm.name] = name
             loads[name] += share
             free_mb[name] -= vm.memory_mb
-            if free_mb[name] < smallest_mb:
+            if free_mb[name] < smallest_mb or (
+                loads[name] > 0.0 and loads[name] + smallest_share > budgets[name]
+            ):
                 del open_names[position]
             break
         else:
@@ -254,10 +270,6 @@ def pack_balanced(
     return assignment
 
 
-def _demands(vms: Sequence[ClusterVM], time: float) -> dict[str, float]:
-    return {vm.name: vm.demand_at(time) for vm in vms}
-
-
 def _hosts_used(assignment: Assignment) -> int:
     return len(set(assignment.values()))
 
@@ -266,8 +278,9 @@ class _FleetState:
     """A mutable scratch view of the fleet for incremental policies.
 
     Tracks per-host demand load and free memory as VMs are staged from
-    host to host; ``assignment`` is the final VM→host mapping handed to
-    the orchestrator (which executes only the diff).  *order* is the host
+    host to host, starting from the *current* assignment (copied, never
+    written); ``assignment`` is the final VM→host mapping handed to the
+    orchestrator (which executes only the diff).  *order* is the host
     preference used when shopping for headroom (default: name order, which
     every placement order degenerates to on a homogeneous fleet).
     """
@@ -277,26 +290,26 @@ class _FleetState:
         machines: Sequence[Machine],
         vms: Sequence[ClusterVM],
         demands: Mapping[str, float],
+        current: Assignment,
         *,
         order: Sequence[Machine] | None = None,
     ) -> None:
         self._machines = {machine.name: machine for machine in machines}
-        self._vms = {vm.name: vm for vm in vms}
+        self._memory_mb = {vm.name: vm.memory_mb for vm in vms}
         self._demands = demands
         self._order = (
             [machine.name for machine in order]
             if order is not None
             else sorted(machine.name for machine in machines)
         )
-        self.assignment = current_assignment(machines)
+        self.assignment = dict(current)
         # Host → VMs index, each list in assignment order (a VM's position
         # in ``assignment`` never changes, since ``move`` rebinds in place),
-        # so ``vms_on`` answers without scanning the whole fleet.
-        self._position = {vm: index for index, vm in enumerate(self.assignment)}
+        # so ``vms_on`` answers without scanning the whole fleet.  The
+        # positions are indexed on the first move.
+        self._position: dict[str, int] | None = None
         self._hosted: dict[str, list[str]] = {name: [] for name in self._machines}
-        for vm_name, machine_name in self.assignment.items():
-            self._hosted[machine_name].append(vm_name)
-        self._loads: dict[str, float] = {name: 0.0 for name in self._machines}
+        self._loads: dict[str, float] = dict.fromkeys(self._machines, 0.0)
         self._capacity_scale: dict[str, float] = {
             name: machine.capacity_percent / 100.0
             for name, machine in self._machines.items()
@@ -304,9 +317,11 @@ class _FleetState:
         self._free_mb: dict[str, int] = {
             name: machine.spec.memory_mb for name, machine in self._machines.items()
         }
+        hosted, loads, free_mb = self._hosted, self._loads, self._free_mb
         for vm_name, machine_name in self.assignment.items():
-            self._loads[machine_name] += demands[vm_name]
-            self._free_mb[machine_name] -= self._vms[vm_name].memory_mb
+            hosted[machine_name].append(vm_name)
+            loads[machine_name] += demands[vm_name]
+            free_mb[machine_name] -= self._memory_mb[vm_name]
 
     def hosts(self) -> list[str]:
         return list(self._machines)
@@ -319,6 +334,9 @@ class _FleetState:
 
     def vms_on(self, machine_name: str) -> list[str]:
         return list(self._hosted[machine_name])
+
+    def vm_count(self, machine_name: str) -> int:
+        return len(self._hosted[machine_name])
 
     def demand(self, vm_name: str) -> float:
         return self._demands[vm_name]
@@ -338,16 +356,18 @@ class _FleetState:
         return self._machines[machine_name].spec.overhead_percent
 
     def fits(self, vm_name: str, machine_name: str) -> bool:
-        return self._vms[vm_name].memory_mb <= self._free_mb[machine_name]
+        return self._memory_mb[vm_name] <= self._free_mb[machine_name]
 
     def move(self, vm_name: str, dest: str) -> None:
         source = self.assignment[vm_name]
         self._loads[source] -= self._demands[vm_name]
-        self._free_mb[source] += self._vms[vm_name].memory_mb
+        self._free_mb[source] += self._memory_mb[vm_name]
         self._loads[dest] += self._demands[vm_name]
-        self._free_mb[dest] -= self._vms[vm_name].memory_mb
+        self._free_mb[dest] -= self._memory_mb[vm_name]
         self.assignment[vm_name] = dest
         self._hosted[source].remove(vm_name)
+        if self._position is None:
+            self._position = {vm: index for index, vm in enumerate(self.assignment)}
         insort(self._hosted[dest], vm_name, key=self._position.__getitem__)
 
     def host_with_headroom(
@@ -366,12 +386,16 @@ class _FleetState:
         a small blade fills up (proportionally) as fast as a big one.
         """
         share = self._demands[vm_name]
-        used = [n for n in self._order if n != exclude and self._hosted[n]]
-        empty = [n for n in self._order if n != exclude and not self._hosted[n]]
-        for name in used + ([] if powered_only else empty):
-            budget = limit_percent * self._capacity_scale[name] - self.overhead(name)
-            if self.fits(vm_name, name) and self._loads[name] + share <= budget:
-                return name
+        memory_mb = self._memory_mb[vm_name]
+        hosted, loads, free_mb = self._hosted, self._loads, self._free_mb
+        # Used hosts first, then (unless powered_only) the empty ones.
+        for used in (True,) if powered_only else (True, False):
+            for name in self._order:
+                if name == exclude or bool(hosted[name]) != used:
+                    continue
+                budget = limit_percent * self._capacity_scale[name] - self.overhead(name)
+                if memory_mb <= free_mb[name] and loads[name] + share <= budget:
+                    return name
         return None
 
 
@@ -397,14 +421,18 @@ class StaticPolicy(OrchestrationPolicy):
         self._order = _placement_order(placement, "performance")
         self._assignment: dict[str, str] | None = None
 
-    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
-        if self._assignment is None or set(self._assignment) != {v.name for v in vms}:
+    def plan(
+        self, machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs
+    ) -> EpochPlan:
+        if self._assignment is None or self._assignment.keys() != demands.keys():
             self._assignment = pack_first_fit(
                 self._order(machines),
                 vms,
                 lambda vm: vm.credit,
                 limit_percent=self.reserve_percent,
             )
+        if current == self._assignment:
+            return EpochPlan()
         return EpochPlan(assignment=self._assignment)
 
 
@@ -453,10 +481,10 @@ class ConsolidatePolicy(OrchestrationPolicy):
         self.hysteresis_epochs = hysteresis_epochs
         self._shrink_streak = 0
 
-    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
-        demands = _demands(vms, time)
-        current = current_assignment(machines)
-        if set(current) != {vm.name for vm in vms}:
+    def plan(
+        self, machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs
+    ) -> EpochPlan:
+        if current.keys() != demands.keys():
             # First epoch, or the VM population changed: pack from scratch.
             self._shrink_streak = 0
             return EpochPlan(
@@ -467,7 +495,7 @@ class ConsolidatePolicy(OrchestrationPolicy):
                     limit_percent=self.target_percent,
                 )
             )
-        state = _FleetState(machines, vms, demands, order=self._order(machines))
+        state = _FleetState(machines, vms, demands, current, order=self._order(machines))
         moved = self._spill(state)
         if moved:
             self._shrink_streak = 0
@@ -496,7 +524,7 @@ class ConsolidatePolicy(OrchestrationPolicy):
             while (
                 state.load(name) + state.overhead(name)
                 > self.spill_percent * state.capacity_scale(name)
-                and len(state.vms_on(name)) > 1
+                and state.vm_count(name) > 1
             ):
                 vm = max(state.vms_on(name), key=lambda v: (state.demand(v), v))
                 dest = state.host_with_headroom(
@@ -550,22 +578,23 @@ class LoadBalancePolicy(OrchestrationPolicy):
             )
         self.max_moves_per_epoch = max_moves_per_epoch
 
-    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
-        demands = _demands(vms, time)
-        current = current_assignment(machines)
-        if set(current) != {vm.name for vm in vms}:
+    def plan(
+        self, machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs
+    ) -> EpochPlan:
+        if current.keys() != demands.keys():
             return EpochPlan(
                 assignment=pack_balanced(machines, vms, lambda vm: demands[vm.name])
             )
-        state = _FleetState(machines, vms, demands)
+        state = _FleetState(machines, vms, demands, current)
         moved = False
         for _ in range(self.max_moves_per_epoch):
-            hosts = sorted(state.hosts())
             # Capacity-relative load, so a mixed fleet balances fill level
-            # rather than absolute percent (identical on legacy fleets).
-            hottest = max(hosts, key=lambda name: (state.relative_load(name), name))
-            coldest = min(hosts, key=lambda name: (state.relative_load(name), name))
-            gap = state.relative_load(hottest) - state.relative_load(coldest)
+            # rather than absolute percent (identical on legacy fleets);
+            # host names break ties.
+            ranked = [(state.relative_load(name), name) for name in state.hosts()]
+            hot_load, hottest = max(ranked)
+            cold_load, coldest = min(ranked)
+            gap = hot_load - cold_load
             if gap <= self.imbalance_percent:
                 break
             scale = state.capacity_scale(hottest)
@@ -632,16 +661,19 @@ class PowerBudgetPolicy(ConsolidatePolicy):
         )
         self.budget_w = check_positive(budget_w, "budget_w")
 
-    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
+    def plan(
+        self, machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs
+    ) -> EpochPlan:
         placement = super().plan(
             machines,
             vms,
+            demands,
+            current,
             time=time,
             epoch_index=epoch_index,
             epoch_s=epoch_s,
             dvfs=dvfs,
         )
-        current = current_assignment(machines)
         assignment = (
             placement.assignment if placement.assignment is not None else current
         )
@@ -653,7 +685,6 @@ class PowerBudgetPolicy(ConsolidatePolicy):
             if current.get(vm_name) not in (None, dest)
             for host in (current[vm_name], dest)
         }
-        demands = _demands(vms, time)
         hosted: dict[str, float] = {}
         for vm_name, machine_name in assignment.items():
             hosted[machine_name] = hosted.get(machine_name, 0.0) + demands[vm_name]
@@ -731,7 +762,9 @@ class SpreadPolicy(OrchestrationPolicy):
 
     name = "spread"
 
-    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
+    def plan(
+        self, machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs
+    ) -> EpochPlan:
         free_mb = {machine.name: machine.spec.memory_mb for machine in machines}
         count = len(machines)
         assignment = {
@@ -756,7 +789,9 @@ class FirstFitPolicy(OrchestrationPolicy):
 
     name = "consolidate-ffd"
 
-    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs) -> EpochPlan:
+    def plan(
+        self, machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs
+    ) -> EpochPlan:
         free_mb = {machine.name: machine.spec.memory_mb for machine in machines}
         assignment = {
             vm.name: _memory_fit(vm, machines, free_mb)

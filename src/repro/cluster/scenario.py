@@ -35,7 +35,7 @@ from ..workloads import SyntheticTrace, TraceLoad
 from ..workloads.dayshapes import dayshape_series, require_dayshape
 from .machine import MachineSpec
 from .migration import DEFAULT_MIGRATION, MigrationModel
-from .orchestrator import Orchestrator
+from .orchestrator import epoch_count, Orchestrator
 from .policies import make_policy, POLICY_REGISTRY
 from .vm import ClusterVM
 
@@ -96,7 +96,7 @@ class ClusterScenarioConfig:
     placement: str = ""
 
     def __post_init__(self) -> None:
-        check_positive(self.duration, "duration")
+        epoch_count(self.duration, self.epoch_s)
         if self.power_budget_w is not None:
             check_positive(self.power_budget_w, "power_budget_w")
         if isinstance(self.migration, Mapping):
@@ -284,6 +284,10 @@ def make_population(config: ClusterScenarioConfig) -> list[ClusterVM]:
     Each VM's day is generated as a ``(starts, percents)`` series and
     replayed by :meth:`~repro.workloads.trace.TraceLoad.from_series` — the
     same validation as trace points, without a point object per sample.
+    The VMs of one day shape share its grid of starts, validated once when
+    the grid is built, so each VM's trace checks only its own percents; a
+    day's Gaussian noise is drawn in one pass, bit for bit the values of
+    one ``rng.gauss`` call per sample.
     """
     streams = RngStreams(config.seed)
     synthetic = None

@@ -77,9 +77,11 @@ class ClusterVM:
             raise ConfigurationError(
                 f"VM {self.name!r} returned {kind} demand {demand} at t={time}"
             )
-        self._sample = min(demand, self.credit)
+        # min(demand, credit) written out, bit for bit.
+        credit = self.credit
+        sample = self._sample = credit if credit < demand else demand
         self._sampled_at = time
-        return self._sample
+        return sample
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClusterVM({self.name!r}, credit={self.credit}%, mem={self.memory_mb}MB)"

@@ -73,10 +73,11 @@ class SamplingProfiler:
     """Counts ``SIGPROF`` samples per repro function over one run."""
 
     def __init__(self) -> None:
-        #: Samples per ``(layer, "module:function")``.
+        #: Samples per ``(layer, "module:function")``, over every run.
         self.samples: Counter[tuple[str, str]] = Counter()
         #: Samples that found no repro frame on the stack.
         self.outside = 0
+        #: Wall time of every run so far.
         self.run_wall_s = 0.0
         self._labels: dict[CodeType, tuple[str, str] | None] = {}
 
@@ -97,8 +98,10 @@ class SamplingProfiler:
     def run(self, config: Any) -> Any:
         """Run *config* through ``execute_config`` under the sampler.
 
-        Returns the run's outcome.  Raises :class:`ConfigurationError` on a
-        platform without ``signal.setitimer``.
+        Returns the run's outcome.  Samples and wall time add up over
+        calls, so one profiler can cover every cell of a grid.  Raises
+        :class:`ConfigurationError` on a platform without
+        ``signal.setitimer``.
         """
         if not hasattr(signal, "setitimer"):
             raise ConfigurationError(
@@ -113,7 +116,7 @@ class SamplingProfiler:
             return execute_config(config)
         finally:
             signal.setitimer(signal.ITIMER_PROF, 0.0)
-            self.run_wall_s = wall_now() - began
+            self.run_wall_s += wall_now() - began
             signal.signal(signal.SIGPROF, previous)
 
     # -------------------------------------------------------------- results

@@ -41,11 +41,13 @@ import pathlib
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, List
 
 from ..errors import ConfigurationError
 from ..units import check_positive
-from .trace import TracePoint
+from .trace import _checked_starts, _gauss_draws, TracePoint
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,9 @@ class DayGrid:
     times plus the zero tail at ``day_length``) and ``envelope`` the
     shape's deterministic value per sample.  :func:`dayshape_series`
     builds one per ``(shape, day_length, step)`` and reuses it, so a fleet
-    of VMs makes only its own RNG draws.
+    of VMs makes only its own RNG draws, and ``starts`` is validated once
+    when the grid is built: every trace replaying it checks only its own
+    percents.
     """
 
     day_length: float
@@ -69,7 +73,9 @@ class DayGrid:
 
 #: A shape's envelope: day fractions -> one entry per sample.
 Envelope = Callable[[tuple[float, ...]], tuple]
-#: A shape's draw: (rng, grid) -> demand percent per sample.
+#: A shape's draw: (rng, grid) -> demand percent per sample.  Every draw
+#: takes its Gaussian noise in one pass (``_gauss_draws``), bit for bit the
+#: values and generator state of one ``rng.gauss`` call per sample.
 Draw = Callable[[random.Random, DayGrid], List[float]]
 
 
@@ -94,8 +100,8 @@ def _office_envelope(fractions: tuple[float, ...]) -> tuple:
 
 
 def _diurnal_office(rng: random.Random, grid: DayGrid) -> list[float]:
-    gauss = rng.gauss
-    return [base + gauss(0.0, 1.5) for base in grid.envelope]
+    noise = _gauss_draws(rng, repeat(1.5, len(grid.envelope)))
+    return [base + epsilon for base, epsilon in zip(grid.envelope, noise)]
 
 
 def _weekend_envelope(fractions: tuple[float, ...]) -> tuple:
@@ -103,8 +109,8 @@ def _weekend_envelope(fractions: tuple[float, ...]) -> tuple:
 
 
 def _weekend(rng: random.Random, grid: DayGrid) -> list[float]:
-    gauss = rng.gauss
-    return [base + gauss(0.0, 1.0) for base in grid.envelope]
+    noise = _gauss_draws(rng, repeat(1.0, len(grid.envelope)))
+    return [base + epsilon for base, epsilon in zip(grid.envelope, noise)]
 
 
 def _flash_crowd_envelope(fractions: tuple[float, ...]) -> tuple:
@@ -117,12 +123,12 @@ def _flash_crowd(rng: random.Random, grid: DayGrid) -> list[float]:
     onset = rng.uniform(0.25, 0.65)
     decay = grid.day_length / 10.0
     spike_at = onset * grid.day_length
-    gauss = rng.gauss
+    noise = _gauss_draws(rng, repeat(2.0, len(grid.times)))
     out = []
-    for t, x, demand in zip(grid.times, grid.fractions, grid.envelope):
+    for t, x, demand, epsilon in zip(grid.times, grid.fractions, grid.envelope, noise):
         if x >= onset:
             demand += 55.0 * math.exp(-(t - spike_at) / decay)
-        out.append(demand + gauss(0.0, 2.0))
+        out.append(demand + epsilon)
     return out
 
 
@@ -134,8 +140,8 @@ def _batch_envelope(fractions: tuple[float, ...]) -> tuple:
 
 
 def _batch_overnight(rng: random.Random, grid: DayGrid) -> list[float]:
-    gauss = rng.gauss
-    return [mean + gauss(0.0, sigma) for mean, sigma in grid.envelope]
+    noise = _gauss_draws(rng, map(itemgetter(1), grid.envelope))
+    return [mean + epsilon for (mean, _), epsilon in zip(grid.envelope, noise)]
 
 
 def _no_envelope(fractions: tuple[float, ...]) -> tuple:
@@ -143,9 +149,11 @@ def _no_envelope(fractions: tuple[float, ...]) -> tuple:
 
 
 def _noisy_neighbor(rng: random.Random, grid: DayGrid) -> list[float]:
+    # Each sample's noise is drawn before its burst test, as one
+    # ``rng.gauss`` call per sample would interleave them.
     out = []
-    for _ in grid.times:
-        demand = 12.0 + rng.gauss(0.0, 3.0)
+    for epsilon in _gauss_draws(rng, repeat(3.0, len(grid.times))):
+        demand = 12.0 + epsilon
         if rng.random() < 0.20:
             demand += rng.uniform(15.0, 40.0)
         out.append(demand)
@@ -225,7 +233,8 @@ def _day_grid(name: str, day_length: float, step: float) -> DayGrid:
 
     Cached per ``(name, day_length, step)``, argument types included, so
     an ``int`` grid keeps its ``int`` starts.  Arguments are assumed
-    validated, as :func:`dayshape_series` does before calling it.
+    validated, as :func:`dayshape_series` does before calling it; the
+    starts are validated here, once per grid, as every trace's would be.
     """
     times = tuple(index * step for index in range(int(day_length / step)))
     fractions = tuple(t / day_length for t in times)
@@ -233,7 +242,7 @@ def _day_grid(name: str, day_length: float, step: float) -> DayGrid:
         day_length=day_length,
         times=times,
         fractions=fractions,
-        starts=(*times, day_length),
+        starts=_checked_starts((*times, day_length)),
         envelope=DAYSHAPES[name].envelope(fractions),
     )
 
@@ -253,7 +262,8 @@ def dayshape_series(
     series ends in a zero point at ``day_length`` so
     :class:`~repro.workloads.trace.TraceLoad` repeats it as whole days;
     :meth:`~repro.workloads.trace.TraceLoad.from_series` replays it as is.
-    ``starts`` is the grid's shared tuple; ``percents`` a fresh list.
+    ``starts`` is the grid's shared tuple, validated once when the grid was
+    built; ``percents`` a fresh list.
     """
     shape = require_dayshape(name)
     check_positive(day_length, "day_length")

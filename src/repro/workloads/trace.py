@@ -16,8 +16,8 @@ import operator
 import pathlib
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import ConfigurationError, WorkloadError
 from ..sim import PeriodicTimer
@@ -111,6 +111,32 @@ def load_trace_csv(path: str | pathlib.Path) -> list[TracePoint]:
     return points
 
 
+#: Start tuples that passed :func:`_check_series` through
+#: :func:`_checked_starts`, by identity.  Each entry holds its tuple, so the
+#: id cannot be reused while listed, and a tuple of numbers cannot change,
+#: so it stays valid.  Past the bound the oldest entry drops out; traces on
+#: it are then simply checked in full again.
+_CHECKED_STARTS: dict[int, tuple] = {}
+_CHECKED_STARTS_BOUND = 64
+
+
+def _checked_starts(starts: Iterable[float]) -> tuple:
+    """*starts* as a tuple, validated once for every trace that replays it.
+
+    A series whose starts are this very tuple checks its percents alone: a
+    grid shared by a whole population
+    (:func:`~repro.workloads.dayshapes.dayshape_series`) is validated once,
+    not once per trace.  The tuple is a plain one, so lookups on it keep
+    ``bisect``'s fast path.
+    """
+    starts = tuple(starts)
+    _check_series(starts, [0.0] * len(starts))
+    if len(_CHECKED_STARTS) >= _CHECKED_STARTS_BOUND:
+        del _CHECKED_STARTS[next(iter(_CHECKED_STARTS))]
+    _CHECKED_STARTS[id(starts)] = starts
+    return starts
+
+
 def _check_series(starts: Sequence[float], percents: Sequence[float]) -> None:
     """Reject an invalid trace series: the one validation path of traces.
 
@@ -118,7 +144,8 @@ def _check_series(starts: Sequence[float], percents: Sequence[float]) -> None:
     :class:`TracePoint` rule, with the same error type and message), and
     the starts strictly increasing.  The common all-valid case is settled
     by C-level passes over the two lists; only a failing series is walked
-    point by point to name the offending value.
+    point by point to name the offending value.  Starts returned by
+    :func:`_checked_starts` passed this check once and are not re-walked.
     """
     if not starts:
         raise WorkloadError("a trace needs at least one point")
@@ -127,19 +154,54 @@ def _check_series(starts: Sequence[float], percents: Sequence[float]) -> None:
             f"a trace needs one percent per start, got {len(starts)} starts "
             f"and {len(percents)} percents"
         )
+    checked = _CHECKED_STARTS.get(id(starts)) is starts
     if not (
-        all(map(math.isfinite, starts))
-        and all(map(math.isfinite, percents))
-        and min(starts) >= 0
+        all(map(math.isfinite, percents))
         and min(percents) >= 0
+        and (checked or (all(map(math.isfinite, starts)) and min(starts) >= 0))
     ):
         for start, percent in zip(starts, percents):
             check_non_negative(start, "start")
             check_non_negative(percent, "percent")
-    if not all(map(operator.lt, starts, islice(starts, 1, None))):
+    if not checked and not all(map(operator.lt, starts, islice(starts, 1, None))):
         raise WorkloadError(
             f"trace point times must be strictly increasing (no duplicates): {starts}"
         )
+
+
+#: ``random.TWOPI``: the Box-Muller angle scale.
+_TWOPI = 2.0 * math.pi
+
+
+def _gauss_draws(rng, sigmas: Iterable[float]) -> Iterator[float]:
+    """``rng.gauss(0.0, sigma)`` for each of *sigmas*, bit for bit, lazily.
+
+    :meth:`random.Random.gauss` draws Box-Muller normals in pairs and parks
+    the second of each pair in ``rng.gauss_next`` for its next call.  This
+    generator does the same arithmetic on the same ``rng.random()`` draws
+    without a method call per value, and leaves ``gauss_next`` as the
+    matching run of ``gauss`` calls would at every value it yields: a
+    caller may interleave its own ``rng.random()``/``rng.uniform()`` draws
+    (they never touch the spare) or stop early, and *rng* carries on
+    exactly as after those ``gauss`` calls.
+    """
+    random = rng.random
+    sigmas = iter(sigmas)
+    if rng.gauss_next is not None:
+        for sigma in sigmas:
+            spare, rng.gauss_next = rng.gauss_next, None
+            yield 0.0 + spare * sigma
+            break
+    cos, log, sin, sqrt = math.cos, math.log, math.sin, math.sqrt
+    for sigma in sigmas:
+        x2pi = random() * _TWOPI
+        g2rad = sqrt(-2.0 * log(1.0 - random()))
+        spare = rng.gauss_next = sin(x2pi) * g2rad
+        yield 0.0 + cos(x2pi) * g2rad * sigma
+        for sigma in sigmas:
+            rng.gauss_next = None
+            yield 0.0 + spare * sigma
+            break
 
 
 class TraceLoad(Workload):
@@ -193,7 +255,8 @@ class TraceLoad(Workload):
         valid input and checked by the same validation, but unlike the
         points form the starts are not sorted: out-of-order starts are
         rejected like duplicate ones.  A tuple of starts is kept as is, so
-        traces replaying one grid (a day-shape population) share it.
+        traces replaying one grid (a day-shape population) share it, and a
+        grid validated once (:func:`_checked_starts`) is not re-checked.
         """
         trace = cls.__new__(cls)
         trace._init_series(
@@ -328,11 +391,12 @@ class SyntheticTrace:
                 burst_slots.update({centre - 1, centre, centre + 1})
         starts: list[float] = []
         percents: list[float] = []
-        for index in range(steps):
+        noise = _gauss_draws(rng, repeat(self.noise_percent, steps))
+        for index, epsilon in zip(range(steps), noise):
             t = index * self.step
             phase = 2.0 * math.pi * t / self.day_length
             demand = self.base_percent - self.swing_percent * math.cos(phase)
-            demand += rng.gauss(0.0, self.noise_percent)
+            demand += epsilon
             if index in burst_slots:
                 demand += self.burst_percent
             starts.append(t)

@@ -8,6 +8,11 @@ from repro.cluster import ClusterVM, Machine, MachineSpec
 from repro.errors import ConfigurationError
 
 
+def demands_of(machine, time=0.0):
+    """The epoch's demand samples of *machine*'s VMs, as the orchestrator takes them."""
+    return {vm.name: vm.demand_at(time) for vm in machine.vms}
+
+
 def make_vm(name="vm", credit=30.0, memory=4096, demand=20.0):
     return ClusterVM(name, credit=credit, memory_mb=memory, demand=lambda t: demand)
 
@@ -49,14 +54,14 @@ def test_evict_absent_vm_rejected(machine):
 
 def test_epoch_serves_demand_within_capacity(machine):
     machine.place(make_vm("a", demand=20.0))
-    demand, served = machine.run_epoch(0.0, 10.0, dvfs=False)
+    demand, served = machine.run_epoch(demands_of(machine), 10.0, dvfs=False)
     assert demand == pytest.approx(20.0)
     assert served == pytest.approx(20.0)
 
 
 def test_dvfs_picks_lowest_absorbing_state(machine):
     machine.place(make_vm("a", demand=20.0))
-    machine.run_epoch(0.0, 10.0, dvfs=True)
+    machine.run_epoch(demands_of(machine), 10.0, dvfs=True)
     # 20% demand + 5% overhead = 25% absolute: the i7's 1600 MHz state
     # (capacity 40.6%) absorbs it.
     assert machine.freq_mhz == 1600
@@ -64,7 +69,7 @@ def test_dvfs_picks_lowest_absorbing_state(machine):
 
 def test_no_dvfs_pins_max(machine):
     machine.place(make_vm("a", demand=20.0))
-    machine.run_epoch(0.0, 10.0, dvfs=False)
+    machine.run_epoch(demands_of(machine), 10.0, dvfs=False)
     assert machine.freq_mhz == machine.spec.processor.table().max_state.freq_mhz
 
 
@@ -72,8 +77,8 @@ def test_dvfs_saves_energy(machine):
     other = Machine("m1", MachineSpec(memory_mb=8192))
     machine.place(make_vm("a", demand=20.0))
     other.place(make_vm("a", demand=20.0))
-    machine.run_epoch(0.0, 100.0, dvfs=True)
-    other.run_epoch(0.0, 100.0, dvfs=False)
+    machine.run_epoch(demands_of(machine), 100.0, dvfs=True)
+    other.run_epoch(demands_of(other), 100.0, dvfs=False)
     assert machine.energy_joules < other.energy_joules * 0.8
 
 
@@ -81,7 +86,7 @@ def test_served_clipped_by_capacity():
     machine = Machine("m0", MachineSpec(memory_mb=65536))
     for index in range(4):
         machine.place(make_vm(f"vm{index}", credit=40.0, demand=40.0))
-    demand, served = machine.run_epoch(0.0, 10.0, dvfs=False)
+    demand, served = machine.run_epoch(demands_of(machine), 10.0, dvfs=False)
     assert demand == pytest.approx(160.0)
     assert served <= 95.0 + 1e-9  # 100% minus the 5% overhead
 
@@ -89,8 +94,15 @@ def test_served_clipped_by_capacity():
 def test_powered_off_machine_consumes_nothing(machine):
     machine.power_off_if_empty()
     assert not machine.powered_on
-    machine.run_epoch(0.0, 100.0, dvfs=True)
+    machine.run_epoch(demands_of(machine), 100.0, dvfs=True)
     assert machine.energy_joules == 0.0
+
+
+def test_serving_a_vm_without_a_demand_sample_is_an_error(machine):
+    machine.place(make_vm("a"))
+    machine.place(make_vm("b"))
+    with pytest.raises(ConfigurationError, match="hosts VM 'b' but no demand sample"):
+        machine.run_epoch({"a": 10.0}, 10.0, dvfs=True)
 
 
 def test_power_off_refused_with_vms(machine):

@@ -51,7 +51,7 @@ class _PingPong(OrchestrationPolicy):
 
     name = "ping-pong"
 
-    def plan(self, machines, vms, *, time, epoch_index, epoch_s, dvfs):
+    def plan(self, machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs):
         dest = machines[epoch_index % 2].name
         return EpochPlan(assignment={vm.name: dest for vm in vms})
 
@@ -78,6 +78,24 @@ def test_migrations_recorded_with_source_and_dest():
     assert len(records) == 9
     assert records[0] == {"time": 10.0, "vm": "vm0", "source": "m000", "dest": "m001"}
     assert {record["vm"] for record in records} == {"vm0"}
+
+
+def test_a_drained_source_serves_its_epoch_then_powers_off():
+    sim = _churny_sim(FREE_MIGRATION)
+    hosts = sim.host_records()
+    for event in sim.events:
+        after = {
+            record["machine"]: record
+            for record in hosts
+            if record["time"] == event.time + sim.epoch_s
+        }
+        # Copying its pages kept the source on (burning power) through the
+        # migration epoch; it was off by the epoch's record.
+        assert after[event.source]["vms"] == 0
+        assert after[event.source]["power_w"] > 0.0
+        assert not after[event.source]["powered_on"]
+        assert after[event.dest]["powered_on"]
+    assert [stat.machines_on for stat in sim.stats] == [1] * len(sim.stats)
 
 
 def test_downtime_reduces_served_demand():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import (
+    current_assignment,
     ClusterVM,
     FirstFitPolicy,
     Machine,
@@ -26,7 +27,14 @@ def vms(n, memory=4096, credit=30.0):
 
 def plan(policy, machines, population):
     return policy.plan(
-        machines, population, time=0.0, epoch_index=0, epoch_s=10.0, dvfs=True
+        machines,
+        population,
+        {vm.name: vm.demand_at(0.0) for vm in population},
+        current_assignment(machines),
+        time=0.0,
+        epoch_index=0,
+        epoch_s=10.0,
+        dvfs=True,
     ).assignment
 
 

@@ -307,6 +307,41 @@ def test_static_policy_is_reusable_object():
     }
 
 
+def test_static_plans_keep_the_fleet_once_it_holds_the_booking():
+    policy = StaticPolicy()
+    machines = [Machine(f"m{index}", MachineSpec()) for index in range(2)]
+    vms = [
+        ClusterVM(f"vm{i}", credit=30.0, memory_mb=4096, demand=lambda t: 10.0)
+        for i in range(4)
+    ]
+    demands = {vm.name: 10.0 for vm in vms}
+
+    def plan():
+        return policy.plan(
+            machines,
+            vms,
+            demands,
+            current_assignment(machines),
+            time=0.0,
+            epoch_index=0,
+            epoch_s=10.0,
+            dvfs=True,
+        )
+
+    booking = plan().assignment
+    assert booking == {"vm0": "m0", "vm1": "m0", "vm2": "m0", "vm3": "m1"}
+    by_name = {machine.name: machine for machine in machines}
+    for vm in vms:
+        by_name[booking[vm.name]].place(vm)
+    assert plan().assignment is None
+    # A placement that drifted from the booking is restored.
+    by_name["m1"].evict(vms[3])
+    by_name["m0"].evict(vms[0])
+    by_name["m1"].place(vms[0])
+    by_name["m0"].place(vms[3])
+    assert plan().assignment == booking
+
+
 def test_power_budget_policy_carries_consolidate_knobs():
     policy = PowerBudgetPolicy(budget_w=200.0, target_percent=60.0)
     assert policy.target_percent == 60.0
@@ -381,8 +416,9 @@ def packing_cases(draw):
     vms = []
     for index in range(draw(st.integers(min_value=0, max_value=16))):
         name = f"vm{index}"
-        # Few distinct weights, so ties exercise the name tiebreak.
-        weights[name] = draw(st.sampled_from([0.0, 2.5, 10.0, 17.5, 30.0]))
+        # Few distinct weights, so ties exercise the name tiebreak; the
+        # largest overload a host on their own.
+        weights[name] = draw(st.sampled_from([0.0, 2.5, 10.0, 17.5, 30.0, 95.0, 120.0]))
         vms.append(
             ClusterVM(
                 name,
@@ -411,12 +447,28 @@ def test_heap_pack_balanced_matches_the_min_scan(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=packing_cases(), limit=st.sampled_from([40.0, 75.0, 100.0]))
+@given(case=packing_cases(), limit=st.sampled_from([1.0, 40.0, 75.0, 100.0]))
 def test_pruned_pack_first_fit_matches_the_full_visit(case, limit):
     machines, vms, weight = case
     assert outcome(
         pack_first_fit, machines, vms, weight, limit_percent=limit
     ) == outcome(reference_pack_first_fit, machines, vms, weight, limit_percent=limit)
+
+
+def test_equal_shares_close_hosts_by_cpu_alone():
+    # 16 GB hosts take eight 2 GB VMs each by memory but only three 30 %
+    # shares under a 95 % budget; once the smallest share no longer fits,
+    # a host is not visited again, and the placement is the full visit's.
+    machines = [Machine(f"m{index}", MachineSpec()) for index in range(4)]
+    vms = [
+        ClusterVM(f"vm{index:02d}", credit=30.0, memory_mb=2048, demand=lambda t: 0.0)
+        for index in range(10)
+    ]
+    packed = pack_first_fit(machines, vms, lambda vm: vm.credit, limit_percent=100.0)
+    assert packed == reference_pack_first_fit(
+        machines, vms, lambda vm: vm.credit, limit_percent=100.0
+    )
+    assert [list(packed.values()).count(m.name) for m in machines] == [3, 3, 3, 1]
 
 
 # ------------------------------------------------------ one sample per epoch

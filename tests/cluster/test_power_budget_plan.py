@@ -82,13 +82,15 @@ def test_cached_plan_matches_naive_loop_within_call_bound(monkeypatch):
     plan = policy.plan
     checked = []
 
-    def checked_plan(machines, vms, *, time, epoch_index, epoch_s, dvfs):
+    def checked_plan(machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs):
         calls[0] = 0
         with monkeypatch.context() as patch:
             patch.setattr(Machine, "predict_power", counting)
             result = plan(
                 machines,
                 vms,
+                demands,
+                current,
                 time=time,
                 epoch_index=epoch_index,
                 epoch_s=epoch_s,
@@ -141,7 +143,16 @@ def tied_fleet():
 def test_tied_watts_step_down_the_last_name_first(budget_w, frequencies):
     machines, vms = tied_fleet()
     policy = PowerBudgetPolicy(budget_w=budget_w)
-    plan = policy.plan(machines, vms, time=0.0, epoch_index=0, epoch_s=10.0, dvfs=True)
+    plan = policy.plan(
+        machines,
+        vms,
+        {vm.name: vm.demand_at(0.0) for vm in vms},
+        current_assignment(machines),
+        time=0.0,
+        epoch_index=0,
+        epoch_s=10.0,
+        dvfs=True,
+    )
     expected, _ = naive_frequencies(
         policy, machines, vms, current_assignment(machines), time=0.0, dvfs=True
     )

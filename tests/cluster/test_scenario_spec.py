@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import ClusterScenarioConfig
-from repro.cluster.scenario import run_cluster_scenario
+from repro.cluster.orchestrator import epoch_count
+from repro.cluster.scenario import build_cluster, run_cluster_scenario
 from repro.cpu import catalog
 from repro.errors import ConfigurationError
 from repro.sweep import SweepGrid
@@ -81,6 +82,30 @@ def test_preset_grid_rejects_unknown_cluster_override():
 def test_non_positive_duration_rejected(duration):
     with pytest.raises(ConfigurationError, match="duration must be a finite positive"):
         ClusterScenarioConfig(duration=duration)
+
+
+@pytest.mark.parametrize(
+    "duration, epoch_s", [(4.0, 10.0), (15.0, 10.0), (200.0, 30.0), (1.0, 0.3)]
+)
+def test_duration_of_partial_epochs_rejected(duration, epoch_s):
+    with pytest.raises(ConfigurationError, match="is not a whole number of"):
+        ClusterScenarioConfig(duration=duration, epoch_s=epoch_s)
+
+
+@pytest.mark.parametrize(
+    "duration, epoch_s, epochs", [(200.0, 10.0, 20), (0.3, 0.1, 3), (1e6, 0.1, 10**7)]
+)
+def test_whole_epochs_count_to_a_relative_tolerance(duration, epoch_s, epochs):
+    assert epoch_count(duration, epoch_s) == epochs
+    assert ClusterScenarioConfig(duration=duration, epoch_s=epoch_s).duration == duration
+
+
+def test_orchestrator_run_rejects_partial_epochs():
+    sim = build_cluster(ClusterScenarioConfig(n_machines=2, n_vms=2))
+    with pytest.raises(ConfigurationError, match="duration 15.0 s is not a whole number"):
+        sim.run(15.0)
+    assert sim.stats == []
+    assert len(sim.run(20.0)) == 2
 
 
 @pytest.mark.parametrize("budget", [0.0, -3.0, float("nan"), float("inf")])

@@ -129,7 +129,7 @@ def test_profile_command_prints_layer_and_function_tables(capsys):
 def test_profile_cluster_preset(capsys):
     assert main(["profile", "--preset", "dc-fleet-large"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("sampling profile — preset dc-fleet-large\n")
+    assert out.startswith("sampling profile — preset dc-fleet-large (4 cells)\n")
     assert "of run wall" in out or "no samples: " in out
 
 

@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
+    current_assignment,
     ClusterVM,
     FirstFitPolicy,
     Machine,
@@ -38,7 +39,14 @@ def fleet(n=6, memory=16384):
 
 def plan(policy, machines, vms):
     return policy.plan(
-        machines, vms, time=0.0, epoch_index=0, epoch_s=10.0, dvfs=True
+        machines,
+        vms,
+        {vm.name: vm.demand_at(0.0) for vm in vms},
+        current_assignment(machines),
+        time=0.0,
+        epoch_index=0,
+        epoch_s=10.0,
+        dvfs=True,
     ).assignment
 
 
@@ -157,7 +165,7 @@ def _headroom_by_scan(state, order, vm, limit, *, exclude, powered_only):
 def test_fleet_state_index_matches_assignment_scan(walk):
     machines, vms, order, moves, limit = walk
     demands = {vm.name: vm.demand_at(0.0) for vm in vms}
-    state = _FleetState(machines, vms, demands, order=order)
+    state = _FleetState(machines, vms, demands, current_assignment(machines), order=order)
     names = [machine.name for machine in machines]
 
     def check():

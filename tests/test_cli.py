@@ -141,6 +141,45 @@ def test_run_set_rejects_bad_cluster_overrides_cleanly(capsys, assignment, messa
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("duration", ["4", "15"])
+def test_run_rejects_a_duration_of_partial_epochs(capsys, duration):
+    # 4 s would run no epoch and 15 s would round up to 20 s of 10 s epochs.
+    argv = ["run", "--preset", "dc-diurnal-small", "--set", f"duration={duration}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"duration {duration} s is not a whole number of 10.0 s epochs" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_profile_samples_every_cell_of_a_preset_grid(capsys, monkeypatch):
+    from repro.obs.profile import SamplingProfiler
+
+    profiled = []
+    run = SamplingProfiler.run
+
+    def recording_run(self, config):
+        profiled.append((getattr(config, "policy", None), config.duration))
+        return run(self, config)
+
+    monkeypatch.setattr(SamplingProfiler, "run", recording_run)
+    argv = ["profile", "--preset", "dc-diurnal-small", "--set", "duration=100"]
+    assert main(argv) == 0
+    assert profiled == [
+        ("static", 100.0),
+        ("consolidate", 100.0),
+        ("load-balance", 100.0),
+        ("power-budget", 100.0),
+    ]
+    assert capsys.readouterr().out.startswith(
+        "sampling profile — preset dc-diurnal-small (4 cells)\n"
+    )
+    profiled.clear()
+    assert main(["profile", "--preset", "paper-5.3", "--duration", "50"]) == 0
+    assert profiled == [(None, 50.0)]
+    assert capsys.readouterr().out.startswith("sampling profile — preset paper-5.3\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -199,6 +199,24 @@ def test_points_and_series_paths_reject_alike(starts, percents, error):
     assert str(by_series.value) == str(by_points.value)
 
 
+def test_a_grid_checked_once_still_checks_each_series_percents():
+    from repro.workloads.trace import _checked_starts
+
+    starts = _checked_starts([0.0, 5.0, 10.0])
+    assert starts == (0.0, 5.0, 10.0)
+    assert TraceLoad.from_series(starts, [1.0, 2.0, 0.0]).demand_at(6.0) == 2.0
+    with pytest.raises(ConfigurationError, match="percent"):
+        TraceLoad.from_series(starts, [1.0, -2.0, 0.0])
+    with pytest.raises(ConfigurationError, match="percent"):
+        TraceLoad.from_series(starts, [1.0, math.nan, 0.0])
+    with pytest.raises(WorkloadError, match="one percent per start"):
+        TraceLoad.from_series(starts, [1.0])
+    with pytest.raises(WorkloadError, match="strictly increasing"):
+        _checked_starts([0.0, 5.0, 5.0])
+    with pytest.raises(ConfigurationError, match="start"):
+        _checked_starts([0.0, -5.0])
+
+
 def test_series_path_rejects_out_of_order_and_ragged_series():
     with pytest.raises(WorkloadError, match="strictly increasing"):
         TraceLoad.from_series([5.0, 0.0], [1.0, 2.0])
