@@ -10,7 +10,7 @@ Run with::
     PYTHONPATH=src python examples/datacenter_study.py
 """
 
-from repro.cluster import policy_names, run_cluster_scenario
+from repro.cluster import ORCHESTRATION_POLICIES, run_cluster_scenario
 from repro.experiments import preset_config
 from repro.sweep.metrics import cluster_metrics
 from repro.telemetry import table_to_text
@@ -20,7 +20,7 @@ def main() -> None:
     config = preset_config("dc-diurnal")
 
     rows = []
-    for policy in policy_names():
+    for policy in ORCHESTRATION_POLICIES:
         sim = run_cluster_scenario(config.with_changes(policy=policy))
         m = cluster_metrics(sim)
         rows.append(

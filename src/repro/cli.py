@@ -12,6 +12,7 @@ Examples::
     python -m repro run --scenario myfleet.json
     python -m repro run --preset dc-diurnal-small --set policy=static --out-series epochs.csv
     python -m repro sweep --workers 4 --out results.json
+    python -m repro sweep --grid '{"scheduler": ["credit", "pas"], "governor": ["stable"]}'
     python -m repro sweep --preset governors --replicates 3 --out-aggregated agg.csv
     python -m repro sweep --preset governors --set duration=20 --set poisson=true
     python -m repro sweep --preset stress-fleet --store results-store
@@ -21,7 +22,8 @@ Examples::
     python -m repro store ls --store results-store --where scheduler=pas
     python -m repro store export --store results-store --out corpus.csv --where governor=stable
     python -m repro sweep --preset dc-diurnal --store results-store
-    python -m repro cluster compare --preset dc-diurnal --out-dir dc-series
+    python -m repro sweep --preset dc-diurnal --replicates 5 --out-aggregated dc.csv
+    python -m repro reproduce orchestration
 
 ``reproduce`` prints the same paper-vs-measured reports the benchmarks
 assert on, and exits non-zero when a shape criterion fails — so the CLI
@@ -561,8 +563,38 @@ def _parse_set(config, assignment: str) -> tuple[str, object]:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    check_field_types(type(config), {name: value}, f"--set {assignment}")
-    return name, type(config).coerce_field(name, value)
+    return name, _checked_value(config, name, value, f"--set {assignment}")
+
+
+def _checked_value(config, name: str, value, what: str):
+    """*value* for field *name* of *config*: type-checked, then coerced.
+
+    A value of the wrong JSON type raises :class:`ConfigurationError`
+    naming *what* (the flag it came from).
+    """
+    check_field_types(type(config), {name: value}, what)
+    return type(config).coerce_field(name, value)
+
+
+def _grid_axes(base, text: str) -> dict[str, list]:
+    """``--grid JSON`` as sweep axes over *base*, every value checked as
+    ``--set`` checks it.  Each axis must be a non-empty JSON list."""
+    try:
+        axes = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ConfigurationError(f"--grid is not valid JSON: {error}") from None
+    if not isinstance(axes, dict):
+        raise ConfigurationError(f"--grid must be a JSON object of axes, got: {text!r}")
+    for name, values in axes.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigurationError(
+                f"--grid axis {name!r} takes a non-empty JSON list of values, "
+                f"got {values!r}"
+            )
+    return {
+        name: [_checked_value(base, name, value, "--grid") for value in values]
+        for name, values in axes.items()
+    }
 
 
 def _config_overrides(config, args: argparse.Namespace) -> dict:
@@ -714,12 +746,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default sweep grid: the full scheduler x governor x load evaluation
+#: Default sweep axes: the full scheduler x governor x load evaluation
 #: plane of §5 (4 x 3 x 2 = 24 cells).
 _SWEEP_DEFAULTS = {
-    "schedulers": "credit,credit2,sedf,pas",
-    "governors": "performance,ondemand,stable",
-    "v20_loads": "exact,thrashing",
+    "scheduler": ("credit", "credit2", "sedf", "pas"),
+    "governor": ("performance", "ondemand", "stable"),
+    "v20_load": ("exact", "thrashing"),
 }
 
 #: Terminal summary per preset kind: the compact per-cell columns, then the
@@ -782,25 +814,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.resume or args.force) and not args.store:
         print("sweep: --resume/--force only make sense with --store DIR", file=sys.stderr)
         return 2
+    if args.preset and args.grid:
+        print("sweep: --preset carries its own axes; drop --grid", file=sys.stderr)
+        return 2
     metrics = None
     kind = "scenario"
-    if args.preset:
-        conflicting = [
-            flag
-            for flag, value, default in (
-                ("--grid", args.grid, None),
-                ("--schedulers", args.schedulers, _SWEEP_DEFAULTS["schedulers"]),
-                ("--governors", args.governors, _SWEEP_DEFAULTS["governors"]),
-                ("--v20-loads", args.v20_loads, _SWEEP_DEFAULTS["v20_loads"]),
-            )
-            if value != default
-        ]
-        if conflicting:
-            print(
-                f"sweep: --preset carries its own axes; drop {', '.join(conflicting)}",
-                file=sys.stderr,
-            )
-            return 2
     try:
         if args.preset:
             preset = get_preset(args.preset)
@@ -813,26 +831,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 vary_seed=not args.fixed_seed,
             )
         else:
-            if args.grid:
-                try:
-                    axes = json.loads(args.grid)
-                except json.JSONDecodeError as error:
-                    print(f"--grid is not valid JSON: {error}", file=sys.stderr)
-                    return 2
-                if not isinstance(axes, dict):
-                    print(
-                        f"--grid must be a JSON object of axes, got: {args.grid!r}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            else:
-                axes = {
-                    "scheduler": args.schedulers.split(","),
-                    "governor": args.governors.split(","),
-                    "v20_load": args.v20_loads.split(","),
-                }
             base = ScenarioConfig()
             base = base.with_changes(**_config_overrides(base, args))
+            axes = _grid_axes(base, args.grid) if args.grid else _SWEEP_DEFAULTS
             grid = SweepGrid(
                 axes,
                 base=base,
@@ -1016,186 +1017,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled store action {args.action!r}")  # pragma: no cover
 
 
-def _replicate_seeds(root_seed: int, policy: str, replicates: int) -> list[int]:
-    """Per-replicate seeds, mirroring the sweep convention.
-
-    One replicate keeps the scenario's own seed (today's behaviour stays
-    byte-identical); several derive one deterministic seed per
-    ``policy=...,rep=k`` label exactly like
-    :func:`repro.sweep.grid.derive_cell_seed`-based sweep replicates do.
-    """
-    from .sweep.grid import derive_cell_seed
-
-    if replicates == 1:
-        return [root_seed]
-    return [
-        derive_cell_seed(root_seed, f"policy={policy},rep={rep}")
-        for rep in range(replicates)
-    ]
-
-
-def _format_ci(mean: float, ci95: float, digits: int, *, scale: float = 1.0) -> str:
-    """``mean ± ci`` (the ± only when the CI is meaningful, i.e. n > 1)."""
-    if ci95 > 0.0:
-        return f"{mean * scale:.{digits}f} ±{ci95 * scale:.{digits}f}"
-    return f"{mean * scale:.{digits}f}"
-
-
-def _cmd_cluster_compare(args: argparse.Namespace) -> int:
-    from .cluster import ClusterScenarioConfig
-    from .cluster.policies import policy_names
-    from .cluster.scenario import run_cluster_scenario
-    from .sweep.metrics import cluster_metrics
-    from .sweep.store import _mean_std_ci
-    from .telemetry.export import records_to_csv
-
-    try:
-        if args.replicates < 1:
-            raise ConfigurationError(
-                f"--replicates must be >= 1, got {args.replicates}"
-            )
-        config, title, slug = _config_from_args(args)
-        if not isinstance(config, ClusterScenarioConfig):
-            raise ConfigurationError(
-                f"{title} is a single-host scenario; cluster compare needs a "
-                "kind:cluster preset or spec (see sweep --list-presets)"
-            )
-        if args.policies:
-            policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-            if "power-budget" in policies and config.power_budget_w is None:
-                raise ConfigurationError(
-                    "the power-budget policy needs a watt cap; the scenario "
-                    "sets no power_budget_w"
-                )
-        else:
-            policies = list(policy_names())
-            if config.power_budget_w is None and "power-budget" in policies:
-                policies.remove("power-budget")
-                print(
-                    "note: skipping power-budget (the scenario sets no "
-                    "power_budget_w)",
-                    file=sys.stderr,
-                )
-        if not policies:
-            raise ConfigurationError("--policies names no policies")
-        out_dir = pathlib.Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        rows = []
-        summary_by_policy: dict[str, dict[str, dict[str, float]]] = {}
-        for policy in policies:
-            seeds = _replicate_seeds(config.seed, policy, args.replicates)
-            samples: dict[str, list[float]] = {}
-            for rep, seed in enumerate(seeds):
-                sim = run_cluster_scenario(
-                    config.with_changes(policy=policy, seed=seed)
-                )
-                for key, value in cluster_metrics(sim).items():
-                    samples.setdefault(key, []).append(float(value))
-                if rep == 0:
-                    series_path = out_dir / f"{slug}.{policy}.epochs.csv"
-                    series_path.write_text(records_to_csv(sim.epoch_records()))
-            summary = {}
-            for key, values in samples.items():
-                mean, std, ci95 = _mean_std_ci(values)
-                summary[key] = {
-                    "mean": mean,
-                    "ci95": ci95,
-                    "max": max(values),
-                    "min": min(values),
-                }
-            summary_by_policy[policy] = summary
-            rows.append(
-                [
-                    policy,
-                    _format_ci(
-                        summary["energy_kwh"]["mean"],
-                        summary["energy_kwh"]["ci95"],
-                        2,
-                        scale=1000.0,
-                    ),
-                    _format_ci(
-                        summary["hosts_on_mean"]["mean"],
-                        summary["hosts_on_mean"]["ci95"],
-                        2,
-                    ),
-                    _format_ci(
-                        summary["migrations"]["mean"],
-                        summary["migrations"]["ci95"],
-                        1,
-                    ),
-                    _format_ci(
-                        summary["sla_violations"]["mean"],
-                        summary["sla_violations"]["ci95"],
-                        1,
-                    ),
-                    _format_ci(
-                        summary["sla_mean"]["mean"],
-                        summary["sla_mean"]["ci95"],
-                        2,
-                        scale=100.0,
-                    ),
-                    f"{summary['power_peak_w']['max']:7.1f}",
-                    f"{slug}.{policy}.epochs.csv",
-                ]
-            )
-    except ConfigurationError as error:
-        print(f"cluster compare: {error}", file=sys.stderr)
-        return 2
-    replicate_note = (
-        f", {args.replicates} replicates (mean ±ci95)" if args.replicates > 1 else ""
-    )
-    print(
-        table_to_text(
-            [
-                "policy",
-                "energy Wh",
-                "hosts on",
-                "migrations",
-                "sla viol.",
-                "SLA %",
-                "peak W",
-                "series",
-            ],
-            rows,
-            title=(
-                f"{title}: {config.n_vms} VMs / {config.total_machines} machines, "
-                f"{config.duration:.0f}s per policy{replicate_note}"
-            ),
-        )
-    )
-    # PASS/FAIL on replicate means (and the cap on the *worst* replicate):
-    # a single-seed coin flip no longer decides the energy ordering.
-    checks: list[tuple[str, bool]] = []
-    if "power-budget" in summary_by_policy and config.power_budget_w is not None:
-        checks.append(
-            (
-                f"power-budget respects the {config.power_budget_w:.0f} W cap "
-                "every epoch (every replicate)",
-                summary_by_policy["power-budget"]["power_peak_w"]["max"]
-                <= config.power_budget_w,
-            )
-        )
-    if {"static", "consolidate"} <= summary_by_policy.keys():
-        checks.append(
-            (
-                "consolidate yields lower mean energy than static",
-                summary_by_policy["consolidate"]["energy_kwh"]["mean"]
-                < summary_by_policy["static"]["energy_kwh"]["mean"],
-            )
-        )
-    if "static" in summary_by_policy:
-        checks.append(
-            (
-                "static never migrates",
-                summary_by_policy["static"]["migrations"]["max"] == 0,
-            )
-        )
-    print()
-    for description, passed in checks:
-        print(f"[{'PASS' if passed else 'FAIL'}] {description}")
-    return 0 if all(passed for _, passed in checks) else 1
-
-
 def _add_config_source(parser: argparse.ArgumentParser, preset_help: str) -> None:
     """``--preset``/``--scenario`` plus the overrides of :func:`_config_from_args`."""
     source = parser.add_mutually_exclusive_group(required=True)
@@ -1216,44 +1037,6 @@ def _add_config_source(parser: argparse.ArgumentParser, preset_help: str) -> Non
         "--duration/--seed apply after it.  E.g. --set scheduler=pas "
         "--set v20_active=[20,180] --set power_budget_w=60",
     )
-
-
-def _add_cluster_parser(commands) -> None:
-    cluster = commands.add_parser(
-        "cluster",
-        help="datacenter orchestration: compare policies over one fleet",
-        description=(
-            "Run every registered orchestration policy over one fleet "
-            "scenario (replicated when asked) and check the policy ordering. "
-            "Single fleet runs and fleet grids go through 'run' and 'sweep'."
-        ),
-    )
-    actions = cluster.add_subparsers(dest="action", required=True)
-
-    c_compare = actions.add_parser(
-        "compare",
-        help="run every orchestration policy over one fleet and summarise",
-    )
-    _add_config_source(c_compare, "a kind:cluster preset name")
-    c_compare.add_argument(
-        "--policies",
-        default=None,
-        help="comma-separated policy subset (default: the whole registry)",
-    )
-    c_compare.add_argument(
-        "--replicates",
-        type=int,
-        default=1,
-        help="runs per policy with derived per-replicate seeds; the table "
-        "then reports mean ±ci95 and the PASS/FAIL checks use means "
-        "(cap check: the worst replicate)",
-    )
-    c_compare.add_argument(
-        "--out-dir",
-        default="cluster-series",
-        help="directory for the per-policy per-epoch series CSVs",
-    )
-    c_compare.set_defaults(fn=_cmd_cluster_compare)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1357,15 +1140,15 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Expand a parameter grid over the §5.3 scenario and run every cell, "
             "optionally across a process pool.  Axes come from a named preset "
-            "(--preset, see --list-presets), from the three list flags, or from "
-            "--grid as a JSON object mapping ScenarioConfig fields to value "
-            "lists (see the repro.sweep module docs)."
+            "(--preset, see --list-presets) or from --grid as a JSON object "
+            "mapping ScenarioConfig fields to value lists (see the repro.sweep "
+            "module docs)."
         ),
     )
     sweep.add_argument(
         "--preset",
         default=None,
-        help="run a named preset grid instead of the flag/JSON axes",
+        help="run a named preset grid instead of the --grid axes",
     )
     sweep.add_argument(
         "--list-presets",
@@ -1379,24 +1162,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="statistical replicates per cell (per-replicate derived seeds)",
     )
     sweep.add_argument(
-        "--schedulers",
-        default=_SWEEP_DEFAULTS["schedulers"],
-        help="comma-separated scheduler axis (default: %(default)s)",
-    )
-    sweep.add_argument(
-        "--governors",
-        default=_SWEEP_DEFAULTS["governors"],
-        help="comma-separated governor axis (default: %(default)s)",
-    )
-    sweep.add_argument(
-        "--v20-loads",
-        default=_SWEEP_DEFAULTS["v20_loads"],
-        help="comma-separated V20 load axis (default: %(default)s)",
-    )
-    sweep.add_argument(
         "--grid",
         default=None,
-        help="JSON object of axes overriding the three list flags",
+        help="JSON object mapping config fields to non-empty value lists, each "
+        "value checked as --set checks it (default: scheduler x governor x "
+        "v20_load, 24 cells)",
     )
     sweep.add_argument(
         "--duration",
@@ -1608,8 +1378,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     lint.set_defaults(fn=_cmd_lint)
-
-    _add_cluster_parser(commands)
 
     return parser
 

@@ -55,7 +55,6 @@ from .policies import (
     OrchestrationPolicy,
     PlacementError,
     POLICY_REGISTRY,
-    policy_names,
     PowerBudgetPolicy,
     SpreadPolicy,
     StaticPolicy,
@@ -87,7 +86,6 @@ __all__ = [
     "FirstFitPolicy",
     "POLICY_REGISTRY",
     "ORCHESTRATION_POLICIES",
-    "policy_names",
     "make_policy",
     "current_assignment",
     "Orchestrator",

@@ -810,15 +810,10 @@ POLICY_REGISTRY: dict[str, type[OrchestrationPolicy]] = {
     FirstFitPolicy.name: FirstFitPolicy,
 }
 
-#: The orchestration policies proper — the ones ``cluster compare`` and the
-#: ``dc-*`` presets compare.  ``spread`` and ``consolidate-ffd`` are §2.3
-#: placement baselines: registered, but left out of the comparison.
+#: The orchestration policies proper — the ones the ``dc-*`` presets and the
+#: ``orchestration`` claim compare.  ``spread`` and ``consolidate-ffd`` are
+#: §2.3 placement baselines: registered, but left out of the comparison.
 ORCHESTRATION_POLICIES = ("static", "consolidate", "load-balance", "power-budget")
-
-
-def policy_names() -> tuple[str, ...]:
-    """The orchestration policy names (:data:`ORCHESTRATION_POLICIES`)."""
-    return ORCHESTRATION_POLICIES
 
 
 def make_policy(

@@ -4,7 +4,9 @@ Each :class:`Claim` names the cells it runs and the reducer that turns them
 into the :class:`~repro.experiments.report.ExperimentReport` it prints:
 
 * the §5.3 figures (Figs. 2–10) and the ablations are the ``paper-5.3``
-  preset plus changes, one cell per compared variant;
+  preset plus changes, one cell per compared variant; the two fleet
+  ablations run a fleet config (``orchestration``: the ``dc-diurnal``
+  preset) once per placement strategy or orchestration policy;
 * Fig. 1 and Eqs. 2–3 run pi batches on the calibration base (one pinned
   P-state, run to completion — :func:`.presets._calib_config`);
 * Eq. 1 and Table 1 replay the §5.2 load measurement
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
-from ..cluster import ClusterScenarioConfig
+from ..cluster import ClusterScenarioConfig, ORCHESTRATION_POLICIES
 from ..core import laws
 from ..cpu import catalog
 from ..cpu.processor import ProcessorSpec
@@ -900,6 +902,41 @@ def _sensitivity(results) -> ExperimentReport:
     return report
 
 
+#: The fleet preset the orchestration claim runs every policy on.
+_ORCHESTRATION_FLEET = "dc-diurnal"
+
+
+def _orchestration(results) -> ExperimentReport:
+    """The policy comparison; the cap is judged against the fleet preset's own."""
+    report = ExperimentReport(
+        experiment="Ablation G (orchestration)",
+        title="orchestration policies over a fleet day: consolidation saves energy "
+        "and the power budget holds its cap",
+    )
+    for policy in results.labels:
+        report.add_row(
+            policy,
+            "energy Wh / hosts on / migrations / SLA / peak W",
+            f"{results.metric(policy, 'energy_kwh') * 1000:6.2f} / "
+            f"{results.metric(policy, 'hosts_on_mean'):5.2f} / "
+            f"{results.metric(policy, 'migrations'):3d} / "
+            f"{results.metric(policy, 'sla_mean') * 100:5.1f}% / "
+            f"{results.metric(policy, 'power_peak_w'):6.1f}",
+        )
+    budget_w = preset_config(_ORCHESTRATION_FLEET).power_budget_w
+    report.check(
+        f"power-budget holds the {budget_w:.0f} W fleet cap every epoch",
+        results.metric("power-budget", "power_peak_w") <= budget_w,
+    )
+    report.check(
+        "consolidate uses less energy than static",
+        results.metric("consolidate", "energy_kwh")
+        < results.metric("static", "energy_kwh"),
+    )
+    report.check("static never migrates", results.metric("static", "migrations") == 0)
+    return report
+
+
 # -------------------------------------------------------------- registry
 
 _CREDIT_STABLE = dict(scheduler="credit", governor="stable")
@@ -1155,6 +1192,20 @@ _CLAIMS = (
         ),
         _sensitivity,
         metrics=("loads", "frequency", "reaction"),
+    ),
+    Claim(
+        "orchestration",
+        "Ablation G (ours): the §2.3 hosting-center case at fleet scale.  The four "
+        "orchestration policies run one day of the 24-VM day-shape mix on 10 "
+        "machines: consolidation powers hosts off and uses less energy than a static "
+        "placement, which never migrates, and the power-budget policy keeps the "
+        "fleet under its 200 W cap every epoch.",
+        _grid(
+            _ORCHESTRATION_FLEET,
+            {policy: {"policy": policy} for policy in ORCHESTRATION_POLICIES},
+        ),
+        _orchestration,
+        metrics=("fleet", "cluster"),
     ),
 )
 

@@ -65,7 +65,8 @@ grids, so ``run --preset all`` exercises every law the model rests on):
     ``calib-eq3`` until compensation saturates past 100 %.
 
 Cluster presets (``kind: cluster`` — fleet specs for ``python -m repro
-run``, ``sweep`` and ``cluster compare``):
+run`` and ``sweep``; ``dc-diurnal`` is also the ``orchestration`` claim's
+fleet):
 
 ``dc-diurnal``
     The flagship datacenter scenario: 24 VMs mixing all five day shapes

@@ -47,8 +47,6 @@ grids from :mod:`repro.experiments.presets` ride the same runner::
     python -m repro sweep --workers 4 --out results.json
     python -m repro sweep --preset governors --replicates 3
     python -m repro sweep --list-presets
-    python -m repro sweep --schedulers credit,pas --governors stable \\
-        --v20-loads exact,thrashing --duration 400 --out results.csv
     python -m repro sweep --grid '{"scheduler": ["credit", "pas"],
         "v20_load": ["exact", "thrashing"], "duration": [400.0]}'
 

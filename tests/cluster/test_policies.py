@@ -15,9 +15,9 @@ from repro.cluster import (
     Machine,
     MachineSpec,
     make_policy,
+    ORCHESTRATION_POLICIES,
     Orchestrator,
     POLICY_REGISTRY,
-    policy_names,
     PowerBudgetPolicy,
     run_cluster_scenario,
     SpreadPolicy,
@@ -50,7 +50,7 @@ BASE = ClusterScenarioConfig(
 
 
 def test_registry_names_are_stable():
-    assert policy_names() == ("static", "consolidate", "load-balance", "power-budget")
+    assert ORCHESTRATION_POLICIES == ("static", "consolidate", "load-balance", "power-budget")
 
 
 def test_unknown_policy_lists_the_registry():
@@ -59,7 +59,7 @@ def test_unknown_policy_lists_the_registry():
 
 
 def test_registry_holds_the_placement_baselines():
-    assert tuple(POLICY_REGISTRY) == (*policy_names(), "spread", "consolidate-ffd")
+    assert tuple(POLICY_REGISTRY) == (*ORCHESTRATION_POLICIES, "spread", "consolidate-ffd")
     assert isinstance(make_policy("spread", placement="performance"), SpreadPolicy)
     assert isinstance(make_policy("consolidate-ffd"), FirstFitPolicy)
 

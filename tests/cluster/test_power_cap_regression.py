@@ -1,6 +1,6 @@
 """The power-budget policy keeps every fleet under its declared watt cap.
 
-``repro cluster compare --replicates`` first surfaced an overshoot: on the
+Replicated policy comparisons first surfaced an overshoot: on the
 ``dc-diurnal-small`` preset under the ``power-budget`` policy, some
 replicates peaked well above the 80 W fleet budget — 91.9 W on the worst
 one, and up to 1.23× the cap on ``dc-diurnal``.  The cause was an
@@ -18,7 +18,7 @@ from repro.cluster.scenario import run_cluster_scenario
 from repro.experiments.presets import get_preset
 from repro.sweep.grid import derive_cell_seed
 
-#: Root seed 11 is what `repro cluster compare --seed 11 --replicates 10`
+#: Root seed 11 is what `repro sweep --preset dc-diurnal-small --replicates 10`
 #: uses; replicate 0's derived cell seed is the first observed offender.
 OFFENDING_SEED = derive_cell_seed(11, "policy=power-budget,rep=0")
 

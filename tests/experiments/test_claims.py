@@ -3,11 +3,12 @@
 The benchmarks run every claim at paper scale; here each one runs on a
 compressed scale fast enough for the unit suite: the §5.3 claims and the
 ablations on a 4x compressed timeline, Fig. 1 and Eq. 3 on a two-credit
-ladder with 5 s of work, Table 2 in its quick mode.  The pinned digests are
-each report's ``render()`` before the per-figure runners became registry
-entries, so the registry reproduces their bytes exactly.  The remaining
-tests pin the interface: override forwarding, report structure and the
-runs claims share.
+ladder with 5 s of work, Table 2 in its quick mode.  The orchestration
+claim runs its 10-machine fleet day at paper scale: it takes well under a
+second.  The pinned digests are each report's ``render()`` before the
+per-figure runners became registry entries, so the registry reproduces
+their bytes exactly.  The remaining tests pin the interface: override
+forwarding, report structure and the runs claims share.
 """
 
 import hashlib
@@ -37,6 +38,7 @@ COMPRESSED = {
     "qos": FAST,
     "consolidation": dict(duration=200.0),
     "sensitivity": FAST,
+    "orchestration": {},
 }
 
 #: sha256 of each claim's compressed-scale ``render()``.
@@ -62,6 +64,7 @@ RENDER_SHA256 = {
     "qos": "d592ffb4e455f1a1c1ca3a4657da2c0d27d40db6abdf76b41ead918580d800b6",
     "consolidation": "5f58aad4dda4dee1f78e20027ccfbd631ce8d39614d56cb9a269f5191f8a68dd",
     "sensitivity": "721291f8e2709ba8bfc53f0c11efebbc79584fccab8890d87a6095d0858a4f96",
+    "orchestration": "a483e90c4bfab5f4cc511afbfc1128f6902b51609b3398fc86e9765542892ef5",
 }
 
 
@@ -146,10 +149,48 @@ def test_table2_quick_mode(compressed):
     assert report.all_passed
 
 
-@pytest.mark.parametrize("name", ["energy", "cf", "designs"])
+@pytest.mark.parametrize("name", ["energy", "cf", "designs", "orchestration"])
 def test_ablation_checks_hold_compressed(compressed, name):
     _, report = compressed[name]
     assert report.all_passed, [str(c) for c in report.failures]
+
+
+#: Per-policy fleet metrics on which every orchestration check passes.
+_FLEET = {
+    "static": dict(energy_kwh=0.024, hosts_on_mean=8.0, migrations=0, power_peak_w=247.7),
+    "consolidate": dict(energy_kwh=0.020, hosts_on_mean=3.8, migrations=8, power_peak_w=230.4),
+    "load-balance": dict(energy_kwh=0.029, hosts_on_mean=10.0, migrations=43, power_peak_w=291.1),
+    "power-budget": dict(energy_kwh=0.019, hosts_on_mean=3.8, migrations=8, power_peak_w=199.8),
+}
+
+
+@pytest.mark.parametrize(
+    "policy, metric, value, failure",
+    [
+        (None, None, None, None),
+        ("static", "migrations", 1, "static never migrates"),
+        ("power-budget", "power_peak_w", 200.5, "power-budget holds the 200 W fleet cap"),
+        ("consolidate", "energy_kwh", 0.024, "consolidate uses less energy than static"),
+    ],
+)
+def test_orchestration_reducer_fails_the_broken_shape(policy, metric, value, failure):
+    from repro.sweep import CellResult, SweepResults
+
+    fleet = {name: {**metrics, "sla_mean": 1.0} for name, metrics in _FLEET.items()}
+    if policy is not None:
+        fleet[policy][metric] = value
+    results = SweepResults(
+        [
+            CellResult(index, name, {"variant": name}, 11, metrics)
+            for index, (name, metrics) in enumerate(fleet.items())
+        ]
+    )
+    report = CLAIMS["orchestration"].reduce(results)
+    failures = [check.description for check in report.failures]
+    if failure is None:
+        assert report.all_passed
+    else:
+        assert len(failures) == 1 and failures[0].startswith(failure)
 
 
 def test_design_comparison_accepts_load_override():

@@ -256,11 +256,29 @@ def test_sweep_reports_bad_cell_value_cleanly(capsys):
 
 def test_sweep_default_grid_is_24_cells():
     from repro.cli import _SWEEP_DEFAULTS
+    from repro.sweep import SweepGrid
 
-    cells = 1
-    for axis in _SWEEP_DEFAULTS.values():
-        cells *= len(axis.split(","))
-    assert cells >= 24
+    assert list(_SWEEP_DEFAULTS) == ["scheduler", "governor", "v20_load"]
+    assert len(SweepGrid(_SWEEP_DEFAULTS)) == 24
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ('{"duration": ["x"]}', "--grid: duration takes a number, got 'x'"),
+        ('{"guests": [5]}', "--grid: guests takes a JSON array, got 5"),
+        ('{"scheduler": "pas"}', "--grid axis 'scheduler' takes a non-empty JSON list"),
+        ('{"scheduler": []}', "--grid axis 'scheduler' takes a non-empty JSON list"),
+        ('["scheduler"]', "--grid must be a JSON object of axes"),
+        ('{"scheduler": ', "--grid is not valid JSON"),
+    ],
+)
+def test_sweep_checks_every_grid_value_like_set(capsys, grid, message):
+    assert main(["sweep", "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sweep: ")
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_sweep_list_presets(capsys):
@@ -301,9 +319,7 @@ def test_sweep_unknown_preset_lists_choices(capsys):
 
 def test_sweep_preset_rejects_conflicting_axis_flags(capsys):
     assert main(["sweep", "--preset", "governors", "--grid", '{"scheduler": ["sedf"]}']) == 2
-    assert "--grid" in capsys.readouterr().err
-    assert main(["sweep", "--preset", "governors", "--schedulers", "sedf"]) == 2
-    assert "--schedulers" in capsys.readouterr().err
+    assert "drop --grid" in capsys.readouterr().err
 
 
 def test_sweep_replicates_expand_cells(capsys):
@@ -561,7 +577,35 @@ def test_one_run_and_one_sweep_command():
     assert "scenario" not in commands
     assert not {"figure", "table", "validate", "ablation"} & set(commands)
     assert "reproduce" in commands
-    assert set(subcommands(commands["cluster"])) == {"compare"}
+    assert "cluster" not in commands
+    # --grid is the one ad-hoc axis spelling: no per-axis list flags.
+    sweep_flags = {
+        flag
+        for action in commands["sweep"]._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
+    assert sweep_flags == {
+        "--duration", "--fixed-seed", "--force", "--grid", "--help",
+        "--list-presets", "--metrics-out", "--out", "--out-aggregated",
+        "--preset", "--quiet", "--replicates", "--resume", "--seed", "--set",
+        "--store", "--verbose", "--workers",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cluster", "compare", "--preset", "dc-diurnal"],
+        ["sweep", "--schedulers", "credit"],
+        ["sweep", "--governors", "stable"],
+    ],
+)
+def test_removed_commands_and_axis_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ store surface
@@ -707,11 +751,6 @@ def test_run_rejects_fleet_csv_flags_on_single_host(capsys, tmp_path):
         assert not path.exists()
 
 
-def test_cluster_compare_rejects_scenario_presets(capsys):
-    assert main(["cluster", "compare", "--preset", "governors"]) == 2
-    assert "kind:cluster" in capsys.readouterr().err
-
-
 def test_run_set_overrides_cluster_policy(capsys):
     assert (
         main(["run", "--preset", "dc-diurnal-small", "--set", "policy=static"])
@@ -720,70 +759,35 @@ def test_run_set_overrides_cluster_policy(capsys):
     assert "policy=static" in capsys.readouterr().out
 
 
-def test_cluster_compare_writes_series_and_passes_checks(capsys, tmp_path):
-    out_dir = tmp_path / "series"
-    assert (
-        main(
-            [
-                "cluster",
-                "compare",
-                "--preset",
-                "dc-diurnal-small",
-                "--out-dir",
-                str(out_dir),
-            ]
-        )
-        == 0
-    )
+def test_reproduce_orchestration_passes_the_policy_checks(capsys):
+    assert main(["reproduce", "orchestration"]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] power-budget respects the 80 W cap every epoch" in out
-    assert "[PASS] consolidate yields lower mean energy than static" in out
+    assert "[PASS] power-budget holds the 200 W fleet cap every epoch" in out
+    assert "[PASS] consolidate uses less energy than static" in out
+    assert "[PASS] static never migrates" in out
     assert "[FAIL]" not in out
-    for policy in ("static", "consolidate", "load-balance", "power-budget"):
-        path = out_dir / f"dc-diurnal-small.{policy}.epochs.csv"
-        assert path.exists()
-        assert path.read_text().startswith("epoch,time,machines_on,")
 
 
-def test_cluster_compare_replicates_reports_ci(capsys, tmp_path):
-    out_dir = tmp_path / "series"
-    main(
-        [
-            "cluster",
-            "compare",
-            "--preset",
-            "dc-diurnal-small",
-            "--policies",
-            "static,consolidate",
-            "--replicates",
-            "3",
-            "--out-dir",
-            str(out_dir),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert "3 replicates (mean ±ci95)" in out
-    assert "±" in out  # at least one metric spreads across seeds
-    assert "[PASS] consolidate yields lower mean energy than static" in out
-    # Replicate runs still write one epochs CSV per policy (first replicate).
-    assert (out_dir / "dc-diurnal-small.static.epochs.csv").exists()
+def test_sweep_fleet_replicates_derive_policy_rep_seeds(capsys, tmp_path):
+    import json
+
+    from repro.sweep.grid import derive_cell_seed
+
+    out_path = tmp_path / "r.json"
+    argv = ["sweep", "--preset", "dc-diurnal-small", "--replicates", "3"]
+    assert main([*argv, "--quiet", "--out", str(out_path)]) == 0
+    assert "±" in capsys.readouterr().out  # mean energy by policy, with ci95
+    seeds = {cell["label"]: cell["seed"] for cell in json.loads(out_path.read_text())["cells"]}
+    assert seeds == {
+        f"policy={policy},rep={rep}": derive_cell_seed(11, f"policy={policy},rep={rep}")
+        for policy in ("static", "consolidate", "load-balance", "power-budget")
+        for rep in range(3)
+    }
 
 
-def test_cluster_compare_rejects_bad_replicates(capsys):
-    assert (
-        main(
-            [
-                "cluster",
-                "compare",
-                "--preset",
-                "dc-diurnal-small",
-                "--replicates",
-                "0",
-            ]
-        )
-        == 2
-    )
-    assert "--replicates must be >= 1" in capsys.readouterr().err
+def test_sweep_rejects_bad_replicates(capsys):
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--replicates", "0"]) == 2
+    assert "sweep: replicates must be >= 1" in capsys.readouterr().err
 
 
 def test_sweep_cluster_preset_store_resumes_warm(capsys, tmp_path):
@@ -976,9 +980,9 @@ def test_sweep_set_matches_the_duration_flag(capsys, tmp_path):
 
 def test_sweep_set_applies_to_the_default_grid(capsys):
     argv = [
-        "sweep", "--quiet", "--schedulers", "credit", "--governors", "stable",
-        "--v20-loads", "exact", "--set", "duration=30",
-        "--set", "v20_active=[5,25]", "--set", "v70_active=[10,20]",
+        "sweep", "--quiet",
+        "--grid", '{"scheduler": ["credit"], "governor": ["stable"], "v20_load": ["exact"]}',
+        "--set", "duration=30", "--set", "v20_active=[5,25]", "--set", "v70_active=[10,20]",
     ]
     assert main(argv) == 0
     assert "1 cells" in capsys.readouterr().out
