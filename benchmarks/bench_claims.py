@@ -25,8 +25,10 @@ def _fig3_oscillation(runs, report):
     assert runs["run"].frequency_transitions > 1000
 
 
-def _table1_machines(results, report):
-    assert len(results) == len(report.rows) == 5
+def _table1_machines(runs, report):
+    # Two load cells per machine: its minimum and maximum P-state.
+    assert len({name for name, _ in runs}) == len(report.rows) == 5
+    assert len(runs) == 10
 
 
 def _table2_platforms(results, report):

@@ -10,7 +10,10 @@ at one operating point.
 Run:  python examples/capacity_planning.py
 """
 
+import sys
+
 from repro import Host, catalog
+from repro.cli import run_piped
 from repro.core import laws
 from repro.telemetry import table_to_text
 from repro.workloads import ConstantLoad
@@ -65,4 +68,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

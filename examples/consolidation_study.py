@@ -10,7 +10,10 @@ paying on top.  The paper's §2.3 in one table and one chart.
 Run:  python examples/consolidation_study.py
 """
 
+import sys
+
 from repro import TimeSeries, render_chart
+from repro.cli import run_piped
 from repro.cluster import ClusterScenarioConfig, Orchestrator, run_cluster_scenario
 from repro.telemetry import table_to_text
 
@@ -70,4 +73,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

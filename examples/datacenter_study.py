@@ -10,6 +10,9 @@ Run with::
     PYTHONPATH=src python examples/datacenter_study.py
 """
 
+import sys
+
+from repro.cli import run_piped
 from repro.cluster import ORCHESTRATION_POLICIES, run_cluster_scenario
 from repro.experiments import preset_config
 from repro.sweep.metrics import cluster_metrics
@@ -67,4 +70,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

@@ -14,6 +14,9 @@ Two questions the paper raises but does not plot:
 Run:  python examples/energy_audit.py
 """
 
+import sys
+
+from repro.cli import run_piped
 from repro.experiments.claims import run_claims
 
 
@@ -27,4 +30,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

@@ -13,7 +13,10 @@ energy, and what happened to V20's 20 % SLA.
 Run:  python examples/governor_showdown.py
 """
 
+import sys
+
 from repro import UserCreditManager
+from repro.cli import run_piped
 from repro.experiments import PHASE_SOLO_EARLY, ScenarioConfig, run_scenario
 from repro.experiments.scenario import build_scenario, ScenarioResult
 from repro.telemetry import table_to_text
@@ -62,4 +65,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

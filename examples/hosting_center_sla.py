@@ -17,6 +17,9 @@ PAS does both.
 Run:  python examples/hosting_center_sla.py
 """
 
+import sys
+
+from repro.cli import run_piped
 from repro.experiments import (
     PHASE_BOTH,
     PHASE_SOLO_EARLY,
@@ -82,4 +85,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

@@ -11,6 +11,9 @@ This is the long-running example (~20 s): it executes 14 full simulations.
 Run:  python examples/platform_comparison.py
 """
 
+import sys
+
+from repro.cli import run_piped
 from repro.experiments.claims import run_claim
 from repro.experiments.claims import table2_rows
 from repro.telemetry import table_to_text
@@ -47,4 +50,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

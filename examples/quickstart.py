@@ -19,7 +19,10 @@ Watch what PAS does:
 Run:  python examples/quickstart.py
 """
 
+import sys
+
 from repro import Host, catalog, render_chart, rolling_mean
+from repro.cli import run_piped
 from repro.workloads import LoadProfile, WebApp, ConstantLoad, thrashing_rate
 
 
@@ -63,4 +66,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

@@ -23,9 +23,11 @@ The same machinery from the command line::
 Run:  python examples/resumable_sweep.py
 """
 
+import sys
 import tempfile
 import time
 
+from repro.cli import run_piped
 from repro.experiments import ScenarioConfig
 from repro.store import ExperimentStore
 from repro.sweep import SweepGrid, SweepRunner
@@ -88,4 +90,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

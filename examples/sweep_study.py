@@ -14,6 +14,9 @@ Also demonstrates the fleet side: the same grid machinery over
 Run:  python examples/sweep_study.py
 """
 
+import sys
+
+from repro.cli import run_piped
 from repro.cluster import ClusterScenarioConfig
 from repro.experiments import ScenarioConfig
 from repro.sweep import run_sweep, SweepGrid
@@ -87,4 +90,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

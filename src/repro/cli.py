@@ -40,7 +40,7 @@ import json
 import os
 import pathlib
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cpu import catalog
 from .errors import ConfigurationError, StoreError
@@ -179,7 +179,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from .platforms import calibrate_cf_table
+    from .experiments.claims import measured_cfs, run_claim
 
     try:
         spec = catalog.ALL_PROCESSORS[args.processor]
@@ -190,20 +190,26 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    results = calibrate_cf_table(spec)
+    # The eq1 cells at one demand: 15 % fits every catalog machine's
+    # minimum frequency, so the load never saturates.
+    runs, _ = run_claim("eq1", processor=spec, demands=(15.0,))
+    top = spec.table().max_state
+    rows = []
+    for (_, state), cf in measured_cfs(runs).items():
+        if state != top:
+            rows.append(
+                [
+                    f"{state.freq_mhz} MHz",
+                    f"{state.freq_mhz / top.freq_mhz:.4f}",
+                    f"{cf:.5f}",
+                    f"{state.cf:.5f}",
+                    f"{abs(cf - state.cf) / state.cf * 100:.3f}%",
+                ]
+            )
     print(
         table_to_text(
             ["frequency", "ratio", "cf measured", "cf substrate", "error"],
-            [
-                [
-                    f"{r.freq_mhz} MHz",
-                    f"{r.ratio:.4f}",
-                    f"{r.cf_measured:.5f}",
-                    f"{r.cf_spec:.5f}",
-                    f"{r.error * 100:.3f}%",
-                ]
-                for r in results
-            ],
+            rows,
             title=f"cf calibration (§5.2 procedure) on {spec.name}",
         )
     )
@@ -1382,20 +1388,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_piped(entry: Callable[[], int | None]) -> int:
+    """Run *entry* and return its exit code (``None`` counts as 0).
+
+    When the reader closes stdout early (``repro sweep ... | head``), what
+    is still buffered goes to devnull, so the exit-time flush cannot fail
+    again, and the run stops quietly with 0.  The examples exit through it
+    too.
+    """
     try:
-        return args.fn(args)
+        code = entry()
+        sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout early (``repro sweep ... | head``).  Send
-        # whatever is still buffered to devnull, so the exit-time flush
-        # cannot fail again, and stop quietly.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    return code or 0
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    return run_piped(lambda: args.fn(args))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

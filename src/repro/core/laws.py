@@ -6,7 +6,8 @@ correction factor validated in §5.2 and measured per machine in Table 1.
 
 * **Eq. 1** (frequency vs load): ``L_max / L_i = ratio_i * cf_i`` — a demand
   that loads the processor ``L_max`` at full speed loads it
-  ``L_max / (ratio_i * cf_i)`` at P-state *i*.
+  ``L_max / (ratio_i * cf_i)`` at P-state *i*; solved for ``cf_i`` it is
+  how §5.2 measures the correction factor.
 * **Eq. 2** (frequency vs time): ``T_max / T_i = ratio_i * cf_i`` — execution
   times stretch by the same factor.
 * **Eq. 3** (credit vs time): ``T_init / T_j = C_j / C_init`` — doubling a
@@ -63,6 +64,20 @@ def absolute_load(nominal_load: float, ratio: float, cf: float = 1.0) -> float:
     check_positive(ratio, "ratio")
     check_positive(cf, "cf")
     return nominal_load * ratio * cf
+
+
+def correction_factor(
+    load_at_max_percent: float, load_at_freq_percent: float, ratio: float
+) -> float:
+    """Eq. 1 solved for ``cf_i``: ``cf_i = L_max / (L_i * ratio_i)``.
+
+    How §5.2 derives a machine's correction factor: the same demand's load
+    measured at the maximum frequency and at P-state *i*.
+    """
+    check_non_negative(load_at_max_percent, "load_at_max_percent")
+    check_positive(load_at_freq_percent, "load_at_freq_percent")
+    check_positive(ratio, "ratio")
+    return load_at_max_percent / (load_at_freq_percent * ratio)
 
 
 def execution_time_at_frequency(time_at_max_s: float, ratio: float, cf: float = 1.0) -> float:

@@ -8,8 +8,8 @@ reducer to its paper-vs-measured :class:`~.report.ExperimentReport`.
 and assert each report's shape checks.
 
 The package itself loads only what a single-host run needs: import the
-registry from :mod:`repro.experiments.claims` (it pulls in the §5.2
-calibration, the Table 2 platforms and the fleet tier).
+registry from :mod:`repro.experiments.claims` (it pulls in the Table 2
+platforms and the fleet tier).
 """
 
 from .scenario import (

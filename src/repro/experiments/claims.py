@@ -7,11 +7,10 @@ into the :class:`~repro.experiments.report.ExperimentReport` it prints:
   preset plus changes, one cell per compared variant; the two fleet
   ablations run a fleet config (``orchestration``: the ``dc-diurnal``
   preset) once per placement strategy or orchestration policy;
-* Fig. 1 and Eqs. 2–3 run pi batches on the calibration base (one pinned
-  P-state, run to completion — :func:`.presets._calib_config`);
-* Eq. 1 and Table 1 replay the §5.2 load measurement
-  (:mod:`repro.platforms.calibration`) — a cell there is a zero-argument
-  measurement rather than a config.
+* Fig. 1, Eqs. 1–3 and Table 1 run on the calibration base (one
+  pinned P-state — :func:`.presets._calib_config`): pi batches run to
+  completion, and the §5.2 load measurement is a constant demand whose
+  mean host load Eq. 1 turns into ``cf`` (:func:`measured_cfs`).
 
 A claim with ``metrics`` reduces through :func:`~repro.sweep.run_sweep`, so
 its cells fan out over ``workers`` and persist in a ``store``; the others
@@ -31,23 +30,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Iterable, Mapping
 
 from ..cluster import ClusterScenarioConfig, ORCHESTRATION_POLICIES
 from ..core import laws
 from ..cpu import catalog
 from ..cpu.processor import ProcessorSpec
+from ..cpu.pstate import PState
 from ..errors import ConfigurationError, TelemetryError, WorkloadError
-from ..platforms.calibration import calibrate_cf_min, measure_load
-from ..platforms.virt_platforms import build_row, PLATFORMS, platform_config, Table2Row
+from ..platforms.virt_platforms import PLATFORMS, platform_config, Table2Row
 from ..sweep import run_sweep, SweepGrid
 from ..sweep.metrics import fleet_metrics
 from ..sweep.runner import execute_config
 from ..telemetry import render_chart
 from .presets import _calib_config, _pi_guest, preset_config
 from .report import ExperimentReport
-from .scenario import analysis_windows, ScenarioResult
+from .scenario import analysis_windows, GuestSpec, ScenarioResult, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,7 @@ class Claim:
     name: str
     #: What the result shows, quoting the paper where it speaks.
     about: str
-    #: ``(**overrides) -> {label: cell}``; a cell is a config or a
-    #: zero-argument measurement.
+    #: ``(**overrides) -> {label: config}``.
     cells: Callable[..., Mapping[Any, Any]]
     #: The cells' outcome -> the report: ``{label: raw outcome}``, or the
     #: :class:`~repro.sweep.SweepResults` when ``metrics`` is set.
@@ -438,30 +435,65 @@ def _compensation(runs: Mapping[tuple[float, str], ScenarioResult]) -> Experimen
     return report
 
 
+#: Seconds a §5.2 load measurement runs before its window opens.
+_SETTLE = 5.0
+
+
+def _load_cell(processor: ProcessorSpec, freq_mhz: int, demand: float, window: float):
+    """One §5.2 load measurement: *demand* % of constant load pinned at
+    *freq_mhz* in a null-credit (uncapped, §3.1) guest."""
+    load = WorkloadSpec(kind="constant", demand_percent=demand)
+    return _calib_config(
+        processor=processor,
+        cpufreq_max_mhz=freq_mhz,
+        duration=_SETTLE + window,
+        guests=(GuestSpec("load", credit=0.0, workloads=(load,)),),
+    )
+
+
+def measured_load(result: ScenarioResult) -> float:
+    """A load cell's mean (unsmoothed) host load once it has settled."""
+    return result.phase_mean("host.global_load", (_SETTLE, result.config.duration), smooth=False)
+
+
+def measured_cfs(
+    runs: Mapping[tuple[Any, PState], ScenarioResult],
+) -> dict[tuple[Any, PState], float]:
+    """Eq. 1 solved per load cell: ``{(key, state): cf}``.
+
+    Each cell is labelled ``(key, state)``; its :func:`measured_load` is
+    set against the same key's load at the maximum frequency (``nan`` where
+    the load is zero).
+    """
+    loads = {label: measured_load(result) for label, result in runs.items()}
+    cfs = {}
+    for (key, state), result in runs.items():
+        top = result.config.processor.table().max_state
+        load = loads[(key, state)]
+        ratio = state.freq_mhz / top.freq_mhz
+        cfs[(key, state)] = (
+            laws.correction_factor(loads[(key, top)], load, ratio) if load > 0 else math.nan
+        )
+    return cfs
+
+
 def _frequency_load_cells(
     *,
     processor: ProcessorSpec = catalog.OPTIPLEX_755,
     demands: Iterable[float] = (5.0, 10.0, 15.0, 20.0),
-    settle: float = 5.0,
     window: float = 30.0,
-) -> dict[tuple[float, Any], Any]:
+) -> dict[tuple[float, PState], Any]:
     return {
-        (demand, state): partial(
-            measure_load, processor, state.freq_mhz, demand, settle=settle, window=window
-        )
+        (demand, state): _load_cell(processor, state.freq_mhz, demand, window)
         for demand in demands
         for state in processor.table()
     }
 
 
-def _frequency_load(loads: Mapping[tuple[float, Any], float]) -> ExperimentReport:
-    top = max((state for _, state in loads), key=lambda state: state.freq_mhz)
-    cfs: dict[Any, list[float]] = {}
-    for (demand, state), load in loads.items():
-        load_max = loads[(demand, top)]
-        ratio = state.freq_mhz / top.freq_mhz
-        # Eq. 1: L_max / L_i = ratio * cf  =>  cf = L_max / (L_i * ratio).
-        cfs.setdefault(state, []).append(load_max / (load * ratio) if load > 0 else math.nan)
+def _frequency_load(runs: Mapping[tuple[float, PState], ScenarioResult]) -> ExperimentReport:
+    cfs: dict[PState, list[float]] = {}
+    for (_, state), cf in measured_cfs(runs).items():
+        cfs.setdefault(state, []).append(cf)
     report = ExperimentReport(
         experiment="Validation (Eq. 1)",
         title="proportionality of frequency and load; cf constant across workloads",
@@ -555,28 +587,36 @@ PAPER_TABLE1: dict[str, float] = {
 }
 
 
-def _table1_cells() -> dict[str, Any]:
+def _table1_cells() -> dict[tuple[str, PState], Any]:
+    """Each machine's load at its minimum and maximum P-state (15 % demand
+    fits every machine's minimum frequency)."""
     return {
-        name: partial(calibrate_cf_min, catalog.TABLE1_PROCESSORS[name]) for name in PAPER_TABLE1
+        (name, state): _load_cell(processor, state.freq_mhz, 15.0, 30.0)
+        for name, processor in catalog.TABLE1_PROCESSORS.items()
+        for state in (processor.table().min_state, processor.table().max_state)
     }
 
 
-def _table1(results: Mapping[str, Any]) -> ExperimentReport:
+def _table1(runs: Mapping[tuple[str, PState], ScenarioResult]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Table 1",
         title="cf_min on different processors (§5.8, Grid'5000 machines)",
     )
-    for name, result in results.items():
+    cf_min = {
+        name: cf
+        for (name, state), cf in measured_cfs(runs).items()
+        if state == catalog.TABLE1_PROCESSORS[name].table().min_state
+    }
+    for name, measured in cf_min.items():
         paper_cf = PAPER_TABLE1[name]
-        report.add_row(f"cf_min {name}", f"{paper_cf:.5f}", f"{result.cf_measured:.5f}")
+        report.add_row(f"cf_min {name}", f"{paper_cf:.5f}", f"{measured:.5f}")
         report.check(
             f"{name}: measured cf_min within 1% of the paper's value",
-            abs(result.cf_measured - paper_cf) / paper_cf < 0.01,
+            abs(measured - paper_cf) / paper_cf < 0.01,
         )
-    ordered = sorted(results.values(), key=lambda r: r.cf_measured)
     report.check(
         "E5-2620 is the strongly non-proportional outlier (smallest cf)",
-        ordered[0].processor == "Intel Xeon E5-2620",
+        min(cf_min, key=cf_min.get) == "Intel Xeon E5-2620",
     )
     return report
 
@@ -598,16 +638,36 @@ def _table2_cells(*, quick: bool = False) -> dict[str, Any]:
 
 
 def table2_rows(results) -> list[Table2Row]:
-    """Table 2's platform rows from the claim's sweep results."""
+    """Table 2's platform rows from the claim's sweep results.
+
+    A platform whose pi batch did not finish within the horizon in either
+    mode raises.
+    """
     labels = set(results.labels)
-    return [
-        build_row(
-            platform,
-            {mode: results.metric(f"{platform.name}/{mode}", "v20_batch_time_s") for mode in _MODES},
+    rows = []
+    for platform in PLATFORMS:
+        if f"{platform.name}/performance" not in labels:
+            continue
+        times = {
+            mode: results.metric(f"{platform.name}/{mode}", "v20_batch_time_s") for mode in _MODES
+        }
+        for mode, time in times.items():
+            if time is None:
+                raise ConfigurationError(
+                    f"{platform.name} ({mode}) did not finish pi-app within the horizon"
+                )
+        rows.append(
+            Table2Row(
+                platform=platform.name,
+                discipline=platform.discipline,
+                time_performance=times["performance"],
+                time_ondemand=times["ondemand"],
+                paper_performance=platform.paper_performance,
+                paper_ondemand=platform.paper_ondemand,
+                paper_degradation=platform.paper_degradation,
+            )
         )
-        for platform in PLATFORMS
-        if f"{platform.name}/performance" in labels
-    ]
+    return rows
 
 
 def _table2(results) -> ExperimentReport:
@@ -1213,10 +1273,6 @@ _CLAIMS = (
 CLAIMS: dict[str, Claim] = {claim.name: claim for claim in _CLAIMS}
 
 
-def _execute(cell: Any) -> Any:
-    return cell() if callable(cell) else execute_config(cell)
-
-
 def run_claims(
     names: Iterable[str] | None = None,
     *,
@@ -1245,7 +1301,7 @@ def run_claims(
         for done, outcome in finished:
             if done == cell:
                 return outcome
-        outcome = _execute(cell)
+        outcome = execute_config(cell)
         finished.append((cell, outcome))
         return outcome
 

@@ -352,6 +352,7 @@ def _calib_config(**changes) -> ScenarioConfig:
     ``governor="performance"`` always requests the maximum and the policy
     ceiling (``cpufreq_max_mhz``) clamps it, so each cell executes its
     whole batch at exactly one P-state — the paper's measurement setup.
+    A cell with no batch (the §5.2 load measurement) runs its ``duration``.
     """
     base = ScenarioConfig(
         governor="performance",

@@ -401,7 +401,7 @@ class ScenarioConfig:
     cpufreq_min_mhz: int | None = None
     #: Ceiling on the governor (``scaling_max_freq``); with the
     #: ``performance`` governor this *pins* the frequency, which is how the
-    #: calibration presets hold each Eq. 1–3 measurement at one P-state.
+    #: calibration cells hold each Eq. 1–3 measurement at one P-state.
     cpufreq_max_mhz: int | None = None
     stop_when_batch_done: bool = False
     #: QoS controller name (:data:`repro.qos.controllers.CONTROLLER_REGISTRY`);

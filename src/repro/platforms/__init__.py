@@ -1,22 +1,15 @@
-"""Platform and calibration models (subsystem S9).
+"""The seven virtualization platforms of Table 2 (subsystem S9).
 
-* :mod:`~repro.platforms.calibration` — the §5.2 measurement procedure that
-  recovers each machine's correction factors ``cf_i`` from load and
-  execution-time ratios (Table 1);
-* :mod:`~repro.platforms.virt_platforms` — the seven virtualization
-  platforms of Table 2, each reduced (as the paper does) to a credit
-  discipline plus its vendor's governor aggressiveness.
+:mod:`~repro.platforms.virt_platforms` reduces each platform, as the paper
+does, to a credit discipline plus its vendor's governor aggressiveness, and
+describes its §5.8 run as an ordinary scenario config; the ``table2`` claim
+(:mod:`repro.experiments.claims`) runs and tabulates them.
 """
 
-from .calibration import CalibrationResult, calibrate_cf_min, calibrate_cf_table
-from .virt_platforms import PLATFORMS, Table2Row, VirtPlatform, run_platform
+from .virt_platforms import PLATFORMS, Table2Row, VirtPlatform
 
 __all__ = [
-    "CalibrationResult",
-    "calibrate_cf_min",
-    "calibrate_cf_table",
     "PLATFORMS",
     "VirtPlatform",
     "Table2Row",
-    "run_platform",
 ]

@@ -222,45 +222,3 @@ def platform_config(
         stop_when_batch_done=True,
         seed=0,
     )
-
-
-def build_row(platform: VirtPlatform, times: dict[str, float | None]) -> Table2Row:
-    """Assemble a :class:`Table2Row` from measured per-mode pi times.
-
-    *times* maps ``"performance"``/``"ondemand"`` to V20's pi execution
-    time; ``None`` (the job never finished) raises the shared
-    did-not-finish error.  One assembly path for :func:`run_platform` and
-    the sweep-based ``table2`` claim (:mod:`repro.experiments.claims`).
-    """
-    for mode in ("performance", "ondemand"):
-        if times.get(mode) is None:
-            raise ConfigurationError(
-                f"{platform.name} ({mode}) did not finish pi-app within the horizon"
-            )
-    return Table2Row(
-        platform=platform.name,
-        discipline=platform.discipline,
-        time_performance=times["performance"],
-        time_ondemand=times["ondemand"],
-        paper_performance=platform.paper_performance,
-        paper_ondemand=platform.paper_ondemand,
-        paper_degradation=platform.paper_degradation,
-    )
-
-
-def run_platform(
-    platform: VirtPlatform,
-    *,
-    processor: ProcessorSpec = catalog.CORE_I7_3770,
-    horizon: float = HORIZON,
-) -> Table2Row:
-    """Run the §5.8 scenario on *platform* under both governor modes."""
-    from ..experiments.scenario import run_scenario
-    from ..sweep.metrics import batch_metrics
-
-    times: dict[str, float | None] = {}
-    for mode in ("performance", "ondemand"):
-        config = platform_config(platform, mode, processor=processor, horizon=horizon)
-        result = run_scenario(config)
-        times[mode] = batch_metrics(result).get("v20_batch_time_s")
-    return build_row(platform, times)

@@ -29,6 +29,17 @@ def test_eq1_absolute_load_inverts():
     assert laws.absolute_load(nominal, 0.6, 0.95) == pytest.approx(30.0)
 
 
+def test_eq1_correction_factor_inverts_load_at_frequency():
+    # §5.2: the two measured loads of one demand give back its cf.
+    loaded = laws.load_at_frequency(15.0, 0.6, 0.80338)
+    assert laws.correction_factor(15.0, loaded, 0.6) == pytest.approx(0.80338)
+
+
+def test_eq1_correction_factor_rejects_zero_load():
+    with pytest.raises(ConfigurationError):
+        laws.correction_factor(15.0, 0.0, 0.6)
+
+
 def test_eq2_execution_time_at_frequency():
     # Halving the frequency doubles the time (cf = 1).
     assert laws.execution_time_at_frequency(100.0, 0.5) == pytest.approx(200.0)

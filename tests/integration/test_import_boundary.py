@@ -2,10 +2,9 @@
 
 A fresh interpreter looks up the ``governors`` preset, builds its grid at
 a short duration and sweeps it serially.  None of the fleet tier, the
-claims registry, the §5.2 calibration and Table 2 platforms, the
-wall-clock profiler or ``multiprocessing`` may be loaded, and the run
-itself may import nothing (a first import there would be paid inside a
-timed phase).
+claims registry, the Table 2 platforms, the wall-clock profiler or
+``multiprocessing`` may be loaded, and the run itself may import nothing
+(a first import there would be paid inside a timed phase).
 """
 
 import json

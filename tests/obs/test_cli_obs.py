@@ -2,8 +2,15 @@
 
 import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
+import pytest
+
+import repro
 from repro.cli import main
 from repro.obs import profile, validate_trace_file
 
@@ -171,3 +178,19 @@ def test_broken_stdout_pipe_exits_quietly(capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("sys.stdout", _ClosedPipe(target.fileno()))
         assert main(["sweep", "--grid", _FAST_GRID, "-q"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("example", ["capacity_planning.py", "quickstart.py"])
+def test_example_read_through_a_closed_pipe_exits_quietly(example, tmp_path):
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    script = src.parent / "examples" / example
+    proc = subprocess.Popen(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.experiments.claims import run_claim, table2_rows
 from repro.platforms import PLATFORMS
-from repro.platforms.virt_platforms import platform_config, run_platform
+from repro.platforms.virt_platforms import platform_config
 
 
 def platform(name):
@@ -67,17 +68,37 @@ def test_platform_config_rejects_unknown_mode():
         platform_config(platform("Hyper-V"), "turbo")
 
 
-def test_run_platform_pas_cancels_degradation():
-    row = run_platform(platform("Xen/PAS"))
-    assert abs(row.degradation) < 2.0
+@pytest.fixture(scope="module")
+def quick_rows():
+    """Table 2's rows in quick mode: Hyper-V, Xen/PAS and Xen/SEDF."""
+    results, _ = run_claim("table2", quick=True)
+    return {row.platform: row for row in table2_rows(results)}
 
 
-def test_run_platform_hyperv_degrades_most():
-    hyperv = run_platform(platform("Hyper-V"))
-    assert hyperv.degradation > 35.0
+def test_table2_pas_cancels_degradation(quick_rows):
+    assert abs(quick_rows["Xen/PAS"].degradation) < 2.0
 
 
-def test_run_platform_sedf_fast_and_flat():
-    row = run_platform(platform("Xen/SEDF"))
+def test_table2_hyperv_degrades_most(quick_rows):
+    assert quick_rows["Hyper-V"].degradation > 35.0
+
+
+def test_table2_sedf_fast_and_flat(quick_rows):
+    row = quick_rows["Xen/SEDF"]
     assert abs(row.degradation) < 2.0
     assert row.time_performance < 800.0
+
+
+def test_table2_rows_reject_an_unfinished_batch():
+    from repro.errors import ConfigurationError
+    from repro.sweep import CellResult, SweepResults
+
+    times = {"Hyper-V/performance": 1601.0, "Hyper-V/ondemand": None}
+    results = SweepResults(
+        [
+            CellResult(index, label, {"variant": label}, 0, {"v20_batch_time_s": time})
+            for index, (label, time) in enumerate(times.items())
+        ]
+    )
+    with pytest.raises(ConfigurationError, match=r"Hyper-V \(ondemand\) did not finish"):
+        table2_rows(results)
