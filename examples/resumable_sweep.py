@@ -34,7 +34,11 @@ from repro.sweep import SweepGrid, SweepRunner
 
 
 def main() -> None:
-    store = ExperimentStore(tempfile.mkdtemp(prefix="repro-store-"))
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as root:
+        _study(ExperimentStore(root))
+
+
+def _study(store: ExperimentStore) -> None:
     grid = SweepGrid(
         {
             "scheduler": ["credit", "pas"],

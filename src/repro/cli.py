@@ -23,7 +23,8 @@ Examples::
     python -m repro store export --store results-store --out corpus.csv --where governor=stable
     python -m repro sweep --preset dc-diurnal --store results-store
     python -m repro sweep --preset dc-diurnal --replicates 5 --out-aggregated dc.csv
-    python -m repro reproduce orchestration
+    python -m repro sweep --preset calib --grid '{"cpufreq_max_mhz": [1600, 2667]}'
+    python -m repro reproduce orchestration placement
 
 ``reproduce`` prints the same paper-vs-measured reports the benchmarks
 assert on, and exits non-zero when a shape criterion fails — so the CLI
@@ -591,6 +592,8 @@ def _grid_axes(base, text: str) -> dict[str, list]:
         raise ConfigurationError(f"--grid is not valid JSON: {error}") from None
     if not isinstance(axes, dict):
         raise ConfigurationError(f"--grid must be a JSON object of axes, got: {text!r}")
+    if not axes:
+        raise ConfigurationError("--grid needs at least one axis")
     for name, values in axes.items():
         if not isinstance(values, list) or not values:
             raise ConfigurationError(
@@ -810,7 +813,7 @@ def _list_presets() -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import SweepGrid, SweepRunner
+    from .sweep import SweepRunner
 
     if args.list_presets:
         return _list_presets()
@@ -820,32 +823,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.resume or args.force) and not args.store:
         print("sweep: --resume/--force only make sense with --store DIR", file=sys.stderr)
         return 2
-    if args.preset and args.grid:
-        print("sweep: --preset carries its own axes; drop --grid", file=sys.stderr)
-        return 2
-    metrics = None
-    kind = "scenario"
     try:
-        if args.preset:
-            preset = get_preset(args.preset)
-            metrics, kind = preset.metrics, preset.kind
-            overrides = _config_overrides(preset.config, args)
-            grid = preset_grid(
-                args.preset,
-                overrides=overrides,
-                replicates=args.replicates,
-                vary_seed=not args.fixed_seed,
-            )
+        preset = get_preset(args.preset or "paper-5.3")
+        metrics, kind = preset.metrics, preset.kind
+        overrides = _config_overrides(preset.config, args)
+        if args.grid:
+            axes = _grid_axes(preset.config.with_changes(**overrides), args.grid)
         else:
-            base = ScenarioConfig()
-            base = base.with_changes(**_config_overrides(base, args))
-            axes = _grid_axes(base, args.grid) if args.grid else _SWEEP_DEFAULTS
-            grid = SweepGrid(
-                axes,
-                base=base,
-                vary_seed=not args.fixed_seed,
-                replicates=args.replicates,
-            )
+            axes = None if args.preset else _SWEEP_DEFAULTS
+        grid = preset_grid(
+            preset.name,
+            overrides=overrides,
+            axes=axes,
+            replicates=args.replicates,
+            vary_seed=not args.fixed_seed,
+        )
         from .obs import observed
 
         _, registry = _observation_for(None, args.metrics_out)
@@ -1144,17 +1136,17 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a scenario grid (scheduler x governor x load by default)",
         description=(
-            "Expand a parameter grid over the §5.3 scenario and run every cell, "
-            "optionally across a process pool.  Axes come from a named preset "
-            "(--preset, see --list-presets) or from --grid as a JSON object "
-            "mapping ScenarioConfig fields to value lists (see the repro.sweep "
-            "module docs)."
+            "Expand a parameter grid over a preset (the §5.3 scenario by default) "
+            "and run every cell, optionally across a process pool.  Axes come "
+            "from the preset (--preset, see --list-presets) or from --grid as a "
+            "JSON object mapping its config fields to value lists (see the "
+            "repro.sweep module docs)."
         ),
     )
     sweep.add_argument(
         "--preset",
         default=None,
-        help="run a named preset grid instead of the --grid axes",
+        help="sweep this preset's config over its own axes, or over --grid's",
     )
     sweep.add_argument(
         "--list-presets",
@@ -1171,8 +1163,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         default=None,
         help="JSON object mapping config fields to non-empty value lists, each "
-        "value checked as --set checks it (default: scheduler x governor x "
-        "v20_load, 24 cells)",
+        "value checked as --set checks it; replaces the preset's axes "
+        "(default: scheduler x governor x v20_load, 24 cells)",
     )
     sweep.add_argument(
         "--duration",

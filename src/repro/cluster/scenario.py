@@ -248,8 +248,7 @@ class ClusterScenarioConfig:
 
         Unknown keys, and values of the wrong JSON type for their field,
         raise a :class:`ConfigurationError`; the processor may be given as
-        a catalog name, the migration model as a mapping, and ``epoch`` is
-        accepted as a legacy alias of ``epoch_s``.
+        a catalog name and the migration model as a mapping.
         """
         kwargs = dict(data)
         kind = kwargs.pop("kind", "cluster")
@@ -257,8 +256,6 @@ class ClusterScenarioConfig:
             raise ConfigurationError(
                 f"not a cluster scenario spec: kind={kind!r} (expected 'cluster')"
             )
-        if "epoch" in kwargs and "epoch_s" not in kwargs:
-            kwargs["epoch_s"] = kwargs.pop("epoch")
         check_known_fields(cls, kwargs, "cluster scenario")
         check_field_types(cls, kwargs, "cluster scenario")
         processor = kwargs.get("processor")

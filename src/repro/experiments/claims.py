@@ -4,13 +4,17 @@ Each :class:`Claim` names the cells it runs and the reducer that turns them
 into the :class:`~repro.experiments.report.ExperimentReport` it prints:
 
 * the §5.3 figures (Figs. 2–10) and the ablations are the ``paper-5.3``
-  preset plus changes, one cell per compared variant; the two fleet
+  preset plus changes, one cell per compared variant; the three fleet
   ablations run a fleet config (``orchestration``: the ``dc-diurnal``
-  preset) once per placement strategy or orchestration policy;
-* Fig. 1, Eqs. 1–3 and Table 1 run on the calibration base (one
-  pinned P-state — :func:`.presets._calib_config`): pi batches run to
-  completion, and the §5.2 load measurement is a constant demand whose
-  mean host load Eq. 1 turns into ``cf`` (:func:`measured_cfs`).
+  preset, ``placement``: ``dc-hetero``) once per placement strategy or
+  orchestration policy;
+* Fig. 1, Eqs. 1–3 and Table 1 are the ``calib`` preset plus changes (one
+  pinned P-state): pi batches run to completion, and the §5.2 load
+  measurement is a constant demand whose mean host load Eq. 1 turns into
+  ``cf`` (:func:`measured_cfs`).
+
+Each experiment is defined here once: no bench, CI step or preset repeats
+a claim's cells or its checks.
 
 A claim with ``metrics`` reduces through :func:`~repro.sweep.run_sweep`, so
 its cells fan out over ``workers`` and persist in a ``store``; the others
@@ -40,10 +44,10 @@ from ..cpu.pstate import PState
 from ..errors import ConfigurationError, TelemetryError, WorkloadError
 from ..platforms.virt_platforms import PLATFORMS, platform_config, Table2Row
 from ..sweep import run_sweep, SweepGrid
-from ..sweep.metrics import fleet_metrics
+from ..sweep.metrics import cluster_metrics, fleet_metrics
 from ..sweep.runner import execute_config
 from ..telemetry import render_chart
-from .presets import _calib_config, _pi_guest, preset_config
+from .presets import preset_config
 from .report import ExperimentReport
 from .scenario import analysis_windows, GuestSpec, ScenarioResult, WorkloadSpec
 
@@ -362,8 +366,14 @@ _FIG10 = _figure(
 
 def _pi_cell(processor: ProcessorSpec, freq_mhz: int, cap: float, work: float):
     """One capped pi batch pinned at *freq_mhz*, run to completion."""
-    return _calib_config(
-        processor=processor, guests=_pi_guest(cap, work=work), cpufreq_max_mhz=freq_mhz
+    pi = GuestSpec(
+        name="pi",
+        credit=min(cap, 100.0),
+        cap=cap,
+        workloads=(WorkloadSpec(kind="pi", work=work),),
+    )
+    return preset_config("calib").with_changes(
+        processor=processor, guests=(pi,), cpufreq_max_mhz=freq_mhz
     )
 
 
@@ -443,7 +453,7 @@ def _load_cell(processor: ProcessorSpec, freq_mhz: int, demand: float, window: f
     """One §5.2 load measurement: *demand* % of constant load pinned at
     *freq_mhz* in a null-credit (uncapped, §3.1) guest."""
     load = WorkloadSpec(kind="constant", demand_percent=demand)
-    return _calib_config(
+    return preset_config("calib").with_changes(
         processor=processor,
         cpufreq_max_mhz=freq_mhz,
         duration=_SETTLE + window,
@@ -984,16 +994,68 @@ def _orchestration(results) -> ExperimentReport:
             f"{results.metric(policy, 'power_peak_w'):6.1f}",
         )
     budget_w = preset_config(_ORCHESTRATION_FLEET).power_budget_w
+    static_kwh = results.metric("static", "energy_kwh")
     report.check(
         f"power-budget holds the {budget_w:.0f} W fleet cap every epoch",
         results.metric("power-budget", "power_peak_w") <= budget_w,
     )
     report.check(
         "consolidate uses less energy than static",
-        results.metric("consolidate", "energy_kwh")
-        < results.metric("static", "energy_kwh"),
+        results.metric("consolidate", "energy_kwh") < static_kwh,
+    )
+    report.check(
+        "power-budget uses less energy than static",
+        results.metric("power-budget", "energy_kwh") < static_kwh,
     )
     report.check("static never migrates", results.metric("static", "migrations") == 0)
+    report.check(
+        "consolidate and load-balance both migrate (the churn is real, and priced)",
+        results.metric("consolidate", "migrations") > 0
+        and results.metric("load-balance", "migrations") > 0,
+    )
+    report.check(
+        "every policy keeps the SLA above 97%",
+        all(results.metric(policy, "sla_mean") > 0.97 for policy in results.labels),
+    )
+    return report
+
+
+def _placement(sims: Mapping[str, Any]) -> ExperimentReport:
+    """The placement trade-off; the cap is judged against the cell's own."""
+    report = ExperimentReport(
+        experiment="Ablation H (placement)",
+        title="efficiency-packing vs performance-bursting on a mixed i7 + big.LITTLE fleet",
+    )
+    metrics = {label: cluster_metrics(sim) for label, sim in sims.items()}
+    for label, m in metrics.items():
+        report.add_row(
+            label,
+            "energy Wh / hosts on / SLA / peak W",
+            f"{m['energy_kwh'] * 1000:6.2f} / {m['hosts_on_mean']:5.2f} / "
+            f"{m['sla_mean'] * 100:6.2f}% / {m['power_peak_w']:6.1f}",
+        )
+    efficiency = metrics["efficiency"]
+    budget_w = sims["power-budget"].power_budget_w
+    report.check(
+        "efficiency-packing uses less energy than static",
+        efficiency["energy_kwh"] < metrics["static"]["energy_kwh"],
+    )
+    report.check(
+        "efficiency-packing uses less energy than performance-bursting",
+        efficiency["energy_kwh"] < metrics["performance"]["energy_kwh"],
+    )
+    report.check(
+        "packing the efficient blades costs under 1% SLA",
+        efficiency["sla_mean"] >= metrics["performance"]["sla_mean"] - 0.01,
+    )
+    report.check(
+        f"power-budget holds the {budget_w:.0f} W cap on the mixed fleet",
+        metrics["power-budget"]["power_peak_w"] <= budget_w,
+    )
+    report.check(
+        "the big.LITTLE blades report C-state residency",
+        sum(sims["efficiency"].cstate_residency().values()) > 0.0,
+    )
     return report
 
 
@@ -1257,15 +1319,35 @@ _CLAIMS = (
         "orchestration",
         "Ablation G (ours): the §2.3 hosting-center case at fleet scale.  The four "
         "orchestration policies run one day of the 24-VM day-shape mix on 10 "
-        "machines: consolidation powers hosts off and uses less energy than a static "
-        "placement, which never migrates, and the power-budget policy keeps the "
-        "fleet under its 200 W cap every epoch.",
+        "machines: consolidation and the power budget power hosts off and use less "
+        "energy than a static placement, which never migrates, the power-budget "
+        "policy keeps the fleet under its 200 W cap every epoch, and the dynamic "
+        "policies pay for their migrations with under 3% of SLA.",
         _grid(
             _ORCHESTRATION_FLEET,
             {policy: {"policy": policy} for policy in ORCHESTRATION_POLICIES},
         ),
         _orchestration,
         metrics=("fleet", "cluster"),
+    ),
+    Claim(
+        "placement",
+        "Ablation H (ours): which kind of host, on a mixed fleet.  Two i7-3770 hosts "
+        "beside two big.LITTLE 4+4 blades, which hold 90% of an i7's capacity at half "
+        "its full-load draw: packing VMs onto the efficient blades uses less energy "
+        "than static provisioning or performance-bursting onto the i7s at under 1% "
+        "SLA cost, the power budget holds its 120 W cap, and the idle blades sink "
+        "into their C-states.",
+        _grid(
+            "dc-hetero",
+            {
+                "static": {"policy": "static"},
+                "efficiency": {"placement": "efficiency"},
+                "performance": {"placement": "performance"},
+                "power-budget": {"policy": "power-budget", "placement": "efficiency"},
+            },
+        ),
+        _placement,
     ),
 )
 

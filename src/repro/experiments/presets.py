@@ -45,28 +45,19 @@ Registry
     QoS controller axis (``none`` / ``naive`` / ``ladder``) — the
     closed-loop control-plane demonstration (``docs/qos.md``).
 
-Calibration presets (the paper's measurement micro-scenarios as named
-grids, so ``run --preset all`` exercises every law the model rests on):
+Calibration preset (the base every §5.2 claim cell derives from, so
+``run --preset all`` exercises the paper's measurement setup):
 
-``calib-eq1``
-    Eq. 1 proportionality: one uncapped pi batch on the Optiplex 755
-    (``cf = 1``), pinned at each catalog frequency — execution time must
-    scale as ``1/ratio``.
-``calib-eq2``
-    Eq. 2 correction factor: the same ladder on the i7-3770
-    (``cf_min = 0.86``) — the memory-bound deviation from pure
-    proportionality.
-``calib-eq3``
-    Eq. 3 capacity: a credit-cap ladder at the pinned maximum frequency —
-    execution time must scale as ``100/cap``.
-``calib-compensation``
-    Eq. 4 / Fig. 1: the same ladder re-run at 2133 MHz with each cap
-    replaced by its compensated value — times should coincide with
-    ``calib-eq3`` until compensation saturates past 100 %.
+``calib``
+    One uncapped pi batch on the Optiplex 755 under ``performance``, run to
+    completion with Dom0 idle.  The Fig. 1, Eq. 1-3 and Table 1 claims
+    (:mod:`.claims`) change its processor, pinned frequency
+    (``cpufreq_max_mhz``), cap, work or workload; a frequency ladder is
+    ``sweep --preset calib --grid '{"cpufreq_max_mhz": [...]}'``.
 
 Cluster presets (``kind: cluster`` — fleet specs for ``python -m repro
 run`` and ``sweep``; ``dc-diurnal`` is also the ``orchestration`` claim's
-fleet):
+fleet, and ``dc-hetero`` the ``placement`` claim's):
 
 ``dc-diurnal``
     The flagship datacenter scenario: 24 VMs mixing all five day shapes
@@ -89,7 +80,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, TYPE_CHECKING
 
-from ..core import laws
 from ..cpu import catalog
 from ..errors import ConfigurationError
 from .scenario import GuestSpec, ScenarioConfig, WorkloadSpec
@@ -325,100 +315,32 @@ def _qos_noisy_neighbor() -> Preset:
     )
 
 
-# ----------------------------------------------------- calibration presets
-
-#: The credit-cap ladder the Eq. 3 / Eq. 4 calibrations sweep.
-_CALIB_CAPS = (20.0, 40.0, 60.0, 80.0)
-
-#: The reduced frequency of the Fig. 1 compensation run (Optiplex 755).
-_CALIB_REDUCED_MHZ = 2133
+# ------------------------------------------------------ calibration preset
 
 
-def _pi_guest(cap: float, work: float = 20.0) -> tuple[GuestSpec, ...]:
-    """One capped pi batch guest (the paper's measurement configuration)."""
-    return (
-        GuestSpec(
-            name="pi",
-            credit=min(cap, 100.0),
-            cap=cap,
-            workloads=(WorkloadSpec(kind="pi", work=work),),
+def _calib() -> Preset:
+    # ``governor="performance"`` always requests the maximum and the policy
+    # ceiling (``cpufreq_max_mhz``) clamps it, so each cell executes its
+    # whole batch at exactly one P-state — the paper's measurement setup.
+    # A cell with no batch (the §5.2 load measurement) runs its ``duration``.
+    pi = GuestSpec(
+        name="pi",
+        credit=100.0,
+        cap=100.0,
+        workloads=(WorkloadSpec(kind="pi", work=20.0),),
+    )
+    return Preset(
+        name="calib",
+        description="§5.2 calibration base: one uncapped pi batch at one P-state",
+        config=ScenarioConfig(
+            governor="performance",
+            processor=catalog.OPTIPLEX_755,
+            guests=(pi,),
+            duration=4000.0,
+            stop_when_batch_done=True,
+            dom0_demand_percent=0.0,
+            seed=3,
         ),
-    )
-
-
-def _calib_config(**changes) -> ScenarioConfig:
-    """Common calibration base: one pinned host, run-to-completion.
-
-    ``governor="performance"`` always requests the maximum and the policy
-    ceiling (``cpufreq_max_mhz``) clamps it, so each cell executes its
-    whole batch at exactly one P-state — the paper's measurement setup.
-    A cell with no batch (the §5.2 load measurement) runs its ``duration``.
-    """
-    base = ScenarioConfig(
-        governor="performance",
-        processor=catalog.OPTIPLEX_755,
-        guests=_pi_guest(100.0),
-        duration=4000.0,
-        stop_when_batch_done=True,
-        dom0_demand_percent=0.0,
-        seed=3,
-    )
-    return base.with_changes(**changes)
-
-
-def _calib_eq1() -> Preset:
-    return Preset(
-        name="calib-eq1",
-        description="Eq. 1 proportionality: pi time vs pinned frequency (cf = 1)",
-        config=_calib_config(),
-        axes={
-            "cpufreq_max_mhz": tuple(
-                state.freq_mhz for state in catalog.OPTIPLEX_755.states
-            )
-        },
-        metrics=("batch", "frequency", "energy"),
-    )
-
-
-def _calib_eq2() -> Preset:
-    return Preset(
-        name="calib-eq2",
-        description="Eq. 2 correction factor: the frequency ladder on the i7-3770",
-        config=_calib_config(processor=catalog.CORE_I7_3770),
-        axes={
-            "cpufreq_max_mhz": tuple(
-                state.freq_mhz for state in catalog.CORE_I7_3770.states
-            )
-        },
-        metrics=("batch", "frequency", "energy"),
-    )
-
-
-def _calib_eq3() -> Preset:
-    return Preset(
-        name="calib-eq3",
-        description="Eq. 3 capacity: pi time vs credit cap at the max frequency",
-        config=_calib_config(guests=_pi_guest(_CALIB_CAPS[0])),
-        axes={"guests": tuple(_pi_guest(cap) for cap in _CALIB_CAPS)},
-        metrics=("batch", "frequency", "energy"),
-    )
-
-
-def _calib_compensation() -> Preset:
-    table = catalog.OPTIPLEX_755.table()
-    reduced = table.state_for(_CALIB_REDUCED_MHZ)
-    ratio = reduced.freq_mhz / table.max_state.freq_mhz
-    compensated = tuple(
-        laws.compensated_credit(cap, ratio, reduced.cf) for cap in _CALIB_CAPS
-    )
-    return Preset(
-        name="calib-compensation",
-        description="Eq. 4 / Fig. 1: the Eq. 3 ladder at 2133 MHz, caps compensated",
-        config=_calib_config(
-            guests=_pi_guest(compensated[0]),
-            cpufreq_max_mhz=_CALIB_REDUCED_MHZ,
-        ),
-        axes={"guests": tuple(_pi_guest(cap) for cap in compensated)},
         metrics=("batch", "frequency", "energy"),
     )
 
@@ -586,10 +508,7 @@ PRESETS: Mapping[str, Preset] = _PresetRegistry(
         "mixed-guests": _mixed_guests,
         "stress-fleet": _stress_fleet,
         "qos-noisy-neighbor": _qos_noisy_neighbor,
-        "calib-eq1": _calib_eq1,
-        "calib-eq2": _calib_eq2,
-        "calib-eq3": _calib_eq3,
-        "calib-compensation": _calib_compensation,
+        "calib": _calib,
         "dc-diurnal": _dc_diurnal,
         "dc-diurnal-small": _dc_diurnal_small,
         "dc-fleet-medium": _dc_fleet_medium,
@@ -617,21 +536,22 @@ def preset_grid(
     name: str,
     *,
     overrides: Mapping[str, Any] | None = None,
+    axes: Mapping[str, Any] | None = None,
     replicates: int = 1,
     vary_seed: bool = True,
 ):
     """A ready-to-run :class:`~repro.sweep.grid.SweepGrid` for preset *name*.
 
-    Presets without axes become a single-variant grid (so the sweep CLI and
-    runner treat every preset uniformly); *overrides* patch the base config
-    first (unknown fields raise a :class:`ConfigurationError`).
+    *overrides* patch the base config first (unknown fields raise a
+    :class:`ConfigurationError`); *axes*, when given, replace the preset's
+    own.  A grid without axes is a single variant named after the preset
+    (so the sweep CLI and runner treat every preset uniformly).
     """
     from ..sweep import SweepGrid
 
     preset = get_preset(name)
     config = preset.config.with_changes(**(overrides or {}))
-    if not preset.axes:
+    axes = preset.axes if axes is None else axes
+    if not axes:
         return SweepGrid.from_variants({preset.name: config}, replicates=replicates)
-    return SweepGrid(
-        preset.axes, base=config, vary_seed=vary_seed, replicates=replicates
-    )
+    return SweepGrid(axes, base=config, vary_seed=vary_seed, replicates=replicates)

@@ -4,8 +4,8 @@ The benchmarks run every claim at paper scale; here each one runs on a
 compressed scale fast enough for the unit suite: the §5.3 claims and the
 ablations on a 4x compressed timeline, Fig. 1 and Eq. 3 on a two-credit
 ladder with 5 s of work, Table 2 in its quick mode.  The orchestration
-claim runs its 10-machine fleet day at paper scale: it takes well under a
-second.  The pinned digests are each report's ``render()`` before the
+and placement claims run their fleet days at paper scale: each takes well
+under a second.  The pinned digests are each report's ``render()`` before the
 per-figure runners became registry entries, so the registry reproduces
 their bytes exactly.  The remaining tests pin the interface: override
 forwarding, report structure and the runs claims share.
@@ -39,6 +39,7 @@ COMPRESSED = {
     "consolidation": dict(duration=200.0),
     "sensitivity": FAST,
     "orchestration": {},
+    "placement": {},
 }
 
 #: sha256 of each claim's compressed-scale ``render()``.
@@ -64,7 +65,8 @@ RENDER_SHA256 = {
     "qos": "d592ffb4e455f1a1c1ca3a4657da2c0d27d40db6abdf76b41ead918580d800b6",
     "consolidation": "5f58aad4dda4dee1f78e20027ccfbd631ce8d39614d56cb9a269f5191f8a68dd",
     "sensitivity": "721291f8e2709ba8bfc53f0c11efebbc79584fccab8890d87a6095d0858a4f96",
-    "orchestration": "a483e90c4bfab5f4cc511afbfc1128f6902b51609b3398fc86e9765542892ef5",
+    "orchestration": "2b3f4f0c017b9bf77c56e462d9575e73f1383adb94a77e8573ba1885bdf625b5",
+    "placement": "72cb5af5ff83fcdf433faf6f93c8c9c1d64c806c5835e4ace97250c979406063",
 }
 
 
@@ -149,7 +151,7 @@ def test_table2_quick_mode(compressed):
     assert report.all_passed
 
 
-@pytest.mark.parametrize("name", ["energy", "cf", "designs", "orchestration"])
+@pytest.mark.parametrize("name", ["energy", "cf", "designs", "orchestration", "placement"])
 def test_ablation_checks_hold_compressed(compressed, name):
     _, report = compressed[name]
     assert report.all_passed, [str(c) for c in report.failures]
@@ -171,6 +173,10 @@ _FLEET = {
         ("static", "migrations", 1, "static never migrates"),
         ("power-budget", "power_peak_w", 200.5, "power-budget holds the 200 W fleet cap"),
         ("consolidate", "energy_kwh", 0.024, "consolidate uses less energy than static"),
+        ("power-budget", "energy_kwh", 0.024, "power-budget uses less energy than static"),
+        ("load-balance", "migrations", 0, "consolidate and load-balance both migrate"),
+        ("consolidate", "migrations", 0, "consolidate and load-balance both migrate"),
+        ("load-balance", "sla_mean", 0.97, "every policy keeps the SLA above 97%"),
     ],
 )
 def test_orchestration_reducer_fails_the_broken_shape(policy, metric, value, failure):
@@ -186,6 +192,54 @@ def test_orchestration_reducer_fails_the_broken_shape(policy, metric, value, fai
         ]
     )
     report = CLAIMS["orchestration"].reduce(results)
+    failures = [check.description for check in report.failures]
+    if failure is None:
+        assert report.all_passed
+    else:
+        assert len(failures) == 1 and failures[0].startswith(failure)
+
+
+#: Per-variant fleet outcomes on which every placement check passes.
+_MIXED = {
+    "static": dict(
+        energy_kwh=0.00336, mean_machines_on=3.0, mean_sla_fraction=1.0, peak_power_w=67.4
+    ),
+    "efficiency": dict(
+        energy_kwh=0.00154, mean_machines_on=1.55, mean_sla_fraction=0.9988, peak_power_w=45.3
+    ),
+    "performance": dict(
+        energy_kwh=0.00319, mean_machines_on=1.0, mean_sla_fraction=1.0, peak_power_w=78.0
+    ),
+    "power-budget": dict(
+        energy_kwh=0.00149, mean_machines_on=1.55, mean_sla_fraction=0.9809, peak_power_w=39.4
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "variant, field, value, failure",
+    [
+        (None, None, None, None),
+        ("static", "energy_kwh", 0.0015, "efficiency-packing uses less energy than static"),
+        ("performance", "energy_kwh", 0.0015, "efficiency-packing uses less energy than perf"),
+        ("efficiency", "mean_sla_fraction", 0.98, "packing the efficient blades costs under 1%"),
+        ("power-budget", "peak_power_w", 120.5, "power-budget holds the 120 W cap"),
+        ("efficiency", "residency", {}, "the big.LITTLE blades report C-state residency"),
+    ],
+)
+def test_placement_reducer_fails_the_broken_shape(variant, field, value, failure):
+    from types import SimpleNamespace
+
+    sims = {}
+    for name, outcome in _MIXED.items():
+        outcome = dict(outcome, total_migrations=0, sla_violations=0, residency={"C6": 50.0})
+        if name == variant:
+            outcome[field] = value
+        residency = outcome.pop("residency")
+        sims[name] = SimpleNamespace(
+            power_budget_w=120.0, cstate_residency=lambda r=residency: r, **outcome
+        )
+    report = CLAIMS["placement"].reduce(sims)
     failures = [check.description for check in report.failures]
     if failure is None:
         assert report.all_passed

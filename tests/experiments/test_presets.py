@@ -20,10 +20,7 @@ REQUIRED = {
     "pi-batch",
     "mixed-guests",
     "stress-fleet",
-    "calib-eq1",
-    "calib-eq2",
-    "calib-eq3",
-    "calib-compensation",
+    "calib",
 }
 
 

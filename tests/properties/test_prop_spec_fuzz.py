@@ -30,7 +30,7 @@ from repro.experiments.scenario import build_scenario
 
 def _seeds() -> dict[type, list[dict]]:
     """Valid spec dictionaries to mutate, per spec type."""
-    host_presets = ("paper-5.3", "mixed-guests", "qos-noisy-neighbor", "calib-eq3")
+    host_presets = ("paper-5.3", "mixed-guests", "qos-noisy-neighbor", "calib")
     configs = [get_preset(name).config for name in host_presets]
     configs.append(
         ScenarioConfig(

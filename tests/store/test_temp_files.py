@@ -3,13 +3,18 @@
 ``put`` writes ``cells/.tmp-<pid>-<key>.json`` and renames it over the
 blob.  A crash between the two leaves the temp file behind: it is not a
 blob, so it is neither counted nor listed, and ``gc`` deletes it without
-calling it corrupt.
+calling it corrupt.  A throwaway store lives in a temporary directory
+that is gone once its run ends.
 """
 
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.store import ExperimentStore
 
@@ -100,3 +105,18 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
         store._write_atomic(store.blob_path(KEY), "\ud800 cannot be UTF-8")
     assert temp_files(store) == []
     assert not store.blob_path(KEY).exists()
+
+
+def test_resumable_sweep_example_leaves_no_store_behind(tmp_path):
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    subprocess.run(
+        [sys.executable, str(src.parent / "examples" / "resumable_sweep.py")],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(scratch)),
+        stdout=subprocess.DEVNULL,
+        check=True,
+        timeout=300,
+    )
+    assert list(scratch.iterdir()) == []

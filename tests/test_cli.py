@@ -270,6 +270,8 @@ def test_sweep_default_grid_is_24_cells():
         ('{"scheduler": "pas"}', "--grid axis 'scheduler' takes a non-empty JSON list"),
         ('{"scheduler": []}', "--grid axis 'scheduler' takes a non-empty JSON list"),
         ('["scheduler"]', "--grid must be a JSON object of axes"),
+        ("{}", "--grid needs at least one axis"),
+        ('{"policy": ["static"]}', "unknown sweep axis 'policy' for ScenarioConfig"),
         ('{"scheduler": ', "--grid is not valid JSON"),
     ],
 )
@@ -317,9 +319,17 @@ def test_sweep_unknown_preset_lists_choices(capsys):
     assert "unknown preset" in err and "governors" in err
 
 
-def test_sweep_preset_rejects_conflicting_axis_flags(capsys):
-    assert main(["sweep", "--preset", "governors", "--grid", '{"scheduler": ["sedf"]}']) == 2
-    assert "drop --grid" in capsys.readouterr().err
+def test_sweep_preset_grid_replaces_the_preset_axes(capsys):
+    grid = '{"power_budget_w": [60, 80]}'
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--grid", grid]) == 0
+    out = capsys.readouterr().out
+    assert "sweep: 2 cells, axes power_budget_w" in out
+
+
+def test_sweep_preset_grid_checks_values_against_the_preset_config(capsys):
+    grid = '{"scheduler": ["pas"]}'
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--grid", grid]) == 2
+    assert "unknown sweep axis 'scheduler' for ClusterScenarioConfig" in capsys.readouterr().err
 
 
 def test_sweep_replicates_expand_cells(capsys):
@@ -384,6 +394,7 @@ def test_run_scenario_file_unknown_field_is_clean(capsys, tmp_path):
         ({"v20_active": "50-750"}, "scenario config: v20_active takes a JSON array"),
         ({"kind": "cluster", "n_vms": "3"}, "cluster scenario: n_vms takes an integer"),
         ({"kind": "cluster", "dvfs": "yes"}, "cluster scenario: dvfs takes true or false"),
+        ({"kind": "cluster", "epoch": 10}, "unknown cluster scenario field(s) 'epoch'"),
         (
             {"scheduler_kwargs": {"bogus": 1}},
             "unknown credit scheduler parameter(s) 'bogus'; accepted: quantum,",

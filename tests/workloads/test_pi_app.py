@@ -97,12 +97,15 @@ def test_injected_work_counter():
     assert app.injected_work == 0.5
 
 
-def test_work_is_conserved_on_every_calib_eq2_pi_domain():
-    from repro.experiments import preset_grid, run_scenario
+def test_work_is_conserved_on_every_eq2_pi_domain():
+    from repro import catalog
+    from repro.experiments import run_scenario
+    from repro.experiments.claims import CLAIMS
 
+    cells = CLAIMS["eq2"].cells(processor=catalog.CORE_I7_3770)
     checked = 0
-    for cell in preset_grid("calib-eq2"):
-        host = run_scenario(cell.config).host
+    for config in cells.values():
+        host = run_scenario(config).host
         for domain in host.domains:
             for app in domain.workloads:
                 if isinstance(app, PiApp):
@@ -110,4 +113,4 @@ def test_work_is_conserved_on_every_calib_eq2_pi_domain():
                     assert app.injected_work == pytest.approx(accounted, rel=1e-9, abs=0.0)
                     assert app.injected_work == app.work
                     checked += 1
-    assert checked == len(preset_grid("calib-eq2"))
+    assert checked == len(cells)
