@@ -20,8 +20,8 @@ from repro.telemetry import table_to_text
 
 
 def main() -> None:
-    results, report = run_claim("table2")
-    rows = table2_rows(results)
+    cells, report = run_claim("table2")
+    rows = table2_rows(cells)
     print(
         table_to_text(
             [

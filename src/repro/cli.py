@@ -28,8 +28,8 @@ Examples::
 
 ``reproduce`` prints the same paper-vs-measured reports the benchmarks
 assert on, and exits non-zero when a shape criterion fails — so the CLI
-doubles as a reproduction smoke-check in CI.  Sweeps (and the sweep-backed
-claims) accept ``--store DIR``: finished cells persist as they complete and
+doubles as a reproduction smoke-check in CI.  Sweeps and every claim
+accept ``--store DIR``: finished cells persist as they complete and
 re-runs only compute what is missing, so repeated builds are warm-cache and
 interrupted grids resume where they died.
 """
@@ -163,14 +163,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     def progress(result, from_cache: bool) -> None:
         counts["warm" if from_cache else "computed"] += 1
 
-    if args.store is not None:
-        for name in names:
-            if not CLAIMS[name].metrics:
-                print(
-                    f"note: {name} does not support --store (no store-cacheable cells); "
-                    "ignored",
-                    file=sys.stderr,
-                )
     outcomes = run_claims(names, workers=args.workers, store=args.store, progress=progress)
     reports = [report for _, report in outcomes.values()]
     print("\n\n".join(report.render() for report in reports))
@@ -193,10 +185,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         return 2
     # The eq1 cells at one demand: 15 % fits every catalog machine's
     # minimum frequency, so the load never saturates.
-    runs, _ = run_claim("eq1", processor=spec, demands=(15.0,))
+    cells, _ = run_claim("eq1", processor=spec, demands=(15.0,))
     top = spec.table().max_state
     rows = []
-    for (_, state), cf in measured_cfs(runs).items():
+    for (_, state), cf in measured_cfs(cells).items():
         if state != top:
             rows.append(
                 [
@@ -1058,12 +1050,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument("names", nargs="*", metavar="NAME", help="claim names (default: all)")
     reproduce.add_argument(
-        "--workers", type=int, default=1, help="process-pool size for the sweep-backed claims"
+        "--workers", type=int, default=1, help="process-pool size the claims' cells run on"
     )
     reproduce.add_argument(
         "--store",
         default=None,
-        help="experiment-store DIR: reuse stored cells, persist new ones (sweep-backed claims)",
+        help="experiment-store DIR: reuse stored cells, persist new ones",
     )
     reproduce.set_defaults(fn=_cmd_reproduce)
 

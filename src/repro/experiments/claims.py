@@ -1,7 +1,8 @@
 """The paper's results as data: one ordered registry of every reproduced claim.
 
-Each :class:`Claim` names the cells it runs and the reducer that turns them
-into the :class:`~repro.experiments.report.ExperimentReport` it prints:
+Each :class:`Claim` names the cells it runs, the metric sets each cell
+reduces to, and the reducer that turns them into the
+:class:`~repro.experiments.report.ExperimentReport` it prints:
 
 * the §5.3 figures (Figs. 2–10) and the ablations are the ``paper-5.3``
   preset plus changes, one cell per compared variant; the three fleet
@@ -10,18 +11,21 @@ into the :class:`~repro.experiments.report.ExperimentReport` it prints:
   orchestration policy;
 * Fig. 1, Eqs. 1–3 and Table 1 are the ``calib`` preset plus changes (one
   pinned P-state): pi batches run to completion, and the §5.2 load
-  measurement is a constant demand whose mean host load Eq. 1 turns into
-  ``cf`` (:func:`measured_cfs`).
+  measurement is a constant demand whose settled host load Eq. 1 turns
+  into ``cf`` (:func:`measured_cfs`).
 
 Each experiment is defined here once: no bench, CI step or preset repeats
 a claim's cells or its checks.
 
-A claim with ``metrics`` reduces through :func:`~repro.sweep.run_sweep`, so
-its cells fan out over ``workers`` and persist in a ``store``; the others
-keep each cell's full outcome (series for the charts).  Within one
-:func:`run_claims` call a config is simulated once however many claims
-name it, so Figs. 4/5, 6/7 and 9/10 (and Fig. 1's maximum-frequency pi
-runs, which are Eq. 3's ladder) share their runs.
+Every claim runs the same way.  :func:`run_claims` puts the cells of every
+requested claim into one :func:`~repro.sweep.runner.run_cells` fan-out
+over ``workers``, read from and persisted in a ``store``; a cell that
+several claims name (the same config and metric sets, so the same store
+key) is simulated once: Figs. 4/5, 6/7 and 9/10 share their run, Fig. 3's
+``stable`` cell is Fig. 4's, and Fig. 1's maximum-frequency pi runs are
+Eq. 3's ladder.  Each reducer then reads its claim's cells by label, each a
+:class:`ClaimCell`: the config (caps, pinned MHz, processor tables, power
+budgets) and the metrics.
 
 Every cell builder takes keyword overrides: config fields for the §5.3
 claims and the ablations (``duration``, ``seed``, ``processor``, ...), and
@@ -32,6 +36,7 @@ scale.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
@@ -43,13 +48,23 @@ from ..cpu.processor import ProcessorSpec
 from ..cpu.pstate import PState
 from ..errors import ConfigurationError, TelemetryError, WorkloadError
 from ..platforms.virt_platforms import PLATFORMS, platform_config, Table2Row
-from ..sweep import run_sweep, SweepGrid
-from ..sweep.metrics import cluster_metrics, fleet_metrics
-from ..sweep.runner import execute_config
-from ..telemetry import render_chart
+from ..store import cell_key
+from ..sweep.metrics import PHASE_NAMES, SETTLE_S
+from ..sweep.runner import run_cells
+from ..telemetry.ascii_chart import draw_chart
 from .presets import preset_config
 from .report import ExperimentReport
-from .scenario import analysis_windows, GuestSpec, ScenarioResult, WorkloadSpec
+from .scenario import GuestSpec, WorkloadSpec
+
+
+@dataclass(frozen=True)
+class ClaimCell:
+    """One cell of a claim as its reducer reads it."""
+
+    #: The config the cell ran.
+    config: Any
+    #: Its values from the claim's metric sets.
+    metrics: Mapping[str, Any]
 
 
 @dataclass(frozen=True)
@@ -61,12 +76,11 @@ class Claim:
     about: str
     #: ``(**overrides) -> {label: config}``.
     cells: Callable[..., Mapping[Any, Any]]
-    #: The cells' outcome -> the report: ``{label: raw outcome}``, or the
-    #: :class:`~repro.sweep.SweepResults` when ``metrics`` is set.
-    reduce: Callable[[Any], ExperimentReport]
-    #: Metric sets the cells reduce to; non-empty means the cells run as a
-    #: sweep (``workers``-parallel, ``store``-cacheable).
-    metrics: tuple[str, ...] = ()
+    #: ``{label: ClaimCell} -> report``.
+    reduce: Callable[[Mapping[Any, ClaimCell]], ExperimentReport]
+    #: The metric sets (:data:`repro.sweep.metrics.METRICS` names) every
+    #: cell reduces to; with the config they key the cell in a store.
+    metrics: tuple[str, ...]
 
 
 def _grid(base, variants: Mapping[str, Mapping] | None = None, **changes):
@@ -88,75 +102,97 @@ def _within(value: float, target: float, tolerance: float) -> bool:
     return abs(value - target) <= tolerance
 
 
+def _value(cell: ClaimCell, name: str) -> Any:
+    """The cell's metric *name*; ``None`` (nothing to measure) raises."""
+    value = cell.metrics[name]
+    if value is None:
+        raise TelemetryError(
+            f"metric {name!r} has no value: its window held no samples, or its "
+            "batch never finished, on this timeline"
+        )
+    return value
+
+
+def _max_mhz(cell: ClaimCell) -> int:
+    """The cell's processor's maximum frequency."""
+    return cell.config.processor.table().max_state.freq_mhz
+
+
 # --------------------------------------------------------- Figs. 2-10 (§5.3)
+
+#: The metric sets of a §5.3 figure's run: every figure names the same
+#: ones, so figures on one config share its cell.
+_FIGURE_METRICS = ("loads", "frequency", "chart")
 
 _PHASES = ("solo", "both", "late")
 
+#: Each phase's name in the ``loads`` and ``frequency`` metrics.
+_METRIC_PHASE = dict(zip(_PHASES, PHASE_NAMES))
 
-class _Plateaus:
-    """The plateau values one §5.3 figure reads off its run."""
 
-    def __init__(self, runs: Mapping[str, ScenarioResult]) -> None:
-        self.runs = runs
-        self.result = runs["run"]
-        self.phases = dict(zip(_PHASES, analysis_windows(self.result.config)))
-        self.max_mhz = self.result.host.processor.max_frequency_mhz
+def _plateau(cells, guest: str, phase: str, kind: str = "global") -> float:
+    """The guest's mean load over *phase* of the ``run`` cell."""
+    return _value(cells["run"], f"{guest.lower()}_{kind}_{_METRIC_PHASE[phase]}")
 
-    def load(self, guest: str, phase: str, kind: str = "global") -> float:
-        return self.result.phase_mean(f"{guest}.{kind}_load", self.phases[phase])
 
-    def mhz(self, phase: str) -> float:
-        return self.result.phase_mean("host.freq_mhz", self.phases[phase], smooth=False)
+def _mhz_of(cells, phase: str) -> float:
+    """The mean frequency over *phase* of the ``run`` cell."""
+    return _value(cells["run"], f"freq_mhz_{_METRIC_PHASE[phase]}")
 
-    @property
-    def min_mhz(self) -> float:
-        return self.result.series("host.freq_mhz", smooth=False).min()
 
-    @property
-    def transitions(self) -> int:
-        return self.result.frequency_transitions
+def _transitions(cells, label: str = "run") -> int:
+    return cells[label].metrics["dvfs_transitions"]
 
 
 def _load(guest: str, phase: str, kind: str = "global"):
     """Row value: the guest's mean load over *phase*, to 2 decimals."""
-    return lambda p: round(p.load(guest, phase, kind), 2)
+    return lambda c: round(_plateau(c, guest, phase, kind), 2)
 
 
 def _mhz(phase: str):
     """Row value: the mean frequency over *phase*, in whole MHz."""
-    return lambda p: int(p.mhz(phase))
+    return lambda c: int(_mhz_of(c, phase))
 
 
 def _near(guest: str, phases, target: float, tolerance: float, kind: str = "global"):
     """Check: the guest's load is within *tolerance* of *target* in every phase."""
-    return lambda p: all(_within(p.load(guest, ph, kind), target, tolerance) for ph in phases)
+    return lambda c: all(
+        _within(_plateau(c, guest, phase, kind), target, tolerance) for phase in phases
+    )
 
 
 def _figure(number: int, title: str, kind: str, chart_title: str, rows, checks):
     """A §5.3 figure as data: its chart, its rows and its shape checks.
 
     *kind* picks the plotted loads (``global`` or ``absolute``); each row is
-    ``(metric, paper value, measured(plateaus))`` and each check
-    ``(description, holds(plateaus))``.
+    ``(metric, paper value, measured(cells))`` and each check
+    ``(description, holds(cells))``.
     """
 
-    def reduce(runs: Mapping[str, ScenarioResult]) -> ExperimentReport:
-        p = _Plateaus(runs)
-        freq_percent = p.result.series("host.freq_mhz").map(lambda mhz: 100.0 * mhz / p.max_mhz)
+    def reduce(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
+        run = cells["run"]
+        metrics = run.metrics
+        max_mhz = _max_mhz(run)
+        freq_percent = [
+            None if mhz is None else 100.0 * mhz / max_mhz
+            for mhz in metrics["chart_host_freq_mhz"]
+        ]
         report = ExperimentReport(
             experiment=f"Figure {number}",
             title=title,
-            chart=render_chart(
-                [p.result.series(f"V20.{kind}_load"), p.result.series(f"V70.{kind}_load"), freq_percent],
+            chart=draw_chart(
+                [metrics[f"chart_v20_{kind}"], metrics[f"chart_v70_{kind}"], freq_percent],
+                metrics["chart_start_s"],
+                metrics["chart_end_s"],
                 title=chart_title,
                 y_max=100.0,
                 labels=[f"V20 {kind} load %", f"V70 {kind} load %", "frequency (% of max)"],
             ),
         )
         for metric, paper, measured in rows:
-            report.add_row(metric, paper, measured(p))
+            report.add_row(metric, paper, measured(cells))
         for description, holds in checks:
-            report.check(description, holds(p))
+            report.check(description, holds(cells))
         return report
 
     return reduce
@@ -171,12 +207,15 @@ _FIG2 = _figure(
         ("V20 global load (solo)", 20.0, _load("V20", "solo")),
         ("V20 global load (both)", 20.0, _load("V20", "both")),
         ("V70 global load (both)", 70.0, _load("V70", "both")),
-        ("frequency (whole run)", 2667, lambda p: int(p.min_mhz)),
+        ("frequency (whole run)", 2667, lambda c: int(_value(c["run"], "freq_mhz_min"))),
     ),
     checks=(
         ("V20 holds its 20% credit in both phases", _near("V20", ("solo", "both"), 20, 1.5)),
         ("V70 holds its 70% credit when active", _near("V70", ("both",), 70, 2.0)),
-        ("frequency pinned at the maximum", lambda p: p.min_mhz == p.max_mhz),
+        (
+            "frequency pinned at the maximum",
+            lambda c: _value(c["run"], "freq_mhz_min") == _max_mhz(c["run"]),
+        ),
     ),
 )
 
@@ -189,21 +228,24 @@ _FIG3 = _figure(
         (
             "governor behaviour",
             "aggressive and unstable",
-            lambda p: f"{p.transitions} DVFS transitions",
+            lambda c: f"{_transitions(c)} DVFS transitions",
         ),
         (
             "(Fig. 4 comparison)",
             "stable",
-            lambda p: f"{p.runs['stable'].frequency_transitions} DVFS transitions",
+            lambda c: f"{_transitions(c, 'stable')} DVFS transitions",
         ),
         ("V20 global load (both)", 20.0, _load("V20", "both")),
     ),
     checks=(
         (
             "ondemand makes at least 50x more transitions than the stable governor",
-            lambda p: p.transitions >= 50 * max(p.runs["stable"].frequency_transitions, 1),
+            lambda c: _transitions(c) >= 50 * max(_transitions(c, "stable"), 1),
         ),
-        ("credit cap still enforced under oscillation", lambda p: p.load("V20", "both") <= 21.5),
+        (
+            "credit cap still enforced under oscillation",
+            lambda c: _plateau(c, "V20", "both") <= 21.5,
+        ),
     ),
 )
 
@@ -217,13 +259,16 @@ _FIG4 = _figure(
         ("V70 global load (both)", 70.0, _load("V70", "both")),
         ("frequency (solo)", 1600, _mhz("solo")),
         ("frequency (both)", 2667, _mhz("both")),
-        ("DVFS transitions", "few (stable)", lambda p: p.transitions),
+        ("DVFS transitions", "few (stable)", _transitions),
     ),
     checks=(
         ("V20 nominal load capped at its 20% credit", _near("V20", ("solo", "both"), 20, 1.5)),
-        ("governor clocks down while the host is underloaded", lambda p: p.mhz("solo") == 1600),
-        ("governor reaches the maximum under combined load", lambda p: p.mhz("both") == 2667),
-        ("stable: fewer than 20 transitions over the run", lambda p: p.transitions < 20),
+        (
+            "governor clocks down while the host is underloaded",
+            lambda c: _mhz_of(c, "solo") == 1600,
+        ),
+        ("governor reaches the maximum under combined load", lambda c: _mhz_of(c, "both") == 2667),
+        ("stable: fewer than 20 transitions over the run", lambda c: _transitions(c) < 20),
     ),
 )
 
@@ -240,8 +285,8 @@ _FIG5 = _figure(
     checks=(
         (
             "V20's absolute load collapses well below its 20% SLA while solo",
-            lambda p: p.load("V20", "solo", "absolute") < 15.0
-            and p.load("V20", "late", "absolute") < 15.0,
+            lambda c: _plateau(c, "V20", "solo", "absolute") < 15.0
+            and _plateau(c, "V20", "late", "absolute") < 15.0,
         ),
         (
             "V20 only gets its booked 20% when the host load forces max frequency",
@@ -263,10 +308,10 @@ _FIG6 = _figure(
     checks=(
         (
             "V20 receives extra slices beyond its credit while solo",
-            lambda p: 30.0 <= p.load("V20", "solo") <= 40.0,
+            lambda c: 30.0 <= _plateau(c, "V20", "solo") <= 40.0,
         ),
         ("credits respected again once V70 is active", _near("V20", ("both",), 20, 2.0)),
-        ("frequency stays low while solo (demand fits)", lambda p: p.mhz("solo") == 1600),
+        ("frequency stays low while solo (demand fits)", lambda c: _mhz_of(c, "solo") == 1600),
     ),
 )
 
@@ -301,15 +346,15 @@ _FIG8 = _figure(
     checks=(
         (
             "V20 consumes several times its 20% credit while solo",
-            lambda p: p.load("V20", "solo") >= 80.0,
+            lambda c: _plateau(c, "V20", "solo") >= 80.0,
         ),
         (
             "the frequency is pinned at the maximum (no energy saving possible)",
-            lambda p: p.mhz("solo") == p.max_mhz,
+            lambda c: _mhz_of(c, "solo") == _max_mhz(c["run"]),
         ),
         (
             "V70's guaranteed credit still respected when active",
-            lambda p: p.load("V70", "both") >= 67.0,
+            lambda c: _plateau(c, "V70", "both") >= 67.0,
         ),
     ),
 )
@@ -331,8 +376,8 @@ _FIG9 = _figure(
             "V20 back to 20% when the frequency reaches the maximum",
             _near("V20", ("both",), 20, 1.5),
         ),
-        ("frequency stays low while the host is underloaded", lambda p: p.mhz("solo") == 1600),
-        ("frequency reaches the maximum under combined load", lambda p: p.mhz("both") == 2667),
+        ("frequency stays low while the host is underloaded", lambda c: _mhz_of(c, "solo") == 1600),
+        ("frequency reaches the maximum under combined load", lambda c: _mhz_of(c, "both") == 2667),
     ),
 )
 
@@ -355,7 +400,7 @@ _FIG10 = _figure(
         ("V70 receives its booked 70% when active", _near("V70", ("both",), 70, 2.5, "absolute")),
         (
             "V20 never exceeds its booked absolute capacity (enables DVFS saving)",
-            lambda p: p.result.series("V20.absolute_load").max() <= 23.0,
+            lambda c: _value(c["run"], "v20_absolute_max") <= 23.0,
         ),
     ),
 )
@@ -377,16 +422,6 @@ def _pi_cell(processor: ProcessorSpec, freq_mhz: int, cap: float, work: float):
     )
 
 
-def _pi_time(result: ScenarioResult) -> float:
-    """The pi batch's execution time (raises if it never finished)."""
-    (app,) = result.host.domain("pi").workloads
-    return app.execution_time
-
-
-def _pi_cap(result: ScenarioResult) -> float:
-    return result.config.guests[0].cap
-
-
 def _compensation_cells(
     *,
     processor: ProcessorSpec = catalog.OPTIPLEX_755,
@@ -406,9 +441,9 @@ def _compensation_cells(
     return cells
 
 
-def _compensation(runs: Mapping[tuple[float, str], ScenarioResult]) -> ExperimentReport:
-    credits = list(dict.fromkeys(credit for credit, _ in runs))
-    first_max, first_reduced = runs[(credits[0], "max")], runs[(credits[0], "reduced")]
+def _compensation(cells: Mapping[tuple[float, str], ClaimCell]) -> ExperimentReport:
+    credits = list(dict.fromkeys(credit for credit, _ in cells))
+    first_max, first_reduced = cells[(credits[0], "max")], cells[(credits[0], "reduced")]
     report = ExperimentReport(
         experiment="Figure 1",
         title=(
@@ -417,10 +452,10 @@ def _compensation(runs: Mapping[tuple[float, str], ScenarioResult]) -> Experimen
         ),
     )
     for credit in credits:
-        time_max = _pi_time(runs[(credit, "max")])
-        reduced = runs[(credit, "reduced")]
-        compensated = _pi_cap(reduced)
-        time_reduced = _pi_time(reduced)
+        time_max = _value(cells[(credit, "max")], "pi_batch_time_s")
+        reduced = cells[(credit, "reduced")]
+        compensated = reduced.config.guests[0].cap
+        time_reduced = _value(reduced, "pi_batch_time_s")
         gap = 100.0 * abs(time_reduced - time_max) / time_max
         # The compensated credit saturates once it needs more than the
         # whole processor: beyond that the gap is expected (the figure's
@@ -445,40 +480,32 @@ def _compensation(runs: Mapping[tuple[float, str], ScenarioResult]) -> Experimen
     return report
 
 
-#: Seconds a §5.2 load measurement runs before its window opens.
-_SETTLE = 5.0
-
-
 def _load_cell(processor: ProcessorSpec, freq_mhz: int, demand: float, window: float):
     """One §5.2 load measurement: *demand* % of constant load pinned at
-    *freq_mhz* in a null-credit (uncapped, §3.1) guest."""
+    *freq_mhz* in a null-credit (uncapped, §3.1) guest, measured over
+    *window* seconds once it has settled (the ``settled`` metric set)."""
     load = WorkloadSpec(kind="constant", demand_percent=demand)
     return preset_config("calib").with_changes(
         processor=processor,
         cpufreq_max_mhz=freq_mhz,
-        duration=_SETTLE + window,
+        duration=SETTLE_S + window,
         guests=(GuestSpec("load", credit=0.0, workloads=(load,)),),
     )
 
 
-def measured_load(result: ScenarioResult) -> float:
-    """A load cell's mean (unsmoothed) host load once it has settled."""
-    return result.phase_mean("host.global_load", (_SETTLE, result.config.duration), smooth=False)
-
-
 def measured_cfs(
-    runs: Mapping[tuple[Any, PState], ScenarioResult],
+    cells: Mapping[tuple[Any, PState], ClaimCell],
 ) -> dict[tuple[Any, PState], float]:
     """Eq. 1 solved per load cell: ``{(key, state): cf}``.
 
-    Each cell is labelled ``(key, state)``; its :func:`measured_load` is
-    set against the same key's load at the maximum frequency (``nan`` where
-    the load is zero).
+    Each cell is labelled ``(key, state)``; its settled host load
+    (``host_load_settled``) is set against the same key's load at the
+    maximum frequency (``nan`` where the load is zero).
     """
-    loads = {label: measured_load(result) for label, result in runs.items()}
+    loads = {label: _value(cell, "host_load_settled") for label, cell in cells.items()}
     cfs = {}
-    for (key, state), result in runs.items():
-        top = result.config.processor.table().max_state
+    for (key, state), cell in cells.items():
+        top = cell.config.processor.table().max_state
         load = loads[(key, state)]
         ratio = state.freq_mhz / top.freq_mhz
         cfs[(key, state)] = (
@@ -500,9 +527,9 @@ def _frequency_load_cells(
     }
 
 
-def _frequency_load(runs: Mapping[tuple[float, PState], ScenarioResult]) -> ExperimentReport:
+def _frequency_load(cells: Mapping[tuple[float, PState], ClaimCell]) -> ExperimentReport:
     cfs: dict[PState, list[float]] = {}
-    for (_, state), cf in measured_cfs(runs).items():
+    for (_, state), cf in measured_cfs(cells).items():
         cfs.setdefault(state, []).append(cf)
     report = ExperimentReport(
         experiment="Validation (Eq. 1)",
@@ -537,16 +564,16 @@ def _frequency_time_cells(
     }
 
 
-def _frequency_time(runs: Mapping[int, ScenarioResult]) -> ExperimentReport:
-    table = next(iter(runs.values())).config.processor.table()
+def _frequency_time(cells: Mapping[int, ClaimCell]) -> ExperimentReport:
+    table = next(iter(cells.values())).config.processor.table()
     top = table.max_state.freq_mhz
-    time_max = _pi_time(runs[top])
+    time_max = _value(cells[top], "pi_batch_time_s")
     report = ExperimentReport(
         experiment="Validation (Eq. 2)",
         title="proportionality of frequency and execution time (pi-app)",
     )
     for state in table:
-        time_i = _pi_time(runs[state.freq_mhz])
+        time_i = _value(cells[state.freq_mhz], "pi_batch_time_s")
         expected = time_max / (state.freq_mhz / top * state.cf)
         report.add_row(f"T @ {state.freq_mhz} MHz", f"{expected:.1f}s (Eq. 2)", f"{time_i:.1f}s")
         report.check(
@@ -566,15 +593,15 @@ def _credit_time_cells(
     return {credit: _pi_cell(processor, top, credit, work) for credit in credits}
 
 
-def _credit_time(runs: Mapping[float, ScenarioResult]) -> ExperimentReport:
+def _credit_time(cells: Mapping[float, ClaimCell]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Validation (Eq. 3)",
         title="proportionality of credit and execution time (pi-app, max frequency)",
     )
-    baseline = next(iter(runs))
-    time_baseline = _pi_time(runs[baseline])
-    for credit, result in runs.items():
-        measured = _pi_time(result)
+    baseline = next(iter(cells))
+    time_baseline = _value(cells[baseline], "pi_batch_time_s")
+    for credit, cell in cells.items():
+        measured = _value(cell, "pi_batch_time_s")
         # Eq. 3: T_init / T_j = C_j / C_init.
         expected = time_baseline * baseline / credit
         report.add_row(f"T @ credit {credit:.0f}%", f"{expected:.1f}s (Eq. 3)", f"{measured:.1f}s")
@@ -607,14 +634,14 @@ def _table1_cells() -> dict[tuple[str, PState], Any]:
     }
 
 
-def _table1(runs: Mapping[tuple[str, PState], ScenarioResult]) -> ExperimentReport:
+def _table1(cells: Mapping[tuple[str, PState], ClaimCell]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Table 1",
         title="cf_min on different processors (§5.8, Grid'5000 machines)",
     )
     cf_min = {
         name: cf
-        for (name, state), cf in measured_cfs(runs).items()
+        for (name, state), cf in measured_cfs(cells).items()
         if state == catalog.TABLE1_PROCESSORS[name].table().min_state
     }
     for name, measured in cf_min.items():
@@ -647,19 +674,18 @@ def _table2_cells(*, quick: bool = False) -> dict[str, Any]:
     }
 
 
-def table2_rows(results) -> list[Table2Row]:
-    """Table 2's platform rows from the claim's sweep results.
+def table2_rows(cells: Mapping[str, ClaimCell]) -> list[Table2Row]:
+    """Table 2's platform rows from the claim's cells.
 
     A platform whose pi batch did not finish within the horizon in either
     mode raises.
     """
-    labels = set(results.labels)
     rows = []
     for platform in PLATFORMS:
-        if f"{platform.name}/performance" not in labels:
+        if f"{platform.name}/performance" not in cells:
             continue
         times = {
-            mode: results.metric(f"{platform.name}/{mode}", "v20_batch_time_s") for mode in _MODES
+            mode: cells[f"{platform.name}/{mode}"].metrics["v20_batch_time_s"] for mode in _MODES
         }
         for mode, time in times.items():
             if time is None:
@@ -680,12 +706,12 @@ def table2_rows(results) -> list[Table2Row]:
     return rows
 
 
-def _table2(results) -> ExperimentReport:
+def _table2(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Table 2",
         title="execution times on different virtualization platforms (§5.8)",
     )
-    rows = table2_rows(results)
+    rows = table2_rows(cells)
     for row in rows:
         report.add_row(
             f"{row.platform} (performance)",
@@ -737,16 +763,16 @@ def _table2(results) -> ExperimentReport:
 # ------------------------------------------------------------- ablations
 
 
-def _energy(results) -> ExperimentReport:
+def _energy(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Ablation A (energy)",
         title="energy vs SLA on the thrashing profile: PAS saves energy AND holds the SLA",
     )
     energies: dict[str, float] = {}
     slas: dict[str, float] = {}
-    for label in results.labels:
-        energies[label] = results.metric(label, "energy_joules")
-        slas[label] = results.metric(label, "v20_absolute_solo_early")
+    for label, cell in cells.items():
+        energies[label] = cell.metrics["energy_joules"]
+        slas[label] = cell.metrics["v20_absolute_solo_early"]
         report.add_row(
             label,
             "energy J / V20 absolute % (solo)",
@@ -773,15 +799,15 @@ def _energy(results) -> ExperimentReport:
     return report
 
 
-def _designs(results) -> ExperimentReport:
+def _designs(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Ablation B (§4.1 designs)",
         title="in-scheduler PAS vs the two user-level manager designs",
     )
     mean_error: dict[str, float] = {}
-    for design in results.labels:
-        mean_error[design] = results.metric(design, "v20_sla_mean_error")
-        max_error = results.metric(design, "v20_sla_max_error")
+    for design, cell in cells.items():
+        mean_error[design] = cell.metrics["v20_sla_mean_error"]
+        max_error = cell.metrics["v20_sla_max_error"]
         report.add_row(
             design, "mean / max SLA error (pp)", f"{mean_error[design]:.2f} / {max_error:.2f}"
         )
@@ -800,15 +826,14 @@ def _designs(results) -> ExperimentReport:
     return report
 
 
-def _cf(runs: Mapping[str, ScenarioResult]) -> ExperimentReport:
+def _cf(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Ablation C (cf-awareness)",
         title="ignoring Table 1's correction factor under-compensates on low-cf machines",
     )
-    with_cf, without_cf = runs["with cf"], runs["without cf"]
-    solo, _, _ = analysis_windows(with_cf.config)
-    sla_with = with_cf.phase_mean("V20.absolute_load", solo)
-    sla_without = without_cf.phase_mean("V20.absolute_load", solo)
+    with_cf, without_cf = cells["with cf"], cells["without cf"]
+    sla_with = _value(with_cf, "v20_absolute_solo_early")
+    sla_without = _value(without_cf, "v20_absolute_solo_early")
     report.add_row("V20 absolute load, PAS with cf", 20.0, round(sla_with, 2))
     report.add_row(
         "V20 absolute load, PAS without cf", "< 20 (under-compensated)", round(sla_without, 2)
@@ -816,28 +841,28 @@ def _cf(runs: Mapping[str, ScenarioResult]) -> ExperimentReport:
     report.add_row(
         "frequency while solo (with cf)",
         "low",
-        int(with_cf.phase_mean("host.freq_mhz", solo, smooth=False)),
+        int(_value(with_cf, "freq_mhz_solo_early")),
     )
     report.add_row(
         "frequency while solo (without cf)",
         "low",
-        int(without_cf.phase_mean("host.freq_mhz", solo, smooth=False)),
+        int(_value(without_cf, "freq_mhz_solo_early")),
     )
     report.check("cf-aware PAS holds the 20% SLA on the E5-2620", abs(sla_with - 20.0) <= 1.5)
     report.check("cf-blind PAS under-delivers V20's booked capacity", sla_without < sla_with - 1.0)
     return report
 
 
-def _qos(results) -> ExperimentReport:
+def _qos(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Ablation D (QoS)",
         title="client-visible response times behind the same 20% SLA (90% loaded)",
     )
     stats: dict[str, tuple[float, float, float]] = {}
-    for label in results.labels:
-        p50 = results.metric(label, "v20_latency_p50_s")
-        p99 = results.metric(label, "v20_latency_p99_s")
-        drops = results.metric(label, "v20_drop_percent")
+    for label, cell in cells.items():
+        p50 = cell.metrics["v20_latency_p50_s"]
+        p99 = cell.metrics["v20_latency_p99_s"]
+        drops = cell.metrics["v20_drop_percent"]
         if p50 is None or p99 is None:
             raise WorkloadError(
                 f"cell {label!r}: V20 completed no requests — timeline too "
@@ -874,14 +899,14 @@ def _qos(results) -> ExperimentReport:
     return report
 
 
-def _consolidation(sims: Mapping[str, Any]) -> ExperimentReport:
+def _consolidation(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Ablation E (consolidation)",
         title="memory-bound consolidation leaves CPU idle - DVFS is complementary (§2.3)",
     )
     energy: dict[str, float] = {}
-    for label, sim in sims.items():
-        metrics = fleet_metrics(sim)
+    for label, cell in cells.items():
+        metrics = cell.metrics
         energy[label] = metrics["fleet_energy_joules"]
         report.add_row(
             label,
@@ -889,8 +914,7 @@ def _consolidation(sims: Mapping[str, Any]) -> ExperimentReport:
             f"{metrics['fleet_energy_joules'] / 1000:8.1f} / {metrics['mean_machines_on']:4.1f} "
             f"/ {metrics['mean_sla_fraction'] * 100:5.1f}%",
         )
-    packed_hosts = [m for m in sims["consolidation + DVFS"].machines if m.vms]
-    cpu_loads = [sum(vm.demand_at(0.0) for vm in m.vms) for m in packed_hosts]
+    cpu_loads = cells["consolidation + DVFS"].metrics["packed_cpu_demand_t0"]
     report.add_row(
         "packed-host CPU demand (t=0)",
         "well under 100% (memory-bound)",
@@ -914,7 +938,7 @@ def _consolidation(sims: Mapping[str, Any]) -> ExperimentReport:
     )
     report.check(
         "every strategy delivers the full SLA",
-        all(sim.mean_sla_fraction > 0.999 for sim in sims.values()),
+        all(cell.metrics["mean_sla_fraction"] > 0.999 for cell in cells.values()),
     )
     return report
 
@@ -923,26 +947,18 @@ def _consolidation(sims: Mapping[str, Any]) -> ExperimentReport:
 _SENSITIVITY = ((0.5, 1), (0.5, 3), (1.0, 1), (1.0, 3), (1.0, 5), (2.0, 3))
 
 
-def _sensitivity(results) -> ExperimentReport:
+def _sensitivity(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
     report = ExperimentReport(
         experiment="Ablation F (PAS sensitivity)",
         title="sample period x averaging window: reactivity vs stability vs accuracy",
     )
     measured: dict[tuple[float, int], tuple[float, int, float]] = {}
     for sample_period, window in _SENSITIVITY:
-        label = f"{sample_period}x{window}"
-        reaction = results.metric(label, "freq_reaction_s")
+        cell = cells[f"{sample_period}x{window}"]
+        reaction = cell.metrics["freq_reaction_s"]
         reaction = float("inf") if reaction is None else reaction
-        transitions = results.metric(label, "dvfs_transitions")
-        errors = []
-        for phase in ("solo_early", "both", "solo_late"):
-            value = results.metric(label, f"v20_absolute_{phase}")
-            if value is None:
-                raise TelemetryError(
-                    f"cell {label!r} has no samples for 'v20_absolute_{phase}' — is the "
-                    "timeline too short for the analysis windows?"
-                )
-            errors.append(abs(value - 20.0))
+        transitions = cell.metrics["dvfs_transitions"]
+        errors = [abs(_value(cell, f"v20_absolute_{phase}") - 20.0) for phase in PHASE_NAMES]
         measured[(sample_period, window)] = (reaction, transitions, max(errors))
         marker = "  <- paper" if (sample_period, window) == (1.0, 3) else ""
         report.add_row(
@@ -972,61 +988,54 @@ def _sensitivity(results) -> ExperimentReport:
     return report
 
 
-#: The fleet preset the orchestration claim runs every policy on.
-_ORCHESTRATION_FLEET = "dc-diurnal"
-
-
-def _orchestration(results) -> ExperimentReport:
-    """The policy comparison; the cap is judged against the fleet preset's own."""
+def _orchestration(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
+    """The policy comparison; the cap is judged against the cell's own."""
     report = ExperimentReport(
         experiment="Ablation G (orchestration)",
         title="orchestration policies over a fleet day: consolidation saves energy "
         "and the power budget holds its cap",
     )
-    for policy in results.labels:
+    metrics = {policy: cell.metrics for policy, cell in cells.items()}
+    for policy, m in metrics.items():
         report.add_row(
             policy,
             "energy Wh / hosts on / migrations / SLA / peak W",
-            f"{results.metric(policy, 'energy_kwh') * 1000:6.2f} / "
-            f"{results.metric(policy, 'hosts_on_mean'):5.2f} / "
-            f"{results.metric(policy, 'migrations'):3d} / "
-            f"{results.metric(policy, 'sla_mean') * 100:5.1f}% / "
-            f"{results.metric(policy, 'power_peak_w'):6.1f}",
+            f"{m['energy_kwh'] * 1000:6.2f} / {m['hosts_on_mean']:5.2f} / "
+            f"{m['migrations']:3d} / {m['sla_mean'] * 100:5.1f}% / {m['power_peak_w']:6.1f}",
         )
-    budget_w = preset_config(_ORCHESTRATION_FLEET).power_budget_w
-    static_kwh = results.metric("static", "energy_kwh")
+    budget_w = cells["power-budget"].config.power_budget_w
+    static_kwh = metrics["static"]["energy_kwh"]
     report.check(
         f"power-budget holds the {budget_w:.0f} W fleet cap every epoch",
-        results.metric("power-budget", "power_peak_w") <= budget_w,
+        metrics["power-budget"]["power_peak_w"] <= budget_w,
     )
     report.check(
         "consolidate uses less energy than static",
-        results.metric("consolidate", "energy_kwh") < static_kwh,
+        metrics["consolidate"]["energy_kwh"] < static_kwh,
     )
     report.check(
         "power-budget uses less energy than static",
-        results.metric("power-budget", "energy_kwh") < static_kwh,
+        metrics["power-budget"]["energy_kwh"] < static_kwh,
     )
-    report.check("static never migrates", results.metric("static", "migrations") == 0)
+    report.check("static never migrates", metrics["static"]["migrations"] == 0)
     report.check(
         "consolidate and load-balance both migrate (the churn is real, and priced)",
-        results.metric("consolidate", "migrations") > 0
-        and results.metric("load-balance", "migrations") > 0,
+        metrics["consolidate"]["migrations"] > 0 and metrics["load-balance"]["migrations"] > 0,
     )
     report.check(
         "every policy keeps the SLA above 97%",
-        all(results.metric(policy, "sla_mean") > 0.97 for policy in results.labels),
+        all(m["sla_mean"] > 0.97 for m in metrics.values()),
     )
     return report
 
 
-def _placement(sims: Mapping[str, Any]) -> ExperimentReport:
+def _placement(cells: Mapping[str, ClaimCell]) -> ExperimentReport:
     """The placement trade-off; the cap is judged against the cell's own."""
     report = ExperimentReport(
         experiment="Ablation H (placement)",
         title="efficiency-packing vs performance-bursting on a mixed i7 + big.LITTLE fleet",
     )
-    metrics = {label: cluster_metrics(sim) for label, sim in sims.items()}
+    metrics = {label: cell.metrics for label, cell in cells.items()}
     for label, m in metrics.items():
         report.add_row(
             label,
@@ -1035,7 +1044,7 @@ def _placement(sims: Mapping[str, Any]) -> ExperimentReport:
             f"{m['sla_mean'] * 100:6.2f}% / {m['power_peak_w']:6.1f}",
         )
     efficiency = metrics["efficiency"]
-    budget_w = sims["power-budget"].power_budget_w
+    budget_w = cells["power-budget"].config.power_budget_w
     report.check(
         "efficiency-packing uses less energy than static",
         efficiency["energy_kwh"] < metrics["static"]["energy_kwh"],
@@ -1054,7 +1063,7 @@ def _placement(sims: Mapping[str, Any]) -> ExperimentReport:
     )
     report.check(
         "the big.LITTLE blades report C-state residency",
-        sum(sims["efficiency"].cstate_residency().values()) > 0.0,
+        efficiency["cstate_residency_s"] > 0.0,
     )
     return report
 
@@ -1074,6 +1083,7 @@ _CLAIMS = (
         "execution-time curves coincide until the compensated credit saturates at 100%.",
         _compensation_cells,
         _compensation,
+        metrics=("batch",),
     ),
     Claim(
         "fig2",
@@ -1082,6 +1092,7 @@ _CLAIMS = (
         "load with the frequency pinned at 2667 MHz.",
         _grid("paper-5.3", scheduler="credit", governor="performance"),
         _FIG2,
+        metrics=_FIGURE_METRICS,
     ),
     Claim(
         "fig3",
@@ -1095,6 +1106,7 @@ _CLAIMS = (
             governor="ondemand",
         ),
         _FIG3,
+        metrics=_FIGURE_METRICS,
     ),
     Claim(
         "fig4",
@@ -1103,6 +1115,7 @@ _CLAIMS = (
         "DVFS transitions overall.",
         _grid("paper-5.3", **_CREDIT_STABLE),
         _FIG4,
+        metrics=_FIGURE_METRICS,
     ),
     Claim(
         "fig5",
@@ -1113,6 +1126,7 @@ _CLAIMS = (
         "its booked 20%.",
         _grid("paper-5.3", **_CREDIT_STABLE),
         _FIG5,
+        metrics=_FIGURE_METRICS,
     ),
     Claim(
         "fig6",
@@ -1121,6 +1135,7 @@ _CLAIMS = (
         "activates, credits are respected and V20 returns to 20%.",
         _grid("paper-5.3", **_SEDF_STABLE),
         _FIG6,
+        metrics=_FIGURE_METRICS,
     ),
     Claim(
         "fig7",
@@ -1129,6 +1144,7 @@ _CLAIMS = (
         'solution" (§5.5) for exact loads.',
         _grid("paper-5.3", **_SEDF_STABLE),
         _FIG7,
+        metrics=_FIGURE_METRICS,
     ),
     Claim(
         "fig8",
@@ -1138,6 +1154,7 @@ _CLAIMS = (
         'inactivity" (§5.6).',
         _grid("paper-5.3", v20_load="thrashing", **_SEDF_STABLE),
         _FIG8,
+        metrics=_FIGURE_METRICS,
     ),
     Claim(
         "fig9",
@@ -1147,6 +1164,7 @@ _CLAIMS = (
         'credit as the processor frequency reaches the maximum value." (§5.7)',
         _grid("paper-5.3", **_PAS_THRASHING),
         _FIG9,
+        metrics=_FIGURE_METRICS,
     ),
     Claim(
         "fig10",
@@ -1156,6 +1174,7 @@ _CLAIMS = (
         "which is what keeps the frequency (and energy) down.",
         _grid("paper-5.3", **_PAS_THRASHING),
         _FIG10,
+        metrics=_FIGURE_METRICS,
     ),
     Claim(
         "table1",
@@ -1165,6 +1184,7 @@ _CLAIMS = (
         "i7-3770 0.86206.",
         _table1_cells,
         _table1,
+        metrics=("settled",),
     ),
     Claim(
         "table2",
@@ -1185,6 +1205,7 @@ _CLAIMS = (
         'verify that they were constant under various workloads."',
         _frequency_load_cells,
         _frequency_load,
+        metrics=("settled",),
     ),
     Claim(
         "eq2",
@@ -1193,6 +1214,7 @@ _CLAIMS = (
         "1 / (ratio * cf).",
         _frequency_time_cells,
         _frequency_time,
+        metrics=("batch",),
     ),
     Claim(
         "eq3",
@@ -1201,6 +1223,7 @@ _CLAIMS = (
         'equation 3": T * credit is constant at the maximum frequency.',
         _credit_time_cells,
         _credit_time,
+        metrics=("batch",),
     ),
     Claim(
         "energy",
@@ -1255,6 +1278,7 @@ _CLAIMS = (
             **_PAS_THRASHING,
         ),
         _cf,
+        metrics=("loads", "frequency"),
     ),
     Claim(
         "qos",
@@ -1294,6 +1318,7 @@ _CLAIMS = (
             },
         ),
         _consolidation,
+        metrics=("fleet", "packing"),
     ),
     Claim(
         "sensitivity",
@@ -1324,7 +1349,7 @@ _CLAIMS = (
         "policy keeps the fleet under its 200 W cap every epoch, and the dynamic "
         "policies pay for their migrations with under 3% of SLA.",
         _grid(
-            _ORCHESTRATION_FLEET,
+            "dc-diurnal",
             {policy: {"policy": policy} for policy in ORCHESTRATION_POLICIES},
         ),
         _orchestration,
@@ -1348,11 +1373,44 @@ _CLAIMS = (
             },
         ),
         _placement,
+        metrics=("cluster", "cstates"),
     ),
 )
 
 #: Every reproduced result, in the paper's order, by CLI name.
 CLAIMS: dict[str, Claim] = {claim.name: claim for claim in _CLAIMS}
+
+
+def _accepted(cells: Callable[..., Any]) -> str:
+    """The overrides a cell builder takes, for an error message."""
+    parameters = inspect.signature(cells).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in parameters):
+        return "any field of its base config"
+    return ", ".join(p.name for p in parameters) or "none"
+
+
+def _claim_cells(claim: Claim, overrides: Mapping[str, Any]) -> Mapping[Any, Any]:
+    """*claim*'s cells under *overrides*; malformed overrides name the claim."""
+    try:
+        cells = claim.cells(**overrides)
+    except (TypeError, ValueError, ConfigurationError) as error:
+        raise ConfigurationError(
+            f"claim {claim.name!r} rejects overrides {dict(overrides)!r} ({error}); "
+            f"it accepts: {_accepted(claim.cells)}"
+        ) from None
+    if not cells:
+        raise ConfigurationError(
+            f"claim {claim.name!r} has no cells under overrides {dict(overrides)!r}"
+        )
+    return cells
+
+
+def _cell_text(claim: str, label: Any) -> str:
+    """A cell's label in the store and in progress lines: ``claim/label``."""
+    parts = label if isinstance(label, tuple) else (label,)
+    return claim + "/" + " ".join(
+        f"{part.freq_mhz} MHz" if isinstance(part, PState) else str(part) for part in parts
+    )
 
 
 def run_claims(
@@ -1362,14 +1420,18 @@ def run_claims(
     workers: int = 1,
     store=None,
     progress=None,
-) -> dict[str, tuple[Any, ExperimentReport]]:
-    """Run the named claims (all of them by default): ``{name: (outcome, report)}``.
+) -> dict[str, tuple[dict[Any, ClaimCell], ExperimentReport]]:
+    """Run the named claims (all of them by default): ``{name: (cells, report)}``.
 
-    *params* maps a claim name to the overrides its cells take.  Sweep
-    claims fan out over *workers*, read and persist through *store*, and
-    report each finished cell to *progress* (see
-    :class:`~repro.sweep.SweepRunner`); the other claims' cells run
-    serially, and a config named twice in one call is simulated once.
+    *params* maps a claim name to the overrides its cells take; overrides
+    a claim's builder rejects, or that leave it no cells, raise a
+    :class:`ConfigurationError` naming the claim.  Every claim's cells go
+    into one :func:`~repro.sweep.runner.run_cells` fan-out over *workers*,
+    read from and persisted in *store*, each finished cell reported to
+    *progress* (see :class:`~repro.sweep.SweepRunner`).  Cells with the
+    same store key (config, metric sets and seed) run once, however many
+    claims name them.  *cells* maps each of the claim's labels to its
+    :class:`ClaimCell`.
     """
     names = list(CLAIMS) if names is None else list(names)
     unknown = [name for name in names if name not in CLAIMS]
@@ -1377,34 +1439,26 @@ def run_claims(
         raise ConfigurationError(
             f"unknown claim(s) {', '.join(unknown)}; choose from: {', '.join(CLAIMS)}"
         )
-    finished: list[tuple[Any, Any]] = []
-
-    def outcome_of(cell: Any) -> Any:
-        for done, outcome in finished:
-            if done == cell:
-                return outcome
-        outcome = execute_config(cell)
-        finished.append((cell, outcome))
-        return outcome
-
-    out: dict[str, tuple[Any, ExperimentReport]] = {}
+    jobs: dict[str, tuple[str, Any, tuple[str, ...]]] = {}
+    keyed: dict[str, dict[Any, tuple[Any, str]]] = {}
     for name in names:
         claim = CLAIMS[name]
-        cells = claim.cells(**(params or {}).get(name, {}))
-        if claim.metrics:
-            outcome = run_sweep(
-                SweepGrid.from_variants(cells),
-                metrics=claim.metrics,
-                workers=workers,
-                store=store,
-                progress=progress,
-            )
-        else:
-            outcome = {label: outcome_of(cell) for label, cell in cells.items()}
-        out[name] = (outcome, claim.reduce(outcome))
+        keyed[name] = {}
+        for label, config in _claim_cells(claim, (params or {}).get(name, {})).items():
+            key = cell_key(config, claim.metrics, getattr(config, "seed", None))
+            jobs.setdefault(key, (_cell_text(name, label), config, claim.metrics))
+            keyed[name][label] = (config, key)
+    results = run_cells(list(jobs.values()), workers=workers, store=store, progress=progress)
+    metrics = {key: result.metrics for key, result in zip(jobs, results)}
+    out: dict[str, tuple[dict[Any, ClaimCell], ExperimentReport]] = {}
+    for name in names:
+        cells = {
+            label: ClaimCell(config, metrics[key]) for label, (config, key) in keyed[name].items()
+        }
+        out[name] = (cells, CLAIMS[name].reduce(cells))
     return out
 
 
-def run_claim(name: str, **overrides) -> tuple[Any, ExperimentReport]:
-    """Run one claim with *overrides* for its cells: ``(outcome, report)``."""
+def run_claim(name: str, **overrides) -> tuple[dict[Any, ClaimCell], ExperimentReport]:
+    """Run one claim with *overrides* for its cells: ``(cells, report)``."""
     return run_claims([name], params={name: overrides})[name]

@@ -51,7 +51,9 @@ grids from :mod:`repro.experiments.presets` ride the same runner::
         "v20_load": ["exact", "thrashing"], "duration": [400.0]}'
 
 Experiments whose cells are hand-picked rather than a product use
-``SweepGrid.from_variants({"label": config, ...})``.
+``SweepGrid.from_variants({"label": config, ...})``; cells that each reduce
+through their own metric sets (the paper's claims) share one fan-out
+through :func:`~repro.sweep.runner.run_cells`.
 
 Persistence and resume
 ----------------------

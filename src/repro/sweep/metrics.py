@@ -1,13 +1,14 @@
-"""Per-cell metric reducers: a finished run -> a flat dict of scalars.
+"""Per-cell metric reducers: a finished run -> a flat dict of values.
 
 Every reducer is a module-level function (picklable by reference, so pool
 workers can apply them in-process) taking the cell's outcome — a
 :class:`~repro.experiments.scenario.ScenarioResult` for single-host cells,
 an :class:`~repro.cluster.orchestrator.Orchestrator` for fleet cells — and
-returning JSON-safe ``{name: value}`` pairs.  Metrics that cannot be
-computed (a phase window with no samples on a compressed timeline, a
-latency query with no completed requests) come back as ``None`` rather
-than raising, so one odd cell never sinks a whole sweep.
+returning JSON-safe ``{name: value}`` pairs: scalars, or lists of them (a
+chart's resampled columns, one value per packed host).  Metrics that
+cannot be computed (a phase window with no samples on a compressed
+timeline, a latency query with no completed requests) come back as
+``None`` rather than raising, so one odd cell never sinks a whole sweep.
 """
 
 from __future__ import annotations
@@ -232,6 +233,64 @@ def sla_error_metrics(result) -> dict:
     return out
 
 
+def chart_metrics(result) -> dict:
+    """What a §5.3 figure draws: its series resampled onto the chart's columns.
+
+    Every guest's global and absolute load (``chart_<guest>_<kind>``) and
+    the host frequency (``chart_host_freq_mhz``), smoothed as the figures
+    plot them, at the :data:`~repro.telemetry.ascii_chart.CHART_WIDTH`
+    column times spanning ``chart_start_s``..``chart_end_s``; plus each
+    guest's peak absolute load (``<guest>_absolute_max``).
+    """
+    from ..telemetry.ascii_chart import chart_columns, chart_span
+
+    series = {"host_freq_mhz": result.series("host.freq_mhz")}
+    for domain in result.guest_names:
+        for kind in ("global", "absolute"):
+            series[f"{domain.lower()}_{kind}"] = result.series(f"{domain}.{kind}_load")
+    start_s, end_s = chart_span(list(series.values()))
+    out: dict = {"chart_start_s": start_s, "chart_end_s": end_s}
+    for name, values in series.items():
+        out[f"chart_{name}"] = chart_columns(values, start_s, end_s)
+    for domain in result.guest_names:
+        out[f"{domain.lower()}_absolute_max"] = series[f"{domain.lower()}_absolute"].max()
+    return out
+
+
+#: Seconds a §5.2 load measurement runs before its window opens.
+SETTLE_S = 5.0
+
+
+def settled_load_metrics(result) -> dict:
+    """The host's mean (unsmoothed) load from :data:`SETTLE_S` to the end.
+
+    The §5.2 load measurement Eq. 1 solves for ``cf``; ``None`` when the
+    run ends before it settles.
+    """
+    window = (SETTLE_S, result.config.duration)
+    return {
+        "host_load_settled": _safe_phase_mean(
+            result, "host.global_load", window, smooth=False
+        )
+    }
+
+
+def cstate_metrics(sim) -> dict:
+    """Fleet-wide idle-state residency, summed over C-states (cluster cells)."""
+    return {"cstate_residency_s": sum(sim.cstate_residency().values())}
+
+
+def packing_metrics(sim) -> dict:
+    """The t=0 CPU demand (%) of each host that holds VMs at the end (cluster cells)."""
+    return {
+        "packed_cpu_demand_t0": [
+            sum(vm.demand_at(0.0) for vm in machine.vms)
+            for machine in sim.machines
+            if machine.vms
+        ]
+    }
+
+
 def fleet_metrics(sim) -> dict:
     """Fleet-level energy, packing and SLA statistics (cluster cells)."""
     return {
@@ -273,6 +332,10 @@ METRICS: dict[str, Callable] = {
     "sla": sla_error_metrics,
     "fleet": fleet_metrics,
     "cluster": cluster_metrics,
+    "chart": chart_metrics,
+    "settled": settled_load_metrics,
+    "cstates": cstate_metrics,
+    "packing": packing_metrics,
 }
 
 #: Defaults per cell kind (see :func:`repro.sweep.runner.execute_config`).

@@ -218,77 +218,16 @@ class SweepRunner:
         else:
             self._metric_names = None
 
-    def _stream(
-        self, tasks: Sequence[tuple[SweepCell, Sequence[Callable]]]
-    ) -> Iterator[CellResult]:
-        """Yield results as cells finish (any order; results carry indices)."""
-        if self.workers == 1 or len(tasks) <= 1:
-            for task in tasks:
-                yield _execute_cell(task)
-            return
-        pool = WorkerPool.get(self.workers)
-        try:
-            yield from pool.imap_unordered(_execute_cell, tasks, chunksize=1)
-        except BaseException:
-            # A cell raised (or the consumer was killed): queued tasks would
-            # keep running into a dead iterator — tear the pool down.
-            WorkerPool.discard(self.workers)
-            raise
-
     def run(self) -> SweepResults:
         """Execute (or recall) all cells; results come back in grid order."""
-        self.cache_hits = 0
-        self.computed = 0
-        done: dict[int, CellResult] = {}
-        pending: list[SweepCell] = []
-        keys: dict[int, str] = {}
-        # The config payload each pending cell's key was derived from, for
-        # its put: derived once, so the blob always matches its key.
-        config_payloads: dict[int, dict[str, Any]] = {}
-        for cell in self.grid:
-            if self.store is None:
-                pending.append(cell)
-                continue
-            key, config = cell_key(
-                cell.config, self._metric_names, cell.seed, with_payload=True
-            )
-            keys[cell.index] = key
-            payload = self.store.lookup(key) if self.resume else None
-            if payload is not None:
-                # Label/params/seed come from the *grid* (the cache is keyed
-                # by content, not by what some earlier grid called the cell),
-                # so exports stay byte-identical to a cold run.
-                done[cell.index] = CellResult(
-                    index=cell.index,
-                    label=cell.label,
-                    params={k: describe_value(v) for k, v in cell.params.items()},
-                    seed=cell.seed,
-                    metrics=payload["metrics"],
-                )
-                self.cache_hits += 1
-                if self.progress is not None:
-                    self.progress(done[cell.index], True)
-            else:
-                pending.append(cell)
-                config_payloads[cell.index] = config
-        for result in self._stream([(cell, self._resolved) for cell in pending]):
-            # Stream into the store cell by cell: an interrupted sweep keeps
-            # everything finished so far, not just complete runs.
-            if self.store is not None:
-                self.store.put(
-                    keys[result.index],
-                    config_payload=config_payloads.pop(result.index),
-                    label=result.label,
-                    params=result.params,
-                    seed=result.seed,
-                    metrics_list=self._metric_names,
-                    metrics=result.metrics,
-                )
-            done[result.index] = result
-            self.computed += 1
-            if self.progress is not None:
-                self.progress(result, False)
-        cells = [done[cell.index] for cell in self.grid]
+        names, resolved = self._metric_names, self._resolved
+        cells, self.cache_hits, self.computed = _run_tasks(
+            [(cell, resolved, names) for cell in self.grid],
+            workers=self.workers,
+            store=self.store,
+            resume=self.resume,
+            progress=self.progress,
+        )
         metrics_registry = _obs.METRICS
         if metrics_registry is not None:
             collect_sweep(metrics_registry, self)
@@ -301,6 +240,122 @@ class SweepRunner:
         # details in meta: the exported bytes must not depend on how (or how
         # warm) the sweep was executed.
         return SweepResults(cells, meta=meta)
+
+
+def _stream(
+    tasks: Sequence[tuple[SweepCell, Sequence[Callable]]], workers: int
+) -> Iterator[CellResult]:
+    """Yield results as cells finish (any order; results carry indices)."""
+    if workers == 1 or len(tasks) <= 1:
+        for task in tasks:
+            yield _execute_cell(task)
+        return
+    pool = WorkerPool.get(workers)
+    try:
+        yield from pool.imap_unordered(_execute_cell, tasks, chunksize=1)
+    except BaseException:
+        # A cell raised (or the consumer was killed): queued tasks would
+        # keep running into a dead iterator — tear the pool down.
+        WorkerPool.discard(workers)
+        raise
+
+
+def _run_tasks(
+    tasks: Sequence[tuple[SweepCell, Sequence[Callable], list[str] | None]],
+    *,
+    workers: int,
+    store: ExperimentStore | None,
+    resume: bool,
+    progress: Callable[[CellResult, bool], None] | None,
+) -> tuple[list[CellResult], int, int]:
+    """Execute (or recall) each ``(cell, reducers, metric names)`` task.
+
+    Returns the results in task order, then how many came from the store
+    and how many were computed.  The metric names key the cell in the
+    store (``None`` without one).
+    """
+    cache_hits = 0
+    computed = 0
+    done: dict[int, CellResult] = {}
+    pending: list[tuple[SweepCell, Sequence[Callable]]] = []
+    keys: dict[int, str] = {}
+    names_of: dict[int, list[str] | None] = {}
+    # The config payload each pending cell's key was derived from, for
+    # its put: derived once, so the blob always matches its key.
+    config_payloads: dict[int, dict[str, Any]] = {}
+    for cell, resolved, names in tasks:
+        if store is None:
+            pending.append((cell, resolved))
+            continue
+        key, config = cell_key(cell.config, names, cell.seed, with_payload=True)
+        keys[cell.index] = key
+        payload = store.lookup(key) if resume else None
+        if payload is not None:
+            # Label/params/seed come from the *grid* (the cache is keyed
+            # by content, not by what some earlier grid called the cell),
+            # so exports stay byte-identical to a cold run.
+            done[cell.index] = CellResult(
+                index=cell.index,
+                label=cell.label,
+                params={k: describe_value(v) for k, v in cell.params.items()},
+                seed=cell.seed,
+                metrics=payload["metrics"],
+            )
+            cache_hits += 1
+            if progress is not None:
+                progress(done[cell.index], True)
+        else:
+            pending.append((cell, resolved))
+            names_of[cell.index] = names
+            config_payloads[cell.index] = config
+    for result in _stream(pending, workers):
+        # Stream into the store cell by cell: an interrupted sweep keeps
+        # everything finished so far, not just complete runs.
+        if store is not None:
+            store.put(
+                keys[result.index],
+                config_payload=config_payloads.pop(result.index),
+                label=result.label,
+                params=result.params,
+                seed=result.seed,
+                metrics_list=names_of.pop(result.index),
+                metrics=result.metrics,
+            )
+        done[result.index] = result
+        computed += 1
+        if progress is not None:
+            progress(result, False)
+    return [done[cell.index] for cell, _, _ in tasks], cache_hits, computed
+
+
+def run_cells(
+    cells: Sequence[tuple[str, Any, Sequence[str]]],
+    *,
+    workers: int = 1,
+    store: ExperimentStore | str | pathlib.Path | None = None,
+    progress: Callable[[CellResult, bool], None] | None = None,
+) -> list[CellResult]:
+    """Run ``(label, config, metric names)`` cells in one fan-out.
+
+    The sweep of cells that each reduce through their own metric sets (the
+    claims registry's): they share one pass over *workers*, and each is
+    read from and persisted in *store* under its own key.  Results come
+    back in *cells* order; each cell's params are ``{"variant": label}``
+    and its seed is its config's.
+    """
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if store is not None and not isinstance(store, ExperimentStore):
+        store = ExperimentStore(store)
+    tasks = []
+    for index, (label, config, metrics) in enumerate(cells):
+        cell = SweepCell(index, label, {"variant": label}, config, getattr(config, "seed", None))
+        names = metric_names(metrics) if store is not None else None
+        tasks.append((cell, resolve_metrics(metrics), names))
+    results, _, _ = _run_tasks(
+        tasks, workers=workers, store=store, resume=True, progress=progress
+    )
+    return results
 
 
 def run_sweep(

@@ -5,13 +5,14 @@ import pytest
 
 from repro import catalog
 from repro.cli import main
-from repro.experiments.claims import measured_cfs, measured_load, run_claim
+from repro.experiments.claims import CLAIMS, measured_cfs, run_claim
+from repro.sweep.runner import execute_config
 
 
 def calibrate(spec, *demands):
-    """The eq1 cells of *spec* at *demands* (15 % by default): ``(runs, cfs)``."""
-    runs, _ = run_claim("eq1", processor=spec, demands=demands or (15.0,))
-    return runs, measured_cfs(runs)
+    """The eq1 cells of *spec* at *demands* (15 % by default): ``(cells, cfs)``."""
+    cells, _ = run_claim("eq1", processor=spec, demands=demands or (15.0,))
+    return cells, measured_cfs(cells)
 
 
 def test_recovers_cf_min_on_e5_2620():
@@ -48,9 +49,11 @@ def test_measurement_independent_of_demand_level():
 
 def test_cell_pins_its_frequency():
     table = catalog.XEON_L5420.table()
-    runs, _ = calibrate(catalog.XEON_L5420)
-    at_min, at_max = runs[(15.0, table.min_state)], runs[(15.0, table.max_state)]
+    cells, _ = calibrate(catalog.XEON_L5420)
+    low, high = (15.0, table.min_state), (15.0, table.max_state)
+    at_min = execute_config(CLAIMS["eq1"].cells(processor=catalog.XEON_L5420, demands=(15.0,))[low])
     assert at_min.host.processor.spec.name == catalog.XEON_L5420.name
     assert at_min.host.processor.state.freq_mhz == 2000
     assert at_min.frequency_transitions <= 1
-    assert measured_load(at_min) > measured_load(at_max)
+    settled = "host_load_settled"
+    assert cells[low].metrics[settled] > cells[high].metrics[settled]

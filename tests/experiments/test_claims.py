@@ -8,7 +8,7 @@ and placement claims run their fleet days at paper scale: each takes well
 under a second.  The pinned digests are each report's ``render()`` before the
 per-figure runners became registry entries, so the registry reproduces
 their bytes exactly.  The remaining tests pin the interface: override
-forwarding, report structure and the runs claims share.
+forwarding, override errors, report structure and the runs claims share.
 """
 
 import hashlib
@@ -17,7 +17,8 @@ import pytest
 
 from repro import catalog
 from repro.errors import ConfigurationError
-from repro.experiments.claims import CLAIMS, run_claim, run_claims
+from repro.experiments.claims import ClaimCell, CLAIMS, run_claim, run_claims
+from repro.sweep.runner import execute_config
 
 FAST = dict(
     v20_active=(20.0, 180.0),
@@ -86,15 +87,36 @@ def test_compressed_render_is_byte_identical(compressed, name):
     assert hashlib.sha256(report.render().encode()).hexdigest() == RENDER_SHA256[name]
 
 
-def test_claims_on_one_config_share_its_run(compressed):
-    for first, second in (("fig4", "fig5"), ("fig6", "fig7"), ("fig9", "fig10")):
-        assert compressed[first][0]["run"] is compressed[second][0]["run"]
-    assert compressed["fig3"][0]["stable"] is compressed["fig4"][0]["run"]
+def test_claims_on_one_config_share_its_run():
+    # Fig. 3's stable cell is Fig. 4's run, which is Fig. 5's: three claims,
+    # four cells, two distinct configs.
+    computed = []
+    params = {name: FAST for name in ("fig3", "fig4", "fig5")}
+    out = run_claims(
+        ["fig3", "fig4", "fig5"],
+        params=params,
+        progress=lambda result, from_cache: computed.append(result.label),
+    )
+    assert computed == ["fig3/run", "fig3/stable"]
+    assert out["fig4"][0]["run"].metrics is out["fig3"][0]["stable"].metrics
+    assert out["fig5"][0]["run"] == out["fig4"][0]["run"]
 
 
-def test_unknown_claim_names_the_choices():
-    with pytest.raises(ConfigurationError, match="choose from: fig1, fig2"):
-        run_claims(["fig11"])
+@pytest.mark.parametrize(
+    "name, overrides, error",
+    [
+        ("eq1", dict(bogus=1), "rejects .*accepts: processor, demands, window$"),
+        ("table2", dict(quick=True, x=1), "rejects .*accepts: quick$"),
+        ("table1", dict(demand=15.0), "rejects .*accepts: none$"),
+        ("fig1", dict(credits="abc"), "rejects .*accepts: processor, reduced_freq_mhz, credits"),
+        ("fig2", dict(bogus=1), "rejects .*accepts: any field of its base config$"),
+        ("eq3", dict(credits=()), "has no cells"),
+        ("fig1", dict(credits=()), "has no cells"),
+    ],
+)
+def test_malformed_overrides_name_the_claim(name, overrides, error):
+    with pytest.raises(ConfigurationError, match=f"^claim '{name}' {error}"):
+        run_claim(name, **overrides)
 
 
 def test_fig4_report_structure(compressed):
@@ -107,16 +129,15 @@ def test_fig4_report_structure(compressed):
 
 
 def test_fig9_overrides_forwarded():
-    runs, _ = run_claim("fig9", **FAST, seed=9)
-    result = runs["run"]
-    assert result.config.seed == 9
-    assert result.config.duration == 200.0
-    assert result.host.scheduler.name == "pas"
+    cells, _ = run_claim("fig9", **FAST, seed=9)
+    config = cells["run"].config
+    assert config.seed == 9
+    assert config.duration == 200.0
+    assert execute_config(config).host.scheduler.name == "pas"
 
 
 def test_fig9_on_other_processor():
-    runs, _ = run_claim("fig9", **FAST, processor=catalog.CORE_I7_3770)
-    result = runs["run"]
+    result = execute_config(CLAIMS["fig9"].cells(**FAST, processor=catalog.CORE_I7_3770)["run"])
     assert result.host.processor.spec.name == "Intel Core i7-3770"
     # The compensation plateau moves with the frequency table: at the i7's
     # chosen state the cap is credit / (ratio * cf).
@@ -127,10 +148,10 @@ def test_fig9_on_other_processor():
 
 
 def test_compensation_small_ladder(compressed):
-    runs, report = compressed["fig1"]
+    cells, report = compressed["fig1"]
     ladder = [
-        round(result.config.guests[0].cap)
-        for (_, frequency), result in runs.items()
+        round(cell.config.guests[0].cap)
+        for (_, frequency), cell in cells.items()
         if frequency == "reduced"
     ]
     assert ladder == [25, 50]
@@ -146,8 +167,8 @@ def test_credit_time_custom_credits(compressed):
 def test_table2_quick_mode(compressed):
     from repro.experiments.claims import table2_rows
 
-    results, report = compressed["table2"]
-    assert {row.platform for row in table2_rows(results)} == {"Hyper-V", "Xen/PAS", "Xen/SEDF"}
+    cells, report = compressed["table2"]
+    assert {row.platform for row in table2_rows(cells)} == {"Hyper-V", "Xen/PAS", "Xen/SEDF"}
     assert report.all_passed
 
 
@@ -180,18 +201,12 @@ _FLEET = {
     ],
 )
 def test_orchestration_reducer_fails_the_broken_shape(policy, metric, value, failure):
-    from repro.sweep import CellResult, SweepResults
-
     fleet = {name: {**metrics, "sla_mean": 1.0} for name, metrics in _FLEET.items()}
     if policy is not None:
         fleet[policy][metric] = value
-    results = SweepResults(
-        [
-            CellResult(index, name, {"variant": name}, 11, metrics)
-            for index, (name, metrics) in enumerate(fleet.items())
-        ]
-    )
-    report = CLAIMS["orchestration"].reduce(results)
+    configs = CLAIMS["orchestration"].cells()
+    cells = {name: ClaimCell(configs[name], metrics) for name, metrics in fleet.items()}
+    report = CLAIMS["orchestration"].reduce(cells)
     failures = [check.description for check in report.failures]
     if failure is None:
         assert report.all_passed
@@ -201,45 +216,35 @@ def test_orchestration_reducer_fails_the_broken_shape(policy, metric, value, fai
 
 #: Per-variant fleet outcomes on which every placement check passes.
 _MIXED = {
-    "static": dict(
-        energy_kwh=0.00336, mean_machines_on=3.0, mean_sla_fraction=1.0, peak_power_w=67.4
-    ),
-    "efficiency": dict(
-        energy_kwh=0.00154, mean_machines_on=1.55, mean_sla_fraction=0.9988, peak_power_w=45.3
-    ),
-    "performance": dict(
-        energy_kwh=0.00319, mean_machines_on=1.0, mean_sla_fraction=1.0, peak_power_w=78.0
-    ),
+    "static": dict(energy_kwh=0.00336, hosts_on_mean=3.0, sla_mean=1.0, power_peak_w=67.4),
+    "efficiency": dict(energy_kwh=0.00154, hosts_on_mean=1.55, sla_mean=0.9988, power_peak_w=45.3),
+    "performance": dict(energy_kwh=0.00319, hosts_on_mean=1.0, sla_mean=1.0, power_peak_w=78.0),
     "power-budget": dict(
-        energy_kwh=0.00149, mean_machines_on=1.55, mean_sla_fraction=0.9809, peak_power_w=39.4
+        energy_kwh=0.00149, hosts_on_mean=1.55, sla_mean=0.9809, power_peak_w=39.4
     ),
 }
 
 
 @pytest.mark.parametrize(
-    "variant, field, value, failure",
+    "variant, metric, value, failure",
     [
         (None, None, None, None),
         ("static", "energy_kwh", 0.0015, "efficiency-packing uses less energy than static"),
         ("performance", "energy_kwh", 0.0015, "efficiency-packing uses less energy than perf"),
-        ("efficiency", "mean_sla_fraction", 0.98, "packing the efficient blades costs under 1%"),
-        ("power-budget", "peak_power_w", 120.5, "power-budget holds the 120 W cap"),
-        ("efficiency", "residency", {}, "the big.LITTLE blades report C-state residency"),
+        ("efficiency", "sla_mean", 0.98, "packing the efficient blades costs under 1%"),
+        ("power-budget", "power_peak_w", 120.5, "power-budget holds the 120 W cap"),
+        ("efficiency", "cstate_residency_s", 0.0, "the big.LITTLE blades report C-state residency"),
     ],
 )
-def test_placement_reducer_fails_the_broken_shape(variant, field, value, failure):
-    from types import SimpleNamespace
-
-    sims = {}
-    for name, outcome in _MIXED.items():
-        outcome = dict(outcome, total_migrations=0, sla_violations=0, residency={"C6": 50.0})
+def test_placement_reducer_fails_the_broken_shape(variant, metric, value, failure):
+    configs = CLAIMS["placement"].cells()
+    cells = {}
+    for name, metrics in _MIXED.items():
+        metrics = dict(metrics, migrations=0, sla_violations=0, cstate_residency_s=50.0)
         if name == variant:
-            outcome[field] = value
-        residency = outcome.pop("residency")
-        sims[name] = SimpleNamespace(
-            power_budget_w=120.0, cstate_residency=lambda r=residency: r, **outcome
-        )
-    report = CLAIMS["placement"].reduce(sims)
+            metrics[metric] = value
+        cells[name] = ClaimCell(configs[name], metrics)
+    report = CLAIMS["placement"].reduce(cells)
     failures = [check.description for check in report.failures]
     if failure is None:
         assert report.all_passed

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.claims import run_claim, table2_rows
+from repro.experiments.claims import CLAIMS, run_claim, table2_rows
 from repro.platforms import PLATFORMS
 from repro.platforms.virt_platforms import platform_config
 
@@ -71,8 +71,8 @@ def test_platform_config_rejects_unknown_mode():
 @pytest.fixture(scope="module")
 def quick_rows():
     """Table 2's rows in quick mode: Hyper-V, Xen/PAS and Xen/SEDF."""
-    results, _ = run_claim("table2", quick=True)
-    return {row.platform: row for row in table2_rows(results)}
+    cells, _ = run_claim("table2", quick=True)
+    return {row.platform: row for row in table2_rows(cells)}
 
 
 def test_table2_pas_cancels_degradation(quick_rows):
@@ -91,14 +91,13 @@ def test_table2_sedf_fast_and_flat(quick_rows):
 
 def test_table2_rows_reject_an_unfinished_batch():
     from repro.errors import ConfigurationError
-    from repro.sweep import CellResult, SweepResults
+    from repro.experiments.claims import ClaimCell
 
     times = {"Hyper-V/performance": 1601.0, "Hyper-V/ondemand": None}
-    results = SweepResults(
-        [
-            CellResult(index, label, {"variant": label}, 0, {"v20_batch_time_s": time})
-            for index, (label, time) in enumerate(times.items())
-        ]
-    )
+    configs = CLAIMS["table2"].cells(quick=True)
+    cells = {
+        label: ClaimCell(configs[label], {"v20_batch_time_s": time})
+        for label, time in times.items()
+    }
     with pytest.raises(ConfigurationError, match=r"Hyper-V \(ondemand\) did not finish"):
-        table2_rows(results)
+        table2_rows(cells)

@@ -161,3 +161,21 @@ def test_unknown_metric_rejected(small_grid):
             SweepGrid.from_variants({"one": small_grid.cells[0].config}),
             metrics=("nope",),
         )
+
+
+def test_cells_with_their_own_metric_sets_share_one_fan_out(small_grid, serial, tmp_path):
+    from repro.sweep.runner import run_cells
+
+    # One cell of the grid under the grid's metrics, one under the batch
+    # set: each reduces through its own sets and keys its own store entry.
+    config = small_grid.cells[0].config
+    cells = [("loads", config, ("loads", "frequency", "energy")), ("batch", config, ("batch",))]
+    seen = []
+    cold = run_cells(
+        cells, workers=2, store=tmp_path, progress=lambda r, warm: seen.append(warm)
+    )
+    assert cold[0].metrics == serial.cells[0].metrics
+    assert cold[1].metrics == {}  # no pi workload on the paper's profile
+    warm = run_cells(cells, store=tmp_path, progress=lambda r, warm: seen.append(warm))
+    assert [r.metrics for r in warm] == [r.metrics for r in cold]
+    assert seen == [False, False, True, True]

@@ -55,9 +55,7 @@ def test_reproduce_failing_check_exits_1(capsys, monkeypatch):
         report.check("a check that does not hold", False)
         return report
 
-    forced = dataclasses.replace(
-        claims.CLAIMS["table1"], cells=lambda **overrides: {}, reduce=failing
-    )
+    forced = dataclasses.replace(claims.CLAIMS["table1"], reduce=failing)
     monkeypatch.setitem(claims.CLAIMS, "table1", forced)
     assert main(["reproduce", "table1"]) == 1
     assert "[FAIL] a check that does not hold" in capsys.readouterr().out
@@ -698,10 +696,34 @@ def test_store_on_non_store_directory(capsys, tmp_path):
     assert "not an experiment store" in capsys.readouterr().err
 
 
-def test_reproduce_store_on_a_claim_without_sweep_cells(capsys, tmp_path):
-    # The cf ablation keeps its runs' full outcomes; --store must warn, not crash.
-    assert main(["reproduce", "cf", "--store", str(tmp_path / "st")]) in (0, 1)
-    assert "cf does not support --store" in capsys.readouterr().err
+def test_reproduce_store_serves_a_charted_claim_warm(capsys, tmp_path):
+    # The cf ablation reads loads and frequencies: stored, they serve a
+    # rerun without simulating.
+    store_dir = str(tmp_path / "st")
+    assert main(["reproduce", "cf", "--store", store_dir]) == 0
+    cold = capsys.readouterr()
+    assert "0 cells warm, 2 computed" in cold.err
+    assert main(["reproduce", "cf", "--store", store_dir]) == 0
+    warm = capsys.readouterr()
+    assert "2 cells warm, 0 computed" in warm.err
+    assert warm.out == cold.out
+
+
+def test_reproduce_output_is_the_same_however_it_runs(capsys, tmp_path):
+    # Fig. 1 and Eq. 3 share their maximum-frequency pi runs; Table 1 is
+    # load cells.  Serial, parallel and warm-store runs print the same bytes.
+    names = ["fig1", "eq3", "table1"]
+    outputs = []
+    for flags in (
+        ["--workers", "1"],
+        ["--workers", "2", "--store", str(tmp_path / "st")],
+        ["--workers", "2", "--store", str(tmp_path / "st")],
+    ):
+        assert main(["reproduce", *names, *flags]) == 0
+        captured = capsys.readouterr()
+        outputs.append(captured.out)
+    assert "cells warm, 0 computed" in captured.err
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_run_cluster_scenario_file(capsys, tmp_path):
