@@ -20,8 +20,8 @@ a claim's cells or its checks.
 Every claim runs the same way.  :func:`run_claims` puts the cells of every
 requested claim into one :func:`~repro.sweep.runner.run_cells` fan-out
 over ``workers``, read from and persisted in a ``store``; a cell that
-several claims name (the same config and metric sets, so the same store
-key) is simulated once: Figs. 4/5, 6/7 and 9/10 share their run, Fig. 3's
+several claims name (an equal config and the same metric sets) is
+simulated once: Figs. 4/5, 6/7 and 9/10 share their run, Fig. 3's
 ``stable`` cell is Fig. 4's, and Fig. 1's maximum-frequency pi runs are
 Eq. 3's ladder.  Each reducer then reads its claim's cells by label, each a
 :class:`ClaimCell`: the config (caps, pinned MHz, processor tables, power
@@ -48,7 +48,6 @@ from ..cpu.processor import ProcessorSpec
 from ..cpu.pstate import PState
 from ..errors import ConfigurationError, TelemetryError, WorkloadError
 from ..platforms.virt_platforms import PLATFORMS, platform_config, Table2Row
-from ..store import cell_key
 from ..sweep.metrics import PHASE_NAMES, SETTLE_S
 from ..sweep.runner import run_cells
 from ..telemetry.ascii_chart import draw_chart
@@ -61,6 +60,8 @@ from .scenario import GuestSpec, WorkloadSpec
 class ClaimCell:
     """One cell of a claim as its reducer reads it."""
 
+    #: The cell's ``claim/label`` name, as in the store and progress lines.
+    name: str
     #: The config the cell ran.
     config: Any
     #: Its values from the claim's metric sets.
@@ -107,8 +108,8 @@ def _value(cell: ClaimCell, name: str) -> Any:
     value = cell.metrics[name]
     if value is None:
         raise TelemetryError(
-            f"metric {name!r} has no value: its window held no samples, or its "
-            "batch never finished, on this timeline"
+            f"cell {cell.name!r}: metric {name!r} has no value: its window held no "
+            "samples, or its batch never finished, on this timeline"
         )
     return value
 
@@ -1394,10 +1395,12 @@ def _claim_cells(claim: Claim, overrides: Mapping[str, Any]) -> Mapping[Any, Any
     try:
         cells = claim.cells(**overrides)
     except (TypeError, ValueError, ConfigurationError) as error:
+        if not overrides:
+            raise  # the builder's own fault, not the caller's
         raise ConfigurationError(
             f"claim {claim.name!r} rejects overrides {dict(overrides)!r} ({error}); "
             f"it accepts: {_accepted(claim.cells)}"
-        ) from None
+        ) from error
     if not cells:
         raise ConfigurationError(
             f"claim {claim.name!r} has no cells under overrides {dict(overrides)!r}"
@@ -1428,10 +1431,9 @@ def run_claims(
     :class:`ConfigurationError` naming the claim.  Every claim's cells go
     into one :func:`~repro.sweep.runner.run_cells` fan-out over *workers*,
     read from and persisted in *store*, each finished cell reported to
-    *progress* (see :class:`~repro.sweep.SweepRunner`).  Cells with the
-    same store key (config, metric sets and seed) run once, however many
-    claims name them.  *cells* maps each of the claim's labels to its
-    :class:`ClaimCell`.
+    *progress* (see :class:`~repro.sweep.SweepRunner`).  Cells with equal
+    configs and metric sets run once, however many claims name them.
+    *cells* maps each of the claim's labels to its :class:`ClaimCell`.
     """
     names = list(CLAIMS) if names is None else list(names)
     unknown = [name for name in names if name not in CLAIMS]
@@ -1439,24 +1441,21 @@ def run_claims(
         raise ConfigurationError(
             f"unknown claim(s) {', '.join(unknown)}; choose from: {', '.join(CLAIMS)}"
         )
-    jobs: dict[str, tuple[str, Any, tuple[str, ...]]] = {}
-    keyed: dict[str, dict[Any, tuple[Any, str]]] = {}
-    for name in names:
-        claim = CLAIMS[name]
-        keyed[name] = {}
-        for label, config in _claim_cells(claim, (params or {}).get(name, {})).items():
-            key = cell_key(config, claim.metrics, getattr(config, "seed", None))
-            jobs.setdefault(key, (_cell_text(name, label), config, claim.metrics))
-            keyed[name][label] = (config, key)
-    results = run_cells(list(jobs.values()), workers=workers, store=store, progress=progress)
-    metrics = {key: result.metrics for key, result in zip(jobs, results)}
-    out: dict[str, tuple[dict[Any, ClaimCell], ExperimentReport]] = {}
-    for name in names:
-        cells = {
-            label: ClaimCell(config, metrics[key]) for label, (config, key) in keyed[name].items()
-        }
-        out[name] = (cells, CLAIMS[name].reduce(cells))
-    return out
+    jobs = [
+        (name, label, _cell_text(name, label), config)
+        for name in names
+        for label, config in _claim_cells(CLAIMS[name], (params or {}).get(name, {})).items()
+    ]
+    results = run_cells(
+        [(text, config, CLAIMS[name].metrics) for name, _, text, config in jobs],
+        workers=workers,
+        store=store,
+        progress=progress,
+    )
+    cells: dict[str, dict[Any, ClaimCell]] = {name: {} for name in names}
+    for (name, label, text, config), result in zip(jobs, results):
+        cells[name][label] = ClaimCell(text, config, result.metrics)
+    return {name: (cells[name], CLAIMS[name].reduce(cells[name])) for name in names}
 
 
 def run_claim(name: str, **overrides) -> tuple[dict[Any, ClaimCell], ExperimentReport]:

@@ -339,23 +339,32 @@ def run_cells(
 
     The sweep of cells that each reduce through their own metric sets (the
     claims registry's): they share one pass over *workers*, and each is
-    read from and persisted in *store* under its own key.  Results come
-    back in *cells* order; each cell's params are ``{"variant": label}``
-    and its seed is its config's.
+    read from and persisted in *store* under its own key.  A cell whose
+    config and metric sets equal an earlier cell's runs once and shares
+    its result (and label).  Results come back in *cells* order; each
+    cell's params are ``{"variant": label}`` and its seed is its config's.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if store is not None and not isinstance(store, ExperimentStore):
         store = ExperimentStore(store)
+    distinct: list[tuple[Any, tuple]] = []
+    slots: list[int] = []
     tasks = []
-    for index, (label, config, metrics) in enumerate(cells):
-        cell = SweepCell(index, label, {"variant": label}, config, getattr(config, "seed", None))
-        names = metric_names(metrics) if store is not None else None
-        tasks.append((cell, resolve_metrics(metrics), names))
+    for label, config, metrics in cells:
+        job = (config, tuple(metrics))
+        if job not in distinct:
+            cell = SweepCell(
+                len(tasks), label, {"variant": label}, config, getattr(config, "seed", None)
+            )
+            names = metric_names(metrics) if store is not None else None
+            tasks.append((cell, resolve_metrics(metrics), names))
+            distinct.append(job)
+        slots.append(distinct.index(job))
     results, _, _ = _run_tasks(
         tasks, workers=workers, store=store, resume=True, progress=progress
     )
-    return results
+    return [results[slot] for slot in slots]
 
 
 def run_sweep(

@@ -11,12 +11,13 @@ their bytes exactly.  The remaining tests pin the interface: override
 forwarding, override errors, report structure and the runs claims share.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro import catalog
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TelemetryError
 from repro.experiments.claims import ClaimCell, CLAIMS, run_claim, run_claims
 from repro.sweep.runner import execute_config
 
@@ -99,7 +100,7 @@ def test_claims_on_one_config_share_its_run():
     )
     assert computed == ["fig3/run", "fig3/stable"]
     assert out["fig4"][0]["run"].metrics is out["fig3"][0]["stable"].metrics
-    assert out["fig5"][0]["run"] == out["fig4"][0]["run"]
+    assert out["fig5"][0]["run"].metrics is out["fig4"][0]["run"].metrics
 
 
 @pytest.mark.parametrize(
@@ -117,6 +118,30 @@ def test_claims_on_one_config_share_its_run():
 def test_malformed_overrides_name_the_claim(name, overrides, error):
     with pytest.raises(ConfigurationError, match=f"^claim '{name}' {error}"):
         run_claim(name, **overrides)
+
+
+def test_unknown_claim_names_the_choices():
+    with pytest.raises(ConfigurationError, match="choose from: fig1, fig2"):
+        run_claims(["fig11"])
+
+
+def test_a_builder_fault_without_overrides_is_not_the_callers(monkeypatch):
+    def broken():
+        raise TypeError("builder bug")
+
+    monkeypatch.setitem(CLAIMS, "eq2", dataclasses.replace(CLAIMS["eq2"], cells=broken))
+    with pytest.raises(TypeError, match="^builder bug$"):
+        run_claim("eq2")
+
+
+def test_a_value_missing_names_its_cell():
+    configs = CLAIMS["eq2"].cells(work=5.0)
+    cells = {
+        mhz: ClaimCell(f"eq2/{mhz}", config, {"pi_batch_time_s": None})
+        for mhz, config in configs.items()
+    }
+    with pytest.raises(TelemetryError, match="^cell 'eq2/2667': metric 'pi_batch_time_s'"):
+        CLAIMS["eq2"].reduce(cells)
 
 
 def test_fig4_report_structure(compressed):
@@ -205,7 +230,10 @@ def test_orchestration_reducer_fails_the_broken_shape(policy, metric, value, fai
     if policy is not None:
         fleet[policy][metric] = value
     configs = CLAIMS["orchestration"].cells()
-    cells = {name: ClaimCell(configs[name], metrics) for name, metrics in fleet.items()}
+    cells = {
+        name: ClaimCell(f"orchestration/{name}", configs[name], metrics)
+        for name, metrics in fleet.items()
+    }
     report = CLAIMS["orchestration"].reduce(cells)
     failures = [check.description for check in report.failures]
     if failure is None:
@@ -243,7 +271,7 @@ def test_placement_reducer_fails_the_broken_shape(variant, metric, value, failur
         metrics = dict(metrics, migrations=0, sla_violations=0, cstate_residency_s=50.0)
         if name == variant:
             metrics[metric] = value
-        cells[name] = ClaimCell(configs[name], metrics)
+        cells[name] = ClaimCell(f"placement/{name}", configs[name], metrics)
     report = CLAIMS["placement"].reduce(cells)
     failures = [check.description for check in report.failures]
     if failure is None:

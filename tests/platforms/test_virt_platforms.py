@@ -96,7 +96,7 @@ def test_table2_rows_reject_an_unfinished_batch():
     times = {"Hyper-V/performance": 1601.0, "Hyper-V/ondemand": None}
     configs = CLAIMS["table2"].cells(quick=True)
     cells = {
-        label: ClaimCell(configs[label], {"v20_batch_time_s": time})
+        label: ClaimCell(f"table2/{label}", configs[label], {"v20_batch_time_s": time})
         for label, time in times.items()
     }
     with pytest.raises(ConfigurationError, match=r"Hyper-V \(ondemand\) did not finish"):

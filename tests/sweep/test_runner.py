@@ -179,3 +179,17 @@ def test_cells_with_their_own_metric_sets_share_one_fan_out(small_grid, serial, 
     warm = run_cells(cells, store=tmp_path, progress=lambda r, warm: seen.append(warm))
     assert [r.metrics for r in warm] == [r.metrics for r in cold]
     assert seen == [False, False, True, True]
+
+
+def test_cells_with_equal_configs_and_metric_sets_run_once(small_grid):
+    from repro.sweep.runner import run_cells
+
+    config = small_grid.cells[0].config
+    seen = []
+    results = run_cells(
+        [("a", config, ("batch",)), ("b", config, ("batch",)), ("c", config, ("frequency",))],
+        progress=lambda result, warm: seen.append(result.label),
+    )
+    assert seen == ["a", "c"]
+    assert results[1] is results[0]
+    assert "dvfs_transitions" in results[2].metrics
