@@ -4,35 +4,40 @@ One runner for two kinds of benchmark:
 
 * **native benches** — fast, dependency-free timings of the hot paths the
   ROADMAP tracks (the slice-dispatch engine, the cold ``stress-fleet``
-  sweep, the store's warm path, the cluster orchestration loop).  These
-  form the ``smoke`` suite that CI gates on.
+  sweep, the store's warm path, a 256-machine fleet sweep).  These form
+  the ``smoke`` suite that CI gates on.
 * **pytest benches** — every ``benchmarks/bench_*.py`` reproduction
-  benchmark, each executed as its own timed pytest session (the ``full``
+  benchmark, each executed once as its own pytest session (the ``full``
   suite; needs ``pytest`` installed).
+
+Every time is read in reference seconds from perfbench's
+:class:`~perfbench.clock.RefClock`: the wall time of a span rescaled by
+the core speed that probes taken *during* the span measured, so a core
+that switches speed mid-run does not move the number.  Each native bench
+runs :data:`RUNS` times in-process and its median run is the gated time.
 
 Results are written as machine-readable ``BENCH_<rev>.json``::
 
     {
-      "schema": "repro-bench/1",
+      "schema": "repro-bench/2",
       "rev": "<git short rev or 'unknown'>",
-      "python": "3.12.1", "platform": "...", "suite": "smoke",
+      "python": "3.11.7", "platform": "...", "suite": "smoke",
       "peak_rss_kb": 123456,
       "benches": {
         "stress-fleet-cold": {
-          "ok": true, "wall_s": 1.23, "peak_rss_kb": 120000,
-          "metrics": {"cells": 2, "cells_per_s": 1.63}
+          "ok": true, "ref_s": 0.738, "ref_runs": [0.742, 0.731, ...],
+          "peak_rss_kb": 120000,
+          "metrics": {"cells": 2, "cells_per_s": 2.71}
         }, ...
       }
     }
 
-(``peak_rss_kb`` is the process high-water mark *as of* that bench —
-monotone across the run, not an isolated per-bench peak.)
+(``metrics`` come from the median run; ``peak_rss_kb`` is the process
+high-water mark *as of* that bench — monotone across the run, not an
+isolated per-bench peak.)
 
-``compare_reports`` implements the regression gate: each bench's
-``wall_s`` must stay within ``--max-regress`` of the baseline.  When both
-reports carry the ``calibration`` bench (a fixed pure-Python spin), wall
-times are first normalised by the calibration ratio so a slower/faster CI
-runner does not read as a code-level regression.
+``compare_reports`` implements the regression gate: each bench's median
+``ref_s`` must stay within ``--max-regress`` of the baseline's.
 """
 
 from __future__ import annotations
@@ -42,13 +47,19 @@ import pathlib
 import platform
 import subprocess
 import sys
-import time
+from functools import partial
 from typing import Callable
 
-SCHEMA = "repro-bench/1"
+try:
+    from perfbench.clock import RefClock
+except ImportError:  # loaded by file path from outside the checkout
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
+    from perfbench.clock import RefClock
 
-#: Calibration spin iterations — sized to ~200 ms on a 2020s laptop core.
-_CALIBRATION_LOOPS = 4_000_000
+SCHEMA = "repro-bench/2"
+
+#: Runs of each native bench; odd, so the median is one run's time.
+RUNS = 5
 
 
 # --------------------------------------------------------------- plumbing
@@ -90,30 +101,14 @@ def peak_rss_kb() -> int | None:
 # ---------------------------------------------------------- native benches
 
 
-def _bench_calibration() -> dict:
-    """Fixed pure-Python spin — the machine-speed anchor for --compare.
-
-    Best-of-three inner timings; the *best* spin approximates the machine's
-    unloaded speed, which is the quantity the normalisation needs (transient
-    scheduler noise must not rescale the whole comparison).
-    """
-
-    def spin() -> int:
-        acc = 0
-        for i in range(_CALIBRATION_LOOPS):
-            acc += i & 7
-        return acc
-
-    best = float("inf")
-    checksum = 0
-    for _ in range(3):
-        started = time.perf_counter()
-        checksum = spin()
-        best = min(best, time.perf_counter() - started)
-    return {"loops": _CALIBRATION_LOOPS, "checksum": checksum, "best_spin_s": best}
+def _timed(clock: RefClock, work: Callable[[], object]) -> tuple[object, float]:
+    """``work()``'s result and the reference seconds it took."""
+    first = clock.mark()
+    result = work()
+    return result, clock.ref_seconds(first, clock.mark())
 
 
-def _bench_engine_events() -> dict:
+def _bench_engine_events(clock: RefClock) -> dict:
     """Raw event-loop throughput: dense periodic timers, no hypervisor."""
     from repro.sim import Engine, PeriodicTimer
 
@@ -129,16 +124,14 @@ def _bench_engine_events() -> dict:
     ]
     for timer in timers:
         timer.start()
-    started = time.perf_counter()
-    engine.run_until(200.0)
-    elapsed = time.perf_counter() - started
+    _, elapsed = _timed(clock, lambda: engine.run_until(200.0))
     return {
         "events": engine.events_fired,
         "events_per_s": engine.events_fired / elapsed if elapsed > 0 else 0.0,
     }
 
 
-def _bench_paper_scenario() -> dict:
+def _bench_paper_scenario(clock: RefClock) -> dict:
     """The paper's §5.3 default scenario end to end (800 simulated s)."""
     from repro.experiments import ScenarioConfig, run_scenario
 
@@ -155,21 +148,20 @@ def _bench_paper_scenario() -> dict:
     }
 
 
-def _bench_stress_fleet_cold() -> dict:
+def _bench_stress_fleet_cold(clock: RefClock) -> dict:
     """Cold serial stress-fleet sweep — the ROADMAP's perf benchmark."""
     from repro.experiments import preset_grid
     from repro.sweep import run_sweep
 
-    started = time.perf_counter()
-    results = run_sweep(preset_grid("stress-fleet"), workers=1)
-    elapsed = time.perf_counter() - started
+    grid = preset_grid("stress-fleet")
+    results, elapsed = _timed(clock, lambda: run_sweep(grid, workers=1))
     return {
         "cells": len(results),
         "cells_per_s": len(results) / elapsed if elapsed > 0 else 0.0,
     }
 
 
-def _bench_store_warm() -> dict:
+def _bench_store_warm(clock: RefClock) -> dict:
     """Cold-vs-warm sweep through a throwaway store (PR-3's contract)."""
     import tempfile
 
@@ -184,9 +176,7 @@ def _bench_store_warm() -> dict:
         exports = {}
         for phase in ("cold", "warm"):
             runner = SweepRunner(grid, workers=1, store=store)
-            started = time.perf_counter()
-            results = runner.run()
-            timings[phase] = time.perf_counter() - started
+            results, timings[phase] = _timed(clock, runner.run)
             exports[phase] = results.to_json()
     if exports["cold"] != exports["warm"]:
         raise AssertionError("warm store export diverged from cold export")
@@ -199,30 +189,30 @@ def _bench_store_warm() -> dict:
     }
 
 
-def _bench_tracing_off() -> dict:
+def _bench_tracing_off(clock: RefClock) -> dict:
     """Hook-overhead guard: disabled observability must cost nothing.
 
     Runs the stress-fleet grid plain and then traced+metered, asserts the
     two exports are byte-identical, and reports the overhead ratio.  The
-    plain (tracing-off) wall time rides the same ``--compare`` envelope as
-    every other bench, so a hook that sneaks per-event cost into the
-    disabled hot path fails CI even though tracing is opt-in.
+    bench's whole time rides the same ``--compare`` envelope as every
+    other bench, so a hook that sneaks per-event cost into the disabled
+    hot path fails CI even though tracing is opt-in.
     """
     from repro.experiments import preset_grid
     from repro.obs import MetricsRegistry, observed, Tracer
     from repro.sweep import run_sweep
 
     grid = preset_grid("stress-fleet")
-    started = time.perf_counter()
-    plain = run_sweep(grid, workers=1)
-    off_s = time.perf_counter() - started
+    plain, off_s = _timed(clock, lambda: run_sweep(grid, workers=1))
 
     tracer = Tracer(categories=("sched", "cpufreq"))
     registry = MetricsRegistry()
-    started = time.perf_counter()
-    with observed(tracer=tracer, metrics=registry):
-        traced = run_sweep(grid, workers=1)
-    on_s = time.perf_counter() - started
+
+    def traced_sweep():
+        with observed(tracer=tracer, metrics=registry):
+            return run_sweep(grid, workers=1)
+
+    traced, on_s = _timed(clock, traced_sweep)
     if plain.to_json() != traced.to_json():
         raise AssertionError("traced sweep export diverged from untraced export")
     return {
@@ -235,44 +225,25 @@ def _bench_tracing_off() -> dict:
     }
 
 
-def _bench_cluster_epoch() -> dict:
-    """The dc-diurnal-small fleet day through the orchestration loop."""
-    from repro.cluster.scenario import run_cluster_scenario
-    from repro.experiments import get_preset
+def _bench_fleet_256(clock: RefClock) -> dict:
+    """A serial policy sweep of the ``dc-fleet-large`` mix at 256 machines."""
+    from repro.experiments import preset_grid
+    from repro.sweep import run_sweep
 
-    config = get_preset("dc-diurnal-small").config
-    sim = run_cluster_scenario(config)
-    epochs = len(sim.stats)
-    return {"epochs": epochs, "vms": config.n_vms, "machines": config.n_machines}
-
-
-def _bench_hetero_fleet() -> dict:
-    """The dc-hetero mixed fleet (frequency domains + C-state accounting)."""
-    from repro.cluster.scenario import run_cluster_scenario
-    from repro.experiments import get_preset
-
-    config = get_preset("dc-hetero").config
-    sim = run_cluster_scenario(config)
-    residency = sim.cstate_residency()
-    return {
-        "epochs": len(sim.stats),
-        "vms": config.n_vms,
-        "machines": config.total_machines,
-        "domain_samples": len(sim.domain_records()),
-        "cstate_residency_s": sum(residency.values()),
-    }
+    fleet = {"n_machines": 256, "n_vms": 768, "power_budget_w": 5120.0}
+    results = run_sweep(preset_grid("dc-fleet-large", overrides=fleet), workers=1)
+    return {"cells": len(results), "machines": fleet["n_machines"], "vms": fleet["n_vms"]}
 
 
 #: Native benches in run order: name -> callable returning a metrics dict.
-NATIVE_BENCHES: dict[str, Callable[[], dict]] = {
-    "calibration": _bench_calibration,
+#: Each takes the run's clock, from which it reads any in-bench rate.
+NATIVE_BENCHES: dict[str, Callable[[RefClock], dict]] = {
     "engine-events": _bench_engine_events,
     "paper-5.3": _bench_paper_scenario,
     "stress-fleet-cold": _bench_stress_fleet_cold,
     "tracing-off": _bench_tracing_off,
     "store-warm": _bench_store_warm,
-    "dc-diurnal-small": _bench_cluster_epoch,
-    "dc-hetero": _bench_hetero_fleet,
+    "fleet-256": _bench_fleet_256,
 }
 
 
@@ -316,44 +287,45 @@ def run_benches(
     """Execute *names* and assemble the report dict (see module docstring)."""
     pytest_by_stem = {path.stem: path for path in pytest_bench_files()}
     benches: dict[str, dict] = {}
-    for name in names:
-        progress(f"bench {name} ...")
-        entry: dict = {"ok": True, "metrics": {}}
-        if name in NATIVE_BENCHES:
-            # Best-of-two: the *minimum* wall is what the code can do; the
-            # mean folds in whatever else the machine was running, which is
-            # exactly what a CI regression gate must not measure.
-            runner = NATIVE_BENCHES[name]
-            best = float("inf")
-            for _ in range(2):
-                started = time.perf_counter()
-                try:
-                    metrics = runner()
-                except Exception as error:  # a failing bench is a result
-                    entry["ok"] = False
-                    entry["error"] = f"{type(error).__name__}: {error}"
-                    best = time.perf_counter() - started
-                    break
-                elapsed = time.perf_counter() - started
-                if elapsed < best:
-                    best = elapsed
-                    entry["metrics"] = metrics
-            entry["wall_s"] = round(best, 6)
-        elif name in pytest_by_stem:
-            started = time.perf_counter()
-            ok, tail = run_pytest_bench(pytest_by_stem[name])
-            entry["ok"] = ok
-            entry["metrics"] = {"pytest_tail": tail}
-            entry["wall_s"] = round(time.perf_counter() - started, 6)
-        else:
-            raise KeyError(
-                f"unknown bench {name!r}; "
-                f"choose from: {', '.join(available_benches('full'))}"
+    clock = RefClock().start()
+    try:
+        for name in names:
+            progress(f"bench {name} ...")
+            entry: dict = {"ok": True}
+            runs: list[tuple[float, dict]] = []  # (ref seconds, metrics) per run
+            if name in NATIVE_BENCHES:
+                for _ in range(RUNS):
+                    first = clock.mark()
+                    try:
+                        metrics = NATIVE_BENCHES[name](clock)
+                    except Exception as error:  # a failing bench is a result
+                        entry["ok"] = False
+                        entry["error"] = f"{type(error).__name__}: {error}"
+                        metrics = {}
+                    runs.append((clock.ref_seconds(first, clock.mark()), metrics))
+                    if not entry["ok"]:
+                        break
+            elif name in pytest_by_stem:
+                (ok, tail), ref_s = _timed(clock, partial(run_pytest_bench, pytest_by_stem[name]))
+                entry["ok"] = ok
+                runs.append((ref_s, {"pytest_tail": tail}))
+            else:
+                raise KeyError(
+                    f"unknown bench {name!r}; "
+                    f"choose from: {', '.join(available_benches('full'))}"
+                )
+            median_s, entry["metrics"] = sorted(runs, key=lambda run: run[0])[len(runs) // 2]
+            entry["ref_s"] = round(median_s, 6)
+            entry["ref_runs"] = [round(seconds, 6) for seconds, _ in runs]
+            entry["peak_rss_kb"] = peak_rss_kb()
+            benches[name] = entry
+            status = "ok" if entry["ok"] else "FAILED"
+            progress(
+                f"bench {name}: {status}, median {entry['ref_s']:.3f} ref s "
+                f"of {len(runs)} run(s)"
             )
-        entry["peak_rss_kb"] = peak_rss_kb()
-        benches[name] = entry
-        status = "ok" if entry["ok"] else "FAILED"
-        progress(f"bench {name}: {status} in {entry['wall_s']:.3f}s")
+    finally:
+        clock.stop()
     return {
         "schema": SCHEMA,
         "rev": git_rev(),
@@ -393,77 +365,54 @@ def parse_regress(text: str) -> float:
     return value
 
 
-#: Absolute slack added to every gate limit: sub-100 ms benches are pure
-#: scheduler jitter at the ratio level, and 50 ms is far below any real
-#: regression in the benches the suite gates on.
-GRACE_SECONDS = 0.05
-
-
 def compare_reports(
     current: dict,
     baseline: dict,
     *,
     max_regress: float,
-    normalize: bool = True,
 ) -> tuple[list[str], list[str]]:
-    """Gate *current* against *baseline* on per-bench wall time.
+    """Gate *current* against *baseline* on each bench's median ``ref_s``.
 
-    Returns ``(lines, regressed)``: human-readable comparison lines for
-    every shared bench, and the names of benches that regressed beyond
-    *max_regress* (or failed / went missing outright).  When both reports
-    carry the ``calibration`` bench and *normalize* is on, baseline wall
-    times are scaled by the machines' calibration ratio first.  Every
-    limit gets :data:`GRACE_SECONDS` of absolute slack so
-    millisecond-scale benches are not gated on timer noise.
+    Returns ``(lines, regressed)``: a human-readable comparison line for
+    every baseline bench, and the names of benches whose median exceeds
+    the baseline's by more than *max_regress* (or that failed or went
+    missing outright).
     """
-    scale = 1.0
     cur_benches = current.get("benches", {})
-    base_benches = baseline.get("benches", {})
-    if normalize:
-        def _cal(benches: dict) -> float | None:
-            entry = benches.get("calibration", {})
-            return entry.get("metrics", {}).get("best_spin_s") or entry.get("wall_s")
-
-        cur_cal = _cal(cur_benches)
-        base_cal = _cal(base_benches)
-        if cur_cal and base_cal:
-            scale = cur_cal / base_cal
     lines: list[str] = []
     regressed: list[str] = []
-    if scale != 1.0:
-        lines.append(f"calibration scale: x{scale:.3f} (baseline walls rescaled)")
-    for name, base in sorted(base_benches.items()):
-        if name == "calibration":
-            continue
+    for name, base in sorted(baseline.get("benches", {}).items()):
         cur = cur_benches.get(name)
         if cur is None:
-            lines.append(
-                f"{name}: MISSING from current run (baseline {base['wall_s']:.3f}s)"
-            )
+            lines.append(f"{name}: MISSING from current run (baseline {base['ref_s']:.3f}s)")
             regressed.append(name)
             continue
         if not cur.get("ok", False):
             lines.append(f"{name}: FAILED ({cur.get('error', 'see report')})")
             regressed.append(name)
             continue
-        allowed = base["wall_s"] * scale * (1.0 + max_regress) + GRACE_SECONDS
-        ratio = cur["wall_s"] / (base["wall_s"] * scale) if base["wall_s"] else 1.0
+        allowed = base["ref_s"] * (1.0 + max_regress)
+        ratio = cur["ref_s"] / base["ref_s"] if base["ref_s"] else 1.0
         verdict = "ok"
-        if cur["wall_s"] > allowed:
-            verdict = f"REGRESSED (limit {allowed:.3f}s)"
+        if cur["ref_s"] > allowed:
+            verdict = "REGRESSED"
             regressed.append(name)
         lines.append(
-            f"{name}: {cur['wall_s']:.3f}s vs baseline {base['wall_s']:.3f}s "
-            f"(x{ratio:.2f}) {verdict}"
+            f"{name}: {cur['ref_s']:.3f}s vs baseline {base['ref_s']:.3f}s "
+            f"(x{ratio:.2f}, limit {allowed:.3f}s) {verdict}"
         )
     return lines, regressed
 
 
 def load_report(path: pathlib.Path) -> dict:
     data = json.loads(path.read_text())
-    if not isinstance(data, dict) or data.get("schema") != SCHEMA:
+    schema = data.get("schema") if isinstance(data, dict) else "?"
+    if schema == "repro-bench/1":
         raise ValueError(
-            f"{path} is not a {SCHEMA} report "
-            f"(schema: {data.get('schema') if isinstance(data, dict) else '?'})"
+            f"{path} is a repro-bench/1 report (best-of-two wall seconds), "
+            f"which {SCHEMA} medians cannot be compared with; regenerate it "
+            f"with: python -m repro bench --suite smoke --out {path}"
         )
+    if schema != SCHEMA:
+        raise ValueError(f"{path} is not a {SCHEMA} report (schema: {schema})")
     return data

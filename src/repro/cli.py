@@ -373,14 +373,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             [
                 name,
                 "ok" if entry["ok"] else "FAILED",
-                f"{entry['wall_s']:.3f}",
+                f"{entry['ref_s']:.3f}",
+                f"{min(entry['ref_runs']):.3f}-{max(entry['ref_runs']):.3f}",
                 str(entry.get("peak_rss_kb") or "-"),
                 highlights or entry.get("error", "-"),
             ]
         )
     print(
         table_to_text(
-            ["bench", "status", "wall s", "peak RSS KiB", "metrics"],
+            ["bench", "status", "ref s", "runs", "peak RSS KiB", "metrics"],
             rows,
             title=f"repro bench: suite={args.suite} rev={report['rev']}",
         )
@@ -397,42 +398,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"\nwrote {out}")
             print(f"bench: cannot load baseline: {error}", file=sys.stderr)
             return 2
-        lines: list = []
-        regressed: list = []
-        for attempt in range(2):
-            lines, regressed = harness.compare_reports(
-                report,
-                baseline,
-                max_regress=max_regress,
-                normalize=not args.no_normalize,
-            )
-            if attempt == 1 or not regressed:
-                break
-            # Re-measure before failing: a genuine regression reproduces,
-            # transient machine interference does not.  Only native benches
-            # that ran (and merely came in slow) are worth re-running.
-            retriable = [
-                name
-                for name in regressed
-                if name in harness.NATIVE_BENCHES
-                and report["benches"].get(name, {}).get("ok")
-            ]
-            if not retriable:
-                break
-            print(
-                f"\nre-measuring {len(retriable)} regressed bench(es) "
-                "to rule out machine interference...",
-                file=sys.stderr,
-            )
-            rerun = harness.run_benches(
-                retriable,
-                suite=args.suite,
-                progress=lambda line: print(line, file=sys.stderr),
-            )
-            for name, entry in rerun["benches"].items():
-                previous = report["benches"][name]
-                if entry["ok"] and entry["wall_s"] < previous["wall_s"]:
-                    report["benches"][name] = entry
+        lines, regressed = harness.compare_reports(
+            report, baseline, max_regress=max_regress
+        )
         print(f"\ncompare vs {args.compare} (max regress {max_regress:.0%}):")
         for line in lines:
             print(f"  {line}")
@@ -1276,10 +1244,12 @@ def build_parser() -> argparse.ArgumentParser:
             "Run the unified benchmark harness: native hot-path benches "
             "(--suite smoke, the CI gate) or every benchmarks/bench_*.py "
             "reproduction benchmark as timed pytest sessions (--suite full). "
-            "Emits machine-readable BENCH_<rev>.json; with --compare the "
-            "command exits non-zero when any bench's wall time regresses "
-            "beyond --max-regress of the baseline (wall times are "
-            "calibration-normalised across machines unless --no-normalize)."
+            "Times are reference seconds (perfbench's RefClock, which probes "
+            "the core speed during the run); each native bench runs 5 times "
+            "and its median is recorded. Emits machine-readable "
+            "BENCH_<rev>.json; with --compare the command exits non-zero "
+            "when any bench's median exceeds the baseline's by more than "
+            "--max-regress."
         ),
     )
     bench.add_argument(
@@ -1308,12 +1278,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--max-regress",
         default="15%",
-        help="allowed per-bench wall-time regression for --compare (default: %(default)s)",
-    )
-    bench.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="compare raw wall times (skip the calibration-machine rescale)",
+        help="allowed per-bench regression of the median for --compare (default: %(default)s)",
     )
     bench.set_defaults(fn=_cmd_bench)
 

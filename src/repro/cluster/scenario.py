@@ -59,7 +59,7 @@ class ClusterScenarioConfig:
     same compatibility pattern as the scenario-spec ``effective_guests`` —
     and ``to_dict`` omits the empty field, so pre-heterogeneity specs and
     their store keys serialise byte-identically.  When ``machines`` is
-    set, the legacy triple is ignored.
+    set, the legacy triple must keep its defaults: a fleet has one size.
     """
 
     n_machines: int = 8
@@ -121,6 +121,14 @@ class ClusterScenarioConfig:
                 raise ConfigurationError(
                     f"machines must hold machine specs (JSON objects), got {group!r}"
                 )
+        if self.machines:
+            for name, default in _LEGACY_FLEET.items():
+                if getattr(self, name) != default:
+                    raise ConfigurationError(
+                        f"{name} does not apply to a fleet declared by machine "
+                        f"groups; change the groups' count/processor/memory_mb "
+                        f"in machines instead"
+                    )
         for shape in self.dayshapes:
             require_dayshape(shape)
         if self.policy not in POLICY_REGISTRY:
@@ -268,6 +276,14 @@ class ClusterScenarioConfig:
                 for group in machines
             )
         return cls(**kwargs)
+
+
+#: The homogeneous fleet triple that ``machines`` groups replace, at its defaults.
+_LEGACY_FLEET = {
+    spec_field.name: spec_field.default
+    for spec_field in dataclasses.fields(ClusterScenarioConfig)
+    if spec_field.name in ("n_machines", "processor", "machine_memory_mb")
+}
 
 
 def make_population(config: ClusterScenarioConfig) -> list[ClusterVM]:

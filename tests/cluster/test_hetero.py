@@ -8,6 +8,9 @@ from repro.cluster import ClusterScenarioConfig
 from repro.cluster.machine import Machine, MachineSpec
 from repro.cluster.scenario import run_cluster_scenario
 from repro.cpu import catalog
+from repro.errors import ConfigurationError
+from repro.experiments import preset_config
+from repro.experiments.claims import run_claim
 from repro.obs import MetricsRegistry, observed, Tracer, validate_trace_text
 from repro.obs.metrics import collect_cluster
 from repro.sweep import run_sweep, SweepGrid, SweepRunner
@@ -75,7 +78,9 @@ def test_machinespec_expansion_is_byte_identical_to_legacy_fleet():
     legacy = ClusterScenarioConfig(
         n_machines=4, n_vms=6, duration=200.0, day_length=200.0
     )
-    explicit = legacy.with_changes(machines=legacy.effective_machines())
+    explicit = ClusterScenarioConfig(
+        n_vms=6, duration=200.0, day_length=200.0, machines=legacy.effective_machines()
+    )
     a = run_cluster_scenario(legacy)
     b = run_cluster_scenario(explicit)
     assert a.epoch_records() == b.epoch_records()
@@ -86,19 +91,38 @@ def test_machinespec_expansion_is_byte_identical_to_legacy_fleet():
 
 @pytest.mark.parametrize("policy", ["static", "consolidate", "power-budget"])
 def test_expansion_identity_holds_for_every_hetero_aware_policy(policy):
-    legacy = ClusterScenarioConfig(
-        n_machines=3,
-        n_vms=5,
-        policy=policy,
-        power_budget_w=300.0,
-        duration=100.0,
-        day_length=100.0,
+    common = dict(
+        n_vms=5, policy=policy, power_budget_w=300.0, duration=100.0, day_length=100.0
     )
-    explicit = legacy.with_changes(machines=legacy.effective_machines())
+    legacy = ClusterScenarioConfig(n_machines=3, **common)
+    explicit = ClusterScenarioConfig(machines=legacy.effective_machines(), **common)
     a = run_cluster_scenario(legacy)
     b = run_cluster_scenario(explicit)
     assert a.host_records() == b.host_records()
     assert a.fleet_energy_joules == b.fleet_energy_joules
+
+
+@pytest.mark.parametrize("path", ["constructor", "with_changes", "from_dict", "cli", "claim"])
+def test_fleet_size_beside_machine_groups_is_an_error(path, capsys):
+    # A fleet declared by machine groups has one size: the legacy triple
+    # beside it would be ignored, so setting it is refused on every path.
+    if path == "cli":
+        from repro.cli import main
+
+        assert main(["run", "--preset", "dc-hetero", "--set", "n_machines=64"]) == 2
+        assert "in machines instead" in capsys.readouterr().err
+        return
+    hetero = preset_config("dc-hetero")
+    attempts = {
+        "constructor": lambda: ClusterScenarioConfig(machines=MIXED, machine_memory_mb=8192),
+        "with_changes": lambda: hetero.with_changes(n_machines="x"),
+        "from_dict": lambda: ClusterScenarioConfig.from_dict(
+            {**hetero.to_dict(), "processor": catalog.BIG_LITTLE_44.name}
+        ),
+        "claim": lambda: run_claim("placement", n_machines=64),
+    }
+    with pytest.raises(ConfigurationError, match="in machines instead"):
+        attempts[path]()
 
 
 def test_homogeneous_fleet_emits_no_domain_records():

@@ -89,14 +89,17 @@ def test_legacy_triple_expands_to_one_group():
     assert config.total_machines == 6
 
 
-def test_machines_field_overrides_the_legacy_triple():
+def test_machines_field_replaces_the_legacy_triple():
     groups = (
         MachineSpec(count=2),
         MachineSpec(processor=catalog.BIG_LITTLE_44, count=3),
     )
-    config = ClusterScenarioConfig(n_machines=99, machines=groups)
+    config = ClusterScenarioConfig(machines=groups)
     assert config.effective_machines() == groups
     assert config.total_machines == 5
+    # A second fleet size beside the groups is refused, not ignored.
+    with pytest.raises(ConfigurationError, match="in machines instead"):
+        ClusterScenarioConfig(n_machines=99, machines=groups)
 
 
 def test_legacy_config_serialises_without_new_keys():
