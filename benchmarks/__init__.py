@@ -1,1 +1,1 @@
-"""Benchmark package (enables relative imports of the shared conftest)."""
+"""Benchmark package (makes ``benchmarks.harness`` importable from the repo root)."""

@@ -1,27 +1,22 @@
 """The unified benchmark harness behind ``python -m repro bench``.
 
-One runner for two kinds of benchmark:
-
-* **native benches** — fast, dependency-free timings of the hot paths the
-  ROADMAP tracks (the slice-dispatch engine, the cold ``stress-fleet``
-  sweep, the store's warm path, a 256-machine fleet sweep).  These form
-  the ``smoke`` suite that CI gates on.
-* **pytest benches** — every ``benchmarks/bench_*.py`` reproduction
-  benchmark, each executed once as its own pytest session (the ``full``
-  suite; needs ``pytest`` installed).
+It times the hot paths the ROADMAP tracks (the slice-dispatch engine,
+the §5.3 scenario, the cold ``stress-fleet`` sweep, the store's warm
+path, a 256-machine fleet sweep) with no dependency beyond perfbench's
+clock; CI gates every bench against ``benchmarks/baseline.json``.
 
 Every time is read in reference seconds from perfbench's
 :class:`~perfbench.clock.RefClock`: the wall time of a span rescaled by
 the core speed that probes taken *during* the span measured, so a core
-that switches speed mid-run does not move the number.  Each native bench
-runs :data:`RUNS` times in-process and its median run is the gated time.
+that switches speed mid-run does not move the number.  Each bench runs
+:data:`RUNS` times in-process and its median run is the gated time.
 
 Results are written as machine-readable ``BENCH_<rev>.json``::
 
     {
       "schema": "repro-bench/2",
       "rev": "<git short rev or 'unknown'>",
-      "python": "3.11.7", "platform": "...", "suite": "smoke",
+      "python": "3.11.7", "platform": "...",
       "peak_rss_kb": 123456,
       "benches": {
         "stress-fleet-cold": {
@@ -47,7 +42,6 @@ import pathlib
 import platform
 import subprocess
 import sys
-from functools import partial
 from typing import Callable
 
 try:
@@ -58,7 +52,7 @@ except ImportError:  # loaded by file path from outside the checkout
 
 SCHEMA = "repro-bench/2"
 
-#: Runs of each native bench; odd, so the median is one run's time.
+#: Runs of each bench; odd, so the median is one run's time.
 RUNS = 5
 
 
@@ -98,7 +92,7 @@ def peak_rss_kb() -> int | None:
     return usage // 1024 if sys.platform == "darwin" else usage
 
 
-# ---------------------------------------------------------- native benches
+# ------------------------------------------------------------------ benches
 
 
 def _timed(clock: RefClock, work: Callable[[], object]) -> tuple[object, float]:
@@ -162,7 +156,12 @@ def _bench_stress_fleet_cold(clock: RefClock) -> dict:
 
 
 def _bench_store_warm(clock: RefClock) -> dict:
-    """Cold-vs-warm sweep through a throwaway store (PR-3's contract)."""
+    """Cold-vs-warm sweep through a throwaway store.
+
+    Every run also checks the store's contract: the cold pass computes
+    every cell, the warm pass is all cache hits with a byte-identical
+    export, and it is at least 5x faster than the cold pass.
+    """
     import tempfile
 
     from repro.experiments import preset_grid
@@ -173,20 +172,26 @@ def _bench_store_warm(clock: RefClock) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as root:
         store = ExperimentStore(root)
         timings = {}
+        runners = {}
         exports = {}
         for phase in ("cold", "warm"):
-            runner = SweepRunner(grid, workers=1, store=store)
-            results, timings[phase] = _timed(clock, runner.run)
+            runners[phase] = SweepRunner(grid, workers=1, store=store)
+            results, timings[phase] = _timed(clock, runners[phase].run)
             exports[phase] = results.to_json()
+    cells = len(results)
+    cold, warm = runners["cold"], runners["warm"]
+    if cold.computed != cells:
+        raise AssertionError(f"cold pass computed {cold.computed} of {cells} cells")
+    if warm.cache_hits != cells or warm.computed:
+        raise AssertionError(
+            f"warm pass hit {warm.cache_hits} of {cells} cells and computed {warm.computed}"
+        )
     if exports["cold"] != exports["warm"]:
         raise AssertionError("warm store export diverged from cold export")
-    return {
-        "cold_s": timings["cold"],
-        "warm_s": timings["warm"],
-        "warm_speedup": timings["cold"] / timings["warm"]
-        if timings["warm"] > 0
-        else float("inf"),
-    }
+    speedup = timings["cold"] / timings["warm"] if timings["warm"] > 0 else float("inf")
+    if speedup < 5.0:
+        raise AssertionError(f"warm re-run is x{speedup:.1f} faster than cold, needs x5")
+    return {"cold_s": timings["cold"], "warm_s": timings["warm"], "warm_speedup": speedup}
 
 
 def _bench_tracing_off(clock: RefClock) -> dict:
@@ -235,7 +240,7 @@ def _bench_fleet_256(clock: RefClock) -> dict:
     return {"cells": len(results), "machines": fleet["n_machines"], "vms": fleet["n_vms"]}
 
 
-#: Native benches in run order: name -> callable returning a metrics dict.
+#: Benches in run order: name -> callable returning a metrics dict.
 #: Each takes the run's clock, from which it reads any in-bench rate.
 NATIVE_BENCHES: dict[str, Callable[[RefClock], dict]] = {
     "engine-events": _bench_engine_events,
@@ -247,45 +252,21 @@ NATIVE_BENCHES: dict[str, Callable[[RefClock], dict]] = {
 }
 
 
-# ---------------------------------------------------------- pytest benches
-
-
-def pytest_bench_files() -> list[pathlib.Path]:
-    """Every ``bench_*.py`` module, sorted by name."""
-    return sorted(pathlib.Path(__file__).parent.glob("bench_*.py"))
-
-
-def run_pytest_bench(path: pathlib.Path) -> tuple[bool, str]:
-    """Run one bench module in its own pytest process; (ok, tail-of-output)."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", str(path), "-q", "--no-header"],
-        capture_output=True,
-        text=True,
-        cwd=pathlib.Path(__file__).parent.parent,
-    )
-    tail = "\n".join((proc.stdout + proc.stderr).strip().splitlines()[-4:])
-    return proc.returncode == 0, tail
-
-
 # ----------------------------------------------------------------- running
-
-
-def available_benches(suite: str) -> list[str]:
-    """Bench names in *suite* (``smoke`` = native, ``full`` adds pytest)."""
-    names = list(NATIVE_BENCHES)
-    if suite == "full":
-        names += [path.stem for path in pytest_bench_files()]
-    return names
 
 
 def run_benches(
     names: list[str],
     *,
-    suite: str,
     progress: Callable[[str], None] = lambda line: None,
 ) -> dict:
     """Execute *names* and assemble the report dict (see module docstring)."""
-    pytest_by_stem = {path.stem: path for path in pytest_bench_files()}
+    unknown = [name for name in names if name not in NATIVE_BENCHES]
+    if unknown:
+        raise KeyError(
+            f"unknown bench(es) {', '.join(unknown)}; "
+            f"choose from: {', '.join(NATIVE_BENCHES)}"
+        )
     benches: dict[str, dict] = {}
     clock = RefClock().start()
     try:
@@ -293,27 +274,17 @@ def run_benches(
             progress(f"bench {name} ...")
             entry: dict = {"ok": True}
             runs: list[tuple[float, dict]] = []  # (ref seconds, metrics) per run
-            if name in NATIVE_BENCHES:
-                for _ in range(RUNS):
-                    first = clock.mark()
-                    try:
-                        metrics = NATIVE_BENCHES[name](clock)
-                    except Exception as error:  # a failing bench is a result
-                        entry["ok"] = False
-                        entry["error"] = f"{type(error).__name__}: {error}"
-                        metrics = {}
-                    runs.append((clock.ref_seconds(first, clock.mark()), metrics))
-                    if not entry["ok"]:
-                        break
-            elif name in pytest_by_stem:
-                (ok, tail), ref_s = _timed(clock, partial(run_pytest_bench, pytest_by_stem[name]))
-                entry["ok"] = ok
-                runs.append((ref_s, {"pytest_tail": tail}))
-            else:
-                raise KeyError(
-                    f"unknown bench {name!r}; "
-                    f"choose from: {', '.join(available_benches('full'))}"
-                )
+            for _ in range(RUNS):
+                first = clock.mark()
+                try:
+                    metrics = NATIVE_BENCHES[name](clock)
+                except Exception as error:  # a failing bench is a result
+                    entry["ok"] = False
+                    entry["error"] = f"{type(error).__name__}: {error}"
+                    metrics = {}
+                runs.append((clock.ref_seconds(first, clock.mark()), metrics))
+                if not entry["ok"]:
+                    break
             median_s, entry["metrics"] = sorted(runs, key=lambda run: run[0])[len(runs) // 2]
             entry["ref_s"] = round(median_s, 6)
             entry["ref_runs"] = [round(seconds, 6) for seconds, _ in runs]
@@ -331,7 +302,6 @@ def run_benches(
         "rev": git_rev(),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "suite": suite,
         "peak_rss_kb": peak_rss_kb(),
         "benches": benches,
     }
@@ -411,7 +381,7 @@ def load_report(path: pathlib.Path) -> dict:
         raise ValueError(
             f"{path} is a repro-bench/1 report (best-of-two wall seconds), "
             f"which {SCHEMA} medians cannot be compared with; regenerate it "
-            f"with: python -m repro bench --suite smoke --out {path}"
+            f"with: python -m repro bench --out {path}"
         )
     if schema != SCHEMA:
         raise ValueError(f"{path} is not a {SCHEMA} report (schema: {schema})")

@@ -26,9 +26,9 @@ Examples::
     python -m repro sweep --preset calib --grid '{"cpufreq_max_mhz": [1600, 2667]}'
     python -m repro reproduce orchestration placement
 
-``reproduce`` prints the same paper-vs-measured reports the benchmarks
-assert on, and exits non-zero when a shape criterion fails — so the CLI
-doubles as a reproduction smoke-check in CI.  Sweeps and every claim
+``reproduce`` prints every claim's paper-vs-measured report and exits
+non-zero when a shape criterion fails — so the CLI doubles as the
+reproduction check in CI.  Sweeps and every claim
 accept ``--store DIR``: finished cells persist as they complete and
 re-runs only compute what is missing, so repeated builds are warm-cache and
 interrupted grids resume where they died.
@@ -340,7 +340,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         return 2
     if args.list:
-        for name in harness.available_benches(args.suite):
+        for name in harness.NATIVE_BENCHES:
             print(name)
         return 0
     try:
@@ -348,19 +348,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"bench: {error}", file=sys.stderr)
         return 2
-    names = args.bench or harness.available_benches(args.suite)
-    known = set(harness.available_benches("full"))
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        print(
-            f"bench: unknown bench(es) {', '.join(unknown)}; "
-            "see 'repro bench --list --suite full'",
-            file=sys.stderr,
+    try:
+        report = harness.run_benches(
+            args.bench or list(harness.NATIVE_BENCHES),
+            progress=lambda line: print(line, file=sys.stderr),
         )
+    except KeyError as error:
+        print(f"bench: {error.args[0]}", file=sys.stderr)
         return 2
-    report = harness.run_benches(
-        names, suite=args.suite, progress=lambda line: print(line, file=sys.stderr)
-    )
     rows = []
     for name, entry in report["benches"].items():
         metrics = entry.get("metrics", {})
@@ -383,7 +378,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         table_to_text(
             ["bench", "status", "ref s", "runs", "peak RSS KiB", "metrics"],
             rows,
-            title=f"repro bench: suite={args.suite} rev={report['rev']}",
+            title=f"repro bench: rev={report['rev']}",
         )
     )
     out = pathlib.Path(args.out) if args.out else harness.default_report_path(report)
@@ -398,6 +393,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"\nwrote {out}")
             print(f"bench: cannot load baseline: {error}", file=sys.stderr)
             return 2
+        if args.bench:
+            # A run narrowed by --bench gates only the benches it ran.
+            baseline["benches"] = {
+                name: entry
+                for name, entry in baseline.get("benches", {}).items()
+                if name in report["benches"]
+            }
         lines, regressed = harness.compare_reports(
             report, baseline, max_regress=max_regress
         )
@@ -1241,11 +1243,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the benchmark harness and emit a BENCH_<rev>.json report",
         description=(
-            "Run the unified benchmark harness: native hot-path benches "
-            "(--suite smoke, the CI gate) or every benchmarks/bench_*.py "
-            "reproduction benchmark as timed pytest sessions (--suite full). "
-            "Times are reference seconds (perfbench's RefClock, which probes "
-            "the core speed during the run); each native bench runs 5 times "
+            "Run the benchmark harness: timings of the hot paths, the CI "
+            "gate. Times are reference seconds (perfbench's RefClock, which "
+            "probes the core speed during the run); each bench runs 5 times "
             "and its median is recorded. Emits machine-readable "
             "BENCH_<rev>.json; with --compare the command exits non-zero "
             "when any bench's median exceeds the baseline's by more than "
@@ -1253,17 +1253,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench.add_argument(
-        "--suite",
-        choices=["smoke", "full"],
-        default="smoke",
-        help="bench set: native hot-path benches, or + all bench_*.py (default: %(default)s)",
-    )
-    bench.add_argument(
         "--bench",
         action="append",
         default=None,
         metavar="NAME",
-        help="run only NAME (repeatable; see --list --suite full)",
+        help="run only NAME (repeatable; see --list); --compare then gates only these",
     )
     bench.add_argument("--list", action="store_true", help="list bench names and exit")
     bench.add_argument(

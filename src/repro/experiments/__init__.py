@@ -4,8 +4,8 @@ Every result of the paper's evaluation (§5) and our ablations is one entry
 of the :data:`~.claims.CLAIMS` registry: the cells it runs (mostly the
 shared §5.3 scenario, V20/V70 three-phase execution profile) and the
 reducer to its paper-vs-measured :class:`~.report.ExperimentReport`.
-``python -m repro reproduce`` and ``benchmarks/bench_claims.py`` run them
-and assert each report's shape checks.
+``python -m repro reproduce`` runs them through
+:func:`~.claims.run_claims` and fails on any report's shape check.
 
 The package itself loads only what a single-host run needs: import the
 registry from :mod:`repro.experiments.claims` (it pulls in the Table 2

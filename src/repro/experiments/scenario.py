@@ -375,9 +375,10 @@ class ScenarioConfig:
       :class:`GuestSpec` overrides them entirely and may describe any fleet.
 
     ``manager`` optionally runs one of §4.1's user-level designs beside the
-    scheduler; ``cpufreq_min_mhz`` floors the governor (the Table 2 vendor
-    models); ``stop_when_batch_done`` ends the run early once every batch
-    (pi) workload finished — ``duration`` is then the horizon.
+    scheduler (not beside ``pas``, which is §4.1's design 3 itself);
+    ``cpufreq_min_mhz`` floors the governor (the Table 2 vendor models);
+    ``stop_when_batch_done`` ends the run early once every batch (pi)
+    workload finished — ``duration`` is then the horizon.
     """
 
     scheduler: str = "credit"
@@ -447,6 +448,14 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"unknown manager {self.manager!r}; "
                 f"use one of: {', '.join(MANAGER_KINDS)} (or None)"
+            )
+        if self.manager is not None and self.scheduler == "pas":
+            # PAS is §4.1's design 3: a manager beside it would run a second
+            # cap or frequency controller against the scheduler's own.
+            raise ConfigurationError(
+                f"manager {self.manager!r} cannot run beside the pas scheduler, "
+                "which already adjusts credits to the frequency; "
+                "drop the manager or pick another scheduler"
             )
         if self.qos != "none":
             from ..qos.controllers import CONTROLLER_REGISTRY

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -111,7 +112,7 @@ def test_run_benches_report_shape(monkeypatch, tmp_path):
     monkeypatch.setattr(
         harness, "NATIVE_BENCHES", {"tiny": lambda clock: {"value": 42}}
     )
-    report = harness.run_benches(["tiny"], suite="smoke")
+    report = harness.run_benches(["tiny"])
     assert report["schema"] == harness.SCHEMA
     entry = report["benches"]["tiny"]
     assert entry["ok"] is True
@@ -128,7 +129,7 @@ def test_run_benches_captures_bench_failure(monkeypatch):
         raise RuntimeError("kaput")
 
     monkeypatch.setattr(harness, "NATIVE_BENCHES", {"bad": explode})
-    report = harness.run_benches(["bad"], suite="smoke")
+    report = harness.run_benches(["bad"])
     entry = report["benches"]["bad"]
     assert entry["ok"] is False
     assert "kaput" in entry["error"]
@@ -140,7 +141,7 @@ def test_run_benches_gates_the_median(monkeypatch):
     monkeypatch.setattr(harness, "RefClock", lambda: ScriptedClock([1.0, 1.0, 9.0]))
     monkeypatch.setattr(harness, "RUNS", 3)
     monkeypatch.setattr(harness, "NATIVE_BENCHES", {"a": lambda clock: {}})
-    report = harness.run_benches(["a"], suite="smoke")
+    report = harness.run_benches(["a"])
     assert report["benches"]["a"]["ref_s"] == 1.0
     assert report["benches"]["a"]["ref_runs"] == [1.0, 1.0, 9.0]
     _, regressed = harness.compare_reports(report, make_report({"a": 1.0}), max_regress=0.25)
@@ -149,7 +150,7 @@ def test_run_benches_gates_the_median(monkeypatch):
 
 def test_run_benches_unknown_name_raises(monkeypatch):
     with pytest.raises(KeyError):
-        harness.run_benches(["no-such-bench"], suite="smoke")
+        harness.run_benches(["no-such-bench"])
 
 
 def test_load_report_rejects_foreign_json(tmp_path):
@@ -166,13 +167,24 @@ def test_load_report_refuses_a_wall_clock_report(tmp_path):
         harness.load_report(path)
 
 
-def test_suites_cover_pytest_benches():
-    smoke = harness.available_benches("smoke")
-    full = harness.available_benches("full")
-    assert set(smoke) <= set(full)
-    assert "stress-fleet-cold" in smoke
-    assert "tracing-off" in smoke
-    assert any(name.startswith("bench_") for name in full)
+def _one_cell_grid(name, **_):
+    from repro.experiments import presets
+
+    timeline = dict(duration=10.0, v20_active=(1.0, 9.0), v70_active=(2.0, 8.0))
+    return presets.preset_grid("paper-5.3", overrides=timeline)
+
+
+@pytest.mark.parametrize("cold, warm, ok", [(1.0, 0.1, True), (1.0, 0.5, False)])
+def test_store_warm_checks_the_warm_speedup(monkeypatch, cold, warm, ok):
+    import repro.experiments
+
+    monkeypatch.setattr(repro.experiments, "preset_grid", _one_cell_grid)
+    bench = partial(harness._bench_store_warm, ScriptedClock([cold, warm]))
+    if ok:
+        assert bench()["warm_speedup"] == pytest.approx(10.0)
+    else:
+        with pytest.raises(AssertionError, match="x2.0 faster than cold, needs x5"):
+            bench()
 
 
 # -------------------------------------------------------------------- CLI
@@ -232,6 +244,31 @@ def test_cli_bench_compare_roundtrip(tmp_path, monkeypatch, capsys):
     assert "no regressions" in out
 
 
+def test_cli_bench_one_bench_gates_only_itself(tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.setattr(harness, "NATIVE_BENCHES", {"a": lambda clock: {}, "b": lambda clock: {}})
+    baseline = tmp_path / "base.json"
+    harness.write_report(make_report({"a": 1e6, "b": 1e6}), baseline)
+    argv = ["--compare", str(baseline), "--out", str(tmp_path / "out.json")]
+    assert main(["bench", "--bench", "a", *argv]) == 0
+    out = capsys.readouterr().out
+    assert "a: " in out and "b: " not in out
+    # Without --bench every baseline bench is gated, so a missing one fails.
+    monkeypatch.setattr(harness, "NATIVE_BENCHES", {"a": lambda clock: {}})
+    assert main(["bench", *argv]) == 1
+    assert "b: MISSING from current run" in capsys.readouterr().out
+
+
+def test_cli_bench_has_no_suite_option(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--suite", "smoke"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --suite" in capsys.readouterr().err
+
+
 def test_cli_bench_refuses_a_wall_clock_baseline(tmp_path, monkeypatch, capsys):
     from repro.cli import main
 
@@ -253,3 +290,4 @@ def test_cli_bench_rejects_unknown_bench(capsys):
     from repro.cli import main
 
     assert main(["bench", "--bench", "nope"]) == 2
+    assert "unknown bench(es) nope; choose from: engine-events," in capsys.readouterr().err

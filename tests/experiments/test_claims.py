@@ -1,14 +1,17 @@
 """The claims registry on compressed scales.
 
-The benchmarks run every claim at paper scale; here each one runs on a
-compressed scale fast enough for the unit suite: the §5.3 claims and the
-ablations on a 4x compressed timeline, Fig. 1 and Eq. 3 on a two-credit
-ladder with 5 s of work, Table 2 in its quick mode.  The orchestration
+``repro reproduce`` runs every claim at paper scale (CI runs all 23);
+here each one runs on a compressed scale fast enough for the unit suite:
+the §5.3 claims and the ablations on a 4x compressed timeline, Fig. 1
+and Eq. 3 on a two-credit ladder with 5 s of work, Table 2 in its quick
+mode.  The orchestration
 and placement claims run their fleet days at paper scale: each takes well
 under a second.  The pinned digests are each report's ``render()`` before the
 per-figure runners became registry entries, so the registry reproduces
-their bytes exactly.  The remaining tests pin the interface: override
-forwarding, override errors, report structure and the runs claims share.
+their bytes exactly.  The remaining tests pin the interface (override
+forwarding, override errors, report structure, the runs claims share) and
+the paper-scale shapes that need no simulation or hold on the compressed
+runs too, with the §5 scheduler x governor x load plane last.
 """
 
 import dataclasses
@@ -17,8 +20,11 @@ import hashlib
 import pytest
 
 from repro import catalog
+from repro.cli import _SWEEP_DEFAULTS
 from repro.errors import ConfigurationError, TelemetryError
+from repro.experiments import preset_grid
 from repro.experiments.claims import ClaimCell, CLAIMS, run_claim, run_claims
+from repro.sweep import run_sweep
 from repro.sweep.runner import execute_config
 
 FAST = dict(
@@ -183,6 +189,34 @@ def test_compensation_small_ladder(compressed):
     assert report.all_passed
 
 
+def test_fig1_paper_credit_ladder():
+    # The paper's top-axis credit ladder, rounded: each credit compensated
+    # for the reduced frequency.
+    ladder = [
+        round(config.guests[0].cap)
+        for (_, frequency), config in CLAIMS["fig1"].cells().items()
+        if frequency == "reduced"
+    ]
+    assert ladder == [13, 25, 38, 50, 63, 75, 88, 100, 113, 125]
+
+
+def test_fig3_oscillation_is_massive(compressed):
+    # The stable governor's oscillation under a fix credit is massive in
+    # absolute terms too, even on the compressed timeline.
+    cells, _ = compressed["fig3"]
+    assert cells["run"].metrics["dvfs_transitions"] > 1000
+
+
+def test_table1_two_cells_per_machine(compressed):
+    # Table 1 has one row per machine and loads each at its minimum and
+    # maximum P-state; it runs at paper scale here.
+    cells = CLAIMS["table1"].cells()
+    assert len({machine for machine, _ in cells}) == 5
+    assert len(cells) == 10
+    _, report = compressed["table1"]
+    assert len(report.rows) == 5
+
+
 def test_credit_time_custom_credits(compressed):
     _, report = compressed["eq3"]
     assert report.all_passed
@@ -195,6 +229,20 @@ def test_table2_quick_mode(compressed):
     cells, report = compressed["table2"]
     assert {row.platform for row in table2_rows(cells)} == {"Hyper-V", "Xen/PAS", "Xen/SEDF"}
     assert report.all_passed
+    assert sum(metric.endswith(" degradation") for metric, _, _ in report.rows) == 3
+
+
+def test_table2_paper_scale_has_a_degradation_row_per_platform():
+    # The paper's seven platforms, each with a degradation row; the
+    # reducer runs on stand-in batch times, without a simulation.
+    configs = CLAIMS["table2"].cells()
+    assert len(configs) == 14
+    cells = {
+        name: ClaimCell(f"table2/{name}", config, {"v20_batch_time_s": 1000.0})
+        for name, config in configs.items()
+    }
+    report = CLAIMS["table2"].reduce(cells)
+    assert sum(metric.endswith(" degradation") for metric, _, _ in report.rows) == 7
 
 
 @pytest.mark.parametrize("name", ["energy", "cf", "designs", "orchestration", "placement"])
@@ -291,7 +339,28 @@ def test_qos_ablation_compressed(compressed):
     _, report = compressed["qos"]
     # Compressed phases shrink the starved window, so only structural
     # expectations are asserted here; the full-timeline criteria run in
-    # benchmarks/bench_claims.py.
+    # `repro reproduce qos`.
     assert len(report.rows) == 4
     labels = [row[0] for row in report.rows]
     assert "pas" in labels
+
+
+def test_section5_plane_shapes():
+    # The §5 scheduler x governor x load plane (24 cells) on the FAST
+    # timeline: only PAS holds V20's absolute share while the host clocks
+    # down, and it beats pinning the maximum frequency on energy.
+    grid = preset_grid("paper-5.3", overrides=FAST, axes=_SWEEP_DEFAULTS)
+    results = run_sweep(grid, workers=2)
+    assert len(results) == 24
+    for cell in results.filter(scheduler="pas"):
+        assert cell.metrics["v20_absolute_solo_early"] == pytest.approx(20.0, abs=1.5)
+    for cell in results.filter(scheduler="credit", governor="stable"):
+        assert cell.metrics["v20_absolute_solo_early"] < 15.0
+    for load in _SWEEP_DEFAULTS["v20_load"]:
+        pas = [c.metrics["energy_joules"] for c in results.filter(scheduler="pas", v20_load=load)]
+        pinned = [
+            c.metrics["energy_joules"]
+            for c in results.filter(governor="performance", v20_load=load)
+            if c.params["scheduler"] != "pas"
+        ]
+        assert min(pas) < min(pinned)

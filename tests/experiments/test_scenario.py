@@ -232,6 +232,18 @@ def test_manager_field_builds_and_starts_a_manager():
         small(manager="kernel-daemon")
 
 
+@pytest.mark.parametrize("manager", ["user-credit", "user-full"])
+def test_a_manager_beside_pas_is_an_error(manager):
+    # PAS already is the design a manager would add: two cap or frequency
+    # controllers would fight over the same domains.
+    with pytest.raises(ConfigurationError, match="cannot run beside the pas scheduler"):
+        small(scheduler="pas", manager=manager)
+    with pytest.raises(ConfigurationError, match="cannot run beside the pas scheduler"):
+        ScenarioConfig.from_dict({"scheduler": "pas", "manager": manager})
+    small(scheduler="credit", manager=manager)
+    small(scheduler="pas")
+
+
 # ----------------------------------------------------------------- windows
 
 
