@@ -12,7 +12,6 @@ hash of the cell's config + metrics + seed, not its label).
 The same machinery from the command line::
 
     python -m repro sweep --preset stress-fleet --store results-store
-    python -m repro sweep --preset stress-fleet --store results-store --resume
     python -m repro sweep --preset governors --replicates 5 \\
         --store results-store --out-aggregated governors.csv
     python -m repro store ls --store results-store

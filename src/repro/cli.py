@@ -16,8 +16,6 @@ Examples::
     python -m repro sweep --preset governors --replicates 3 --out-aggregated agg.csv
     python -m repro sweep --preset governors --set duration=20 --set poisson=true
     python -m repro sweep --preset stress-fleet --store results-store
-    python -m repro sweep --preset stress-fleet --store results-store --resume
-    python -m repro sweep --list-presets
     python -m repro store ls --store results-store
     python -m repro store ls --store results-store --where scheduler=pas
     python -m repro store export --store results-store --out corpus.csv --where governor=stable
@@ -143,7 +141,24 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
     print("claims    :", ", ".join(CLAIMS))
     print("processors:", ", ".join(sorted(catalog.ALL_PROCESSORS)))
-    print("presets   :", ", ".join(PRESETS))
+    print()
+    rows = [
+        [
+            preset.name,
+            f"kind:{preset.kind}",
+            str(preset.cells),
+            ",".join(preset.axes) or "-",
+            preset.description,
+        ]
+        for preset in PRESETS.values()
+    ]
+    print(
+        table_to_text(
+            ["preset", "kind", "cells", "axes", "description"],
+            rows,
+            title="scenario presets",
+        )
+    )
     return 0
 
 
@@ -175,13 +190,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     from .experiments.claims import measured_cfs, run_claim
 
     try:
-        spec = catalog.ALL_PROCESSORS[args.processor]
-    except KeyError:
-        print(
-            f"unknown processor {args.processor!r}; choose one of: "
-            + ", ".join(sorted(catalog.ALL_PROCESSORS)),
-            file=sys.stderr,
-        )
+        spec = catalog.as_processor(args.processor)
+    except ConfigurationError as error:
+        print(f"calibrate: {error}", file=sys.stderr)
         return 2
     # The eq1 cells at one demand: 15 % fits every catalog machine's
     # minimum frequency, so the load never saturates.
@@ -521,7 +532,7 @@ def _run_all_presets(args: argparse.Namespace) -> int:
 
 
 def _parse_set(config, assignment: str) -> tuple[str, object]:
-    """One ``--set FIELD=VALUE`` as ``(field, value)`` coerced for *config*."""
+    """One ``--set FIELD=VALUE`` as ``(field, value)``, checked for *config*."""
     name, sep, text = assignment.partition("=")
     name = name.strip()
     if not sep or not name:
@@ -532,17 +543,8 @@ def _parse_set(config, assignment: str) -> tuple[str, object]:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    return name, _checked_value(config, name, value, f"--set {assignment}")
-
-
-def _checked_value(config, name: str, value, what: str):
-    """*value* for field *name* of *config*: type-checked, then coerced.
-
-    A value of the wrong JSON type raises :class:`ConfigurationError`
-    naming *what* (the flag it came from).
-    """
-    check_field_types(type(config), {name: value}, what)
-    return type(config).coerce_field(name, value)
+    check_field_types(type(config), {name: value}, f"--set {assignment}")
+    return name, value
 
 
 def _grid_axes(base, text: str) -> dict[str, list]:
@@ -562,18 +564,17 @@ def _grid_axes(base, text: str) -> dict[str, list]:
                 f"--grid axis {name!r} takes a non-empty JSON list of values, "
                 f"got {values!r}"
             )
-    return {
-        name: [_checked_value(base, name, value, "--grid") for value in values]
-        for name, values in axes.items()
-    }
+        for value in values:
+            check_field_types(type(base), {name: value}, "--grid")
+    return axes
 
 
 def _config_overrides(config, args: argparse.Namespace) -> dict:
     """The overrides of *config* the command line asks for, in order.
 
     Each ``--set FIELD=VALUE`` (VALUE parsed as JSON when it parses, kept
-    as a string otherwise, then coerced by the config's ``coerce_field``),
-    then ``--duration`` and ``--seed``.  An unknown field or a bad value
+    as a string otherwise, then type-checked against the field), then
+    ``--duration`` and ``--seed``.  An unknown field or a bad value
     raises :class:`ConfigurationError`.
     """
     overrides = dict(_parse_set(config, assignment) for assignment in args.set)
@@ -753,37 +754,11 @@ _SWEEP_SUMMARY = {
 }
 
 
-def _list_presets() -> int:
-    rows = [
-        [
-            preset.name,
-            f"kind:{preset.kind}",
-            str(preset.cells),
-            ",".join(preset.axes) or "-",
-            preset.description,
-        ]
-        for preset in PRESETS.values()
-    ]
-    print(
-        table_to_text(
-            ["preset", "kind", "cells", "axes", "description"],
-            rows,
-            title="scenario presets",
-        )
-    )
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import SweepRunner
 
-    if args.list_presets:
-        return _list_presets()
-    if args.resume and args.force:
-        print("sweep: --resume and --force are opposites; pick one", file=sys.stderr)
-        return 2
-    if (args.resume or args.force) and not args.store:
-        print("sweep: --resume/--force only make sense with --store DIR", file=sys.stderr)
+    if args.force and not args.store:
+        print("sweep: --force only makes sense with --store DIR", file=sys.stderr)
         return 2
     try:
         preset = get_preset(args.preset or "paper-5.3")
@@ -1007,7 +982,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list", help="list available experiments").set_defaults(fn=_cmd_list)
+    commands.add_parser(
+        "list", help="list the claims, catalog processors and scenario presets"
+    ).set_defaults(fn=_cmd_list)
 
     reproduce = commands.add_parser(
         "reproduce",
@@ -1039,15 +1016,15 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run one declarative scenario end-to-end and print its summary: "
             "per guest for a single host, placement and per-epoch power for "
-            "a fleet.  The scenario comes from --preset (see 'sweep "
-            "--list-presets') or from --scenario, a JSON file in the "
+            "a fleet.  The scenario comes from --preset (see 'repro "
+            "list') or from --scenario, a JSON file in the "
             "ScenarioConfig.to_dict() format (\"kind\": \"cluster\" for a "
             "fleet).  --set, --duration and --seed override the config."
         ),
     )
     _add_config_source(
         run,
-        "preset name (see sweep --list-presets), or 'all' for a smoke "
+        "preset name (see 'repro list'), or 'all' for a smoke "
         "pass over every non-xlarge preset",
     )
     run.add_argument(
@@ -1091,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
             "to run by nature; the simulation itself is unaffected."
         ),
     )
-    _add_config_source(profile, "preset name (see sweep --list-presets)")
+    _add_config_source(profile, "preset name (see 'repro list')")
     profile.set_defaults(fn=_cmd_profile)
 
     sweep = commands.add_parser(
@@ -1100,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Expand a parameter grid over a preset (the §5.3 scenario by default) "
             "and run every cell, optionally across a process pool.  Axes come "
-            "from the preset (--preset, see --list-presets) or from --grid as a "
+            "from the preset (--preset, see 'repro list') or from --grid as a "
             "JSON object mapping its config fields to value lists (see the "
             "repro.sweep module docs)."
         ),
@@ -1109,11 +1086,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset",
         default=None,
         help="sweep this preset's config over its own axes, or over --grid's",
-    )
-    sweep.add_argument(
-        "--list-presets",
-        action="store_true",
-        help="list available presets and exit",
     )
     sweep.add_argument(
         "--replicates",
@@ -1164,12 +1136,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="experiment-store DIR: stream finished cells to disk and skip "
         "already-computed ones on re-run",
-    )
-    sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="with --store: serve stored cells, compute only the missing ones "
-        "(the default; the flag exists to make intent explicit)",
     )
     sweep.add_argument(
         "--force",

@@ -46,7 +46,8 @@ class MachineSpec:
     processor=BIG_LITTLE_44))``.  Serialisation is omit-when-default (only
     ``processor`` — by catalog name — and ``memory_mb`` always appear), so
     pre-heterogeneity dictionaries and their sha256 store keys stay
-    byte-identical.
+    byte-identical.  The constructor takes the processor by catalog name
+    too, as :meth:`from_dict` hands it over.
     """
 
     processor: ProcessorSpec = field(default_factory=lambda: catalog.CORE_I7_3770)
@@ -58,6 +59,7 @@ class MachineSpec:
     count: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "processor", catalog.as_processor(self.processor))
         check_positive(self.memory_mb, "memory_mb")
         check_non_negative(self.overhead_percent, "overhead_percent")
         if self.count < 1:
@@ -88,16 +90,12 @@ class MachineSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "MachineSpec":
         """Rebuild a spec from :meth:`to_dict` output or a scenario file.
 
-        The processor may be given as a catalog name; unknown keys raise a
-        :class:`ConfigurationError` naming the valid fields.
+        Unknown keys raise a :class:`ConfigurationError` naming the valid
+        fields; the constructor looks the processor up by catalog name.
         """
-        kwargs = dict(data)
-        check_known_fields(cls, kwargs, "machine spec")
-        check_field_types(cls, kwargs, "machine spec")
-        processor = kwargs.get("processor")
-        if isinstance(processor, str):
-            kwargs["processor"] = catalog.processor_from_name(processor)
-        return cls(**kwargs)
+        check_known_fields(cls, data, "machine spec")
+        check_field_types(cls, data, "machine spec")
+        return cls(**data)
 
 
 class Machine:

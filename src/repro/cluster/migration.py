@@ -18,12 +18,10 @@ the fleet every epoch pays for it in SLA and watts.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..errors import ConfigurationError
-from ..units import check_field_types, check_non_negative
+from ..units import check_field_types, check_known_fields, check_non_negative
 
 
 @dataclass(frozen=True)
@@ -89,13 +87,7 @@ class MigrationModel:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MigrationModel":
         """Rebuild a model from :meth:`to_dict` output or a scenario file."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown migration model field(s) {', '.join(map(repr, unknown))}; "
-                f"valid fields: {', '.join(sorted(known))}"
-            )
+        check_known_fields(cls, data, "migration model")
         check_field_types(cls, data, "migration model")
         return cls(**data)
 

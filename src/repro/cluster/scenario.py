@@ -60,6 +60,12 @@ class ClusterScenarioConfig:
     and ``to_dict`` omits the empty field, so pre-heterogeneity specs and
     their store keys serialise byte-identically.  When ``machines`` is
     set, the legacy triple must keep its defaults: a fleet has one size.
+
+    The constructor is the one place where a JSON-shaped value becomes a
+    field value: the processor by catalog name, ``machines`` as a list of
+    JSON objects, ``migration`` as a JSON object, ``dayshapes`` as a list.
+    So ``with_changes``, ``dataclasses.replace``, :meth:`from_dict`, sweep
+    grids and the CLI all take them alike.
     """
 
     n_machines: int = 8
@@ -99,9 +105,14 @@ class ClusterScenarioConfig:
         epoch_count(self.duration, self.epoch_s)
         if self.power_budget_w is not None:
             check_positive(self.power_budget_w, "power_budget_w")
+        object.__setattr__(self, "processor", catalog.as_processor(self.processor))
         if isinstance(self.migration, Mapping):
             object.__setattr__(
                 self, "migration", MigrationModel.from_dict(self.migration)
+            )
+        if not isinstance(self.migration, MigrationModel):
+            raise ConfigurationError(
+                f"migration takes a migration model (a JSON object), got {self.migration!r}"
             )
         if not isinstance(self.dayshapes, tuple):
             object.__setattr__(self, "dayshapes", tuple(self.dayshapes))
@@ -194,27 +205,6 @@ class ClusterScenarioConfig:
             f"{self.policy}{dvfs}{budget})"
         )
 
-    @classmethod
-    def coerce_field(cls, name: str, value: Any) -> Any:
-        """Coerce a JSON-ish axis value for field *name* to its spec type.
-
-        Sweep grids call this so fleet axes can come straight from JSON
-        (the processor by catalog name, the migration model as a mapping,
-        machine groups as lists of mappings, list values as tuples).
-        """
-        if name == "processor" and isinstance(value, str):
-            return catalog.processor_from_name(value)
-        if name == "migration" and isinstance(value, Mapping):
-            return MigrationModel.from_dict(value)
-        if name == "machines" and isinstance(value, (list, tuple)):
-            return tuple(
-                MachineSpec.from_dict(group) if isinstance(group, Mapping) else group
-                for group in value
-            )
-        if isinstance(value, list):
-            return tuple(value)
-        return value
-
     # ------------------------------------------------------------- serialise
 
     def to_dict(self) -> dict[str, Any]:
@@ -255,8 +245,8 @@ class ClusterScenarioConfig:
         """Rebuild a config from :meth:`to_dict` output or a scenario file.
 
         Unknown keys, and values of the wrong JSON type for their field,
-        raise a :class:`ConfigurationError`; the processor may be given as
-        a catalog name and the migration model as a mapping.
+        raise a :class:`ConfigurationError`; the constructor turns the
+        JSON values into field values.
         """
         kwargs = dict(data)
         kind = kwargs.pop("kind", "cluster")
@@ -266,15 +256,6 @@ class ClusterScenarioConfig:
             )
         check_known_fields(cls, kwargs, "cluster scenario")
         check_field_types(cls, kwargs, "cluster scenario")
-        processor = kwargs.get("processor")
-        if isinstance(processor, str):
-            kwargs["processor"] = catalog.processor_from_name(processor)
-        machines = kwargs.get("machines")
-        if machines is not None:
-            kwargs["machines"] = tuple(
-                MachineSpec.from_dict(group) if isinstance(group, Mapping) else group
-                for group in machines
-            )
         return cls(**kwargs)
 
 

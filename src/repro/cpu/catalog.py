@@ -20,7 +20,7 @@ relative energy matters in the benchmarks.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..errors import ConfigurationError
 from .cstate import make_cstates
@@ -162,12 +162,13 @@ ALL_PROCESSORS: dict[str, ProcessorSpec] = {
 }
 
 
-def processor_from_name(name: str) -> ProcessorSpec:
-    """The catalog entry called *name*; unknown names list the catalog."""
-    try:
-        return ALL_PROCESSORS[name]
-    except KeyError:
-        known = ", ".join(sorted(ALL_PROCESSORS))
-        raise ConfigurationError(
-            f"unknown processor {name!r}; catalog: {known}"
-        ) from None
+def as_processor(value: Any) -> ProcessorSpec:
+    """*value* as a processor spec: a spec passes as is, a string names a
+    catalog entry.  An unknown name, or any other value, raises a
+    :class:`ConfigurationError` listing the catalog."""
+    if isinstance(value, ProcessorSpec):
+        return value
+    if isinstance(value, str) and value in ALL_PROCESSORS:
+        return ALL_PROCESSORS[value]
+    known = ", ".join(sorted(ALL_PROCESSORS))
+    raise ConfigurationError(f"unknown processor {value!r}; catalog: {known}")

@@ -379,6 +379,12 @@ class ScenarioConfig:
     ``cpufreq_min_mhz`` floors the governor (the Table 2 vendor models);
     ``stop_when_batch_done`` ends the run early once every batch (pi)
     workload finished — ``duration`` is then the horizon.
+
+    The constructor is the one place where a JSON-shaped value becomes a
+    field value: the processor by catalog name, ``guests`` (and their
+    workloads) as JSON objects, windows as 2-lists.  So ``with_changes``,
+    ``dataclasses.replace``, :meth:`from_dict`, sweep grids and the CLI all
+    take them alike.
     """
 
     scheduler: str = "credit"
@@ -412,6 +418,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_positive(self.duration, "duration")
+        object.__setattr__(self, "processor", catalog.as_processor(self.processor))
         object.__setattr__(self, "v20_active", _window_tuple(self.v20_active, "v20_active"))
         object.__setattr__(self, "v70_active", _window_tuple(self.v70_active, "v70_active"))
         object.__setattr__(
@@ -476,21 +483,6 @@ class ScenarioConfig:
         check_known_fields(type(self), changes, "scenario config")
         return replace(self, **changes)
 
-    @classmethod
-    def coerce_field(cls, name: str, value: Any) -> Any:
-        """Coerce a JSON-ish axis value for field *name* to its spec type.
-
-        Sweep grids call this so ``guests`` axes may be given as lists of
-        dicts (straight from JSON) and window fields as 2-lists.
-        """
-        if name == "guests" and isinstance(value, (list, tuple)):
-            return tuple(_as_spec(g, GuestSpec) for g in value)
-        if name == "processor" and isinstance(value, str):
-            return catalog.processor_from_name(value)
-        if isinstance(value, list):
-            return tuple(value)
-        return value
-
     # ------------------------------------------------------------- serialise
 
     def to_dict(self) -> dict[str, Any]:
@@ -534,8 +526,8 @@ class ScenarioConfig:
         """Rebuild a config from :meth:`to_dict` output or a scenario file.
 
         Unknown keys, and values of the wrong JSON type for their field,
-        raise a :class:`ConfigurationError`; the processor may be given as
-        a catalog name.
+        raise a :class:`ConfigurationError`; the constructor turns the
+        JSON values into field values.
         """
         kwargs = dict(data)
         kind = kwargs.pop("kind", "scenario")
@@ -546,12 +538,6 @@ class ScenarioConfig:
             )
         check_known_fields(cls, kwargs, "scenario config")
         check_field_types(cls, kwargs, "scenario config")
-        processor = kwargs.get("processor")
-        if isinstance(processor, str):
-            kwargs["processor"] = catalog.processor_from_name(processor)
-        for key in ("v20_active", "v70_active"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
 

@@ -35,18 +35,17 @@ cell is derived from — a :class:`~repro.experiments.scenario.ScenarioConfig`
 
 Axes are not limited to scalars: any spec field works, including whole
 guest fleets (``guests`` values may be lists of ``GuestSpec`` objects or
-their JSON dict form — the base config's ``coerce_field`` hook converts
-them), and ``replicates=N`` expands every cell into N seed-derived
-replicate cells whose spread :meth:`SweepResults.aggregate` reduces to
-``std``/``ci95`` columns.
+their JSON dict form — the base config's constructor converts them, as it
+converts every JSON-shaped value), and ``replicates=N`` expands every cell
+into N seed-derived replicate cells whose spread
+:meth:`SweepResults.aggregate` reduces to ``std``/``ci95`` columns.
 
-The same spec works as a plain JSON dict on the command line (list values
-for tuple fields such as ``v20_active`` are coerced), and named preset
-grids from :mod:`repro.experiments.presets` ride the same runner::
+The same spec works as a plain JSON dict on the command line, and named
+preset grids from :mod:`repro.experiments.presets` (``repro list`` prints
+them) ride the same runner::
 
     python -m repro sweep --workers 4 --out results.json
     python -m repro sweep --preset governors --replicates 3
-    python -m repro sweep --list-presets
     python -m repro sweep --grid '{"scheduler": ["credit", "pas"],
         "v20_load": ["exact", "thrashing"], "duration": [400.0]}'
 
@@ -66,7 +65,6 @@ on re-run, skip cells whose content address is already present::
     results = run_sweep(grid, workers=8, store="results-store")   # all warm
 
     python -m repro sweep --preset stress-fleet --store results-store
-    python -m repro sweep --preset stress-fleet --store results-store --resume
     python -m repro store ls --store results-store
 
 Parallel cells run on a *persistent* per-process worker pool

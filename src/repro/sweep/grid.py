@@ -82,9 +82,14 @@ class SweepGrid:
         Mapping of config field name to the sequence of values to sweep.
         Axis order (mapping insertion order) fixes the cell order: the last
         axis varies fastest, like nested loops.  Every key must be a field
-        of the base config's dataclass.  List values for tuple-typed fields
-        (e.g. ``v20_active``) are coerced to tuples, so grids can come
-        straight from JSON.
+        of the base config's dataclass.  The base config's constructor
+        turns a JSON-shaped value (a processor's catalog name, a list for a
+        tuple field) into the field value, so grids can come straight from
+        JSON; each cell's params, label and seed come from the values its
+        own config holds, not from their spelling.  Two cells with one
+        label (a value listed twice, or a field a cell's config ignores)
+        raise :class:`ConfigurationError`.  :attr:`axes` holds each axis's
+        values as the cells' configs hold them, in cell order.
     base:
         The config every cell is derived from via ``dataclasses.replace``.
         Defaults to a fresh :class:`~repro.experiments.scenario.ScenarioConfig`.
@@ -129,8 +134,7 @@ class SweepGrid:
         self.base = base
         self.vary_seed = vary_seed
         self.replicates = replicates
-        coerce = getattr(base, "coerce_field", None)
-        self.axes: dict[str, tuple[Any, ...]] = {}
+        raw: dict[str, tuple[Any, ...]] = {}
         for name, values in axes.items():
             if name not in field_types:
                 known = ", ".join(sorted(field_types))
@@ -141,16 +145,8 @@ class SweepGrid:
             values = tuple(values)
             if not values:
                 raise ConfigurationError(f"sweep axis {name!r} has no values")
-            if callable(coerce):
-                values = tuple(coerce(name, v) for v in values)
-            else:
-                current = getattr(base, name)
-                if isinstance(current, tuple):
-                    values = tuple(
-                        tuple(v) if isinstance(v, list) else v for v in values
-                    )
-            self.axes[name] = values
-        self._cells = self._expand()
+            raw[name] = values
+        self._cells, self.axes = self._expand(raw)
 
     @classmethod
     def from_variants(
@@ -204,18 +200,31 @@ class SweepGrid:
                 rep_config = dataclasses.replace(config, seed=rep_seed)
             yield rep_label, {**params, "rep": rep}, rep_config, rep_seed
 
-    def _expand(self) -> tuple[SweepCell, ...]:
-        if not self.axes:
+    def _expand(
+        self, axes: Mapping[str, tuple[Any, ...]]
+    ) -> tuple[tuple[SweepCell, ...], dict[str, tuple[Any, ...]]]:
+        """The cells, and each axis's values as the cells' configs hold them."""
+        if not axes:
             raise ConfigurationError("a sweep grid needs at least one axis")
         cells = []
-        names = list(self.axes)
+        held: dict[str, dict[str, Any]] = {name: {} for name in axes}
+        labels: set[str] = set()
         root_seed = getattr(self.base, "seed", 0)
-        for combo in itertools.product(*self.axes.values()):
-            params = dict(zip(names, combo))
-            label = ",".join(f"{k}={_format_value(v)}" for k, v in params.items())
-            config = dataclasses.replace(self.base, **params)
+        for combo in itertools.product(*axes.values()):
+            config = dataclasses.replace(self.base, **dict(zip(axes, combo)))
+            params = {name: getattr(config, name) for name in axes}
+            texts = {name: _format_value(value) for name, value in params.items()}
+            label = ",".join(f"{k}={text}" for k, text in texts.items())
+            if label in labels:
+                raise ConfigurationError(
+                    f"sweep grid gives two cells the label {label!r}: a value "
+                    f"is listed twice, or a cell's config ignores an axis"
+                )
+            labels.add(label)
+            for name, text in texts.items():
+                held[name].setdefault(text, params[name])
             seed = getattr(config, "seed", None)
-            if self.vary_seed and "seed" not in self.axes and seed is not None:
+            if self.vary_seed and "seed" not in axes and seed is not None:
                 seed = derive_cell_seed(root_seed, label)
                 config = dataclasses.replace(config, seed=seed)
             for cell_label, cell_params, cell_config, cell_seed in self._replicated(
@@ -230,7 +239,9 @@ class SweepGrid:
                         seed=cell_seed,
                     )
                 )
-        return tuple(cells)
+        return tuple(cells), {
+            name: tuple(values.values()) for name, values in held.items()
+        }
 
     @property
     def cells(self) -> tuple[SweepCell, ...]:

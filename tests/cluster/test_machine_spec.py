@@ -8,6 +8,7 @@ from repro.cluster import ClusterScenarioConfig
 from repro.cluster.machine import MachineSpec
 from repro.cpu import catalog
 from repro.errors import ConfigurationError
+from repro.sweep import SweepGrid
 
 
 # ----------------------------------------------------------------- MachineSpec
@@ -123,11 +124,15 @@ def test_hetero_config_round_trips_through_json():
 
 
 def test_machines_axis_coerces_from_json_lists():
-    value = ClusterScenarioConfig.coerce_field(
-        "machines",
-        [{"processor": catalog.BIG_LITTLE_44.name, "memory_mb": 8192, "count": 2}],
+    grid = SweepGrid(
+        {
+            "machines": [
+                [{"processor": catalog.BIG_LITTLE_44.name, "memory_mb": 8192, "count": 2}]
+            ]
+        },
+        base=ClusterScenarioConfig(),
     )
-    assert value == (
+    assert grid.cells[0].config.machines == (
         MachineSpec(processor=catalog.BIG_LITTLE_44, memory_mb=8192, count=2),
     )
 

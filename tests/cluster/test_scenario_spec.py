@@ -45,6 +45,18 @@ def test_from_dict_rejects_unknown_processor():
         ClusterScenarioConfig.from_dict({"processor": "Pentium III"})
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"processor": 3770}, "unknown processor 3770; catalog: "),
+        ({"migration": "fast"}, "migration takes a migration model"),
+    ],
+)
+def test_a_value_of_no_spec_type_is_refused_up_front(changes, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ClusterScenarioConfig().with_changes(**changes)
+
+
 def test_processor_by_catalog_name():
     config = ClusterScenarioConfig.from_dict(
         {"processor": "Intel Xeon E5-2620", "n_machines": 2}

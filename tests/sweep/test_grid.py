@@ -55,6 +55,48 @@ def test_list_values_coerced_for_tuple_fields():
     assert cell.config.v20_active == (20.0, 180.0)
 
 
+@pytest.mark.parametrize(
+    "axes, base",
+    [
+        ({"scheduler": ["credit", "credit"]}, ScenarioConfig()),
+        ({"v20_active": [[20, 180], [20.0, 180.0]]}, ScenarioConfig()),
+        # Explicit guests replace the two-guest profile, so v20_load is ignored.
+        (
+            {"v20_load": ["exact", "thrashing"]},
+            ScenarioConfig(guests=({"name": "A", "credit": 20.0},)),
+        ),
+    ],
+)
+def test_cells_that_share_a_label_are_refused(axes, base):
+    with pytest.raises(ConfigurationError, match="gives two cells the label"):
+        SweepGrid(axes, base=base)
+
+
+def test_a_field_one_cell_ignores_keeps_its_value_in_the_others():
+    # Explicit guests reset v20_load in the first cell only; the guest-less
+    # cell runs (and is labelled) the thrashing load it was given.
+    grid = SweepGrid(
+        {"guests": [({"name": "A", "credit": 20.0},), ()], "v20_load": ["thrashing"]}
+    )
+    assert [cell.config.v20_load for cell in grid] == ["exact", "thrashing"]
+    assert [cell.label for cell in grid] == [
+        "guests=A(20%:idle),v20_load=exact",
+        "guests=[],v20_load=thrashing",
+    ]
+    assert [cell.params["v20_load"] for cell in grid] == ["exact", "thrashing"]
+    assert grid.axes["v20_load"] == ("exact", "thrashing")
+
+
+def test_qos_kwargs_reach_the_cells_that_use_them():
+    kwargs = {"high": 0.5}
+    grid = SweepGrid({"qos": ["none", "ladder"], "qos_kwargs": [kwargs]})
+    assert [cell.config.qos_kwargs for cell in grid] == [{}, kwargs]
+    assert [cell.label for cell in grid] == [
+        "qos=none,qos_kwargs={}",
+        'qos=ladder,qos_kwargs={"high":0.5}',
+    ]
+
+
 def test_derived_seeds_deterministic_and_distinct():
     axes = {"scheduler": ["credit", "pas"], "governor": ["performance", "stable"]}
     first = SweepGrid(axes, base=ScenarioConfig(seed=1), vary_seed=True)

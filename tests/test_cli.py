@@ -81,7 +81,8 @@ def test_calibrate_command(capsys):
 
 def test_calibrate_unknown_processor(capsys):
     assert main(["calibrate", "Pentium III"]) == 2
-    assert "unknown processor" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown processor 'Pentium III'; catalog: " in err
 
 
 def test_run_paper_preset_with_set_overrides(capsys):
@@ -281,9 +282,10 @@ def test_sweep_checks_every_grid_value_like_set(capsys, grid, message):
     assert "Traceback" not in err
 
 
-def test_sweep_list_presets(capsys):
-    assert main(["sweep", "--list-presets"]) == 0
+def test_list_prints_the_preset_table(capsys):
+    assert main(["list"]) == 0
     out = capsys.readouterr().out
+    assert "scenario presets" in out
     for name in ("paper-5.3", "governors", "diurnal-web", "pi-batch", "mixed-guests"):
         assert name in out
 
@@ -596,9 +598,8 @@ def test_one_run_and_one_sweep_command():
     }
     assert sweep_flags == {
         "--duration", "--fixed-seed", "--force", "--grid", "--help",
-        "--list-presets", "--metrics-out", "--out", "--out-aggregated",
-        "--preset", "--quiet", "--replicates", "--resume", "--seed", "--set",
-        "--store", "--verbose", "--workers",
+        "--metrics-out", "--out", "--out-aggregated", "--preset", "--quiet",
+        "--replicates", "--seed", "--set", "--store", "--verbose", "--workers",
     }
 
 
@@ -608,6 +609,8 @@ def test_one_run_and_one_sweep_command():
         ["cluster", "compare", "--preset", "dc-diurnal"],
         ["sweep", "--schedulers", "credit"],
         ["sweep", "--governors", "stable"],
+        ["sweep", "--list-presets"],
+        ["sweep", "--resume"],
     ],
 )
 def test_removed_commands_and_axis_flags_exit_2(capsys, argv):
@@ -626,7 +629,7 @@ def test_sweep_store_warm_rerun_is_all_hits_and_byte_identical(capsys, tmp_path)
     base = ["sweep", "--grid", _FAST_GRID, "--store", store_dir]
     assert main(base + ["--out", str(cold_path)]) == 0
     assert "0 cells warm, 4 computed" in capsys.readouterr().out
-    assert main(base + ["--resume", "--out", str(warm_path)]) == 0
+    assert main(base + ["--out", str(warm_path)]) == 0
     assert "4 cells warm, 0 computed" in capsys.readouterr().out
     assert cold_path.read_bytes() == warm_path.read_bytes()
 
@@ -640,17 +643,9 @@ def test_sweep_store_force_recomputes(capsys, tmp_path):
     assert "0 cells warm, 4 computed" in capsys.readouterr().out
 
 
-def test_sweep_resume_and_force_are_exclusive(capsys, tmp_path):
-    code = main(
-        ["sweep", "--store", str(tmp_path / "st"), "--resume", "--force"]
-    )
-    assert code == 2
-    assert "opposites" in capsys.readouterr().err
-
-
-def test_sweep_resume_requires_store(capsys):
-    assert main(["sweep", "--resume"]) == 2
-    assert "--store" in capsys.readouterr().err
+def test_sweep_force_requires_store(capsys):
+    assert main(["sweep", "--force"]) == 2
+    assert "--force only makes sense with --store" in capsys.readouterr().err
 
 
 def test_sweep_out_aggregated(capsys, tmp_path):
@@ -827,19 +822,7 @@ def test_sweep_cluster_preset_store_resumes_warm(capsys, tmp_path):
     store = str(tmp_path / "store")
     assert main(["sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
     capsys.readouterr()
-    assert (
-        main(
-            [
-                "sweep",
-                "--preset",
-                "dc-diurnal-small",
-                "--store",
-                store,
-                "--resume",
-            ]
-        )
-        == 0
-    )
+    assert main(["sweep", "--preset", "dc-diurnal-small", "--store", store]) == 0
     out = capsys.readouterr().out
     assert "4 cells warm, 0 computed" in out
     assert "energy_kwh" in out
@@ -865,7 +848,7 @@ def test_run_routes_cluster_presets(capsys):
 
 
 def test_list_presets_tags_cluster_presets(capsys):
-    assert main(["sweep", "--list-presets"]) == 0
+    assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "kind:cluster" in out
     assert "dc-diurnal" in out
