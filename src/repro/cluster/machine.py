@@ -210,8 +210,6 @@ class Machine:
 
     def step_down_choice(self, freq_mhz: int) -> int:
         """One ladder step below *freq_mhz* (saturates at the bottom)."""
-        if not self.domains:
-            return self._table.step_down(freq_mhz).freq_mhz
         index = self._freq_choices.index(freq_mhz)
         return self._freq_choices[max(index - 1, 0)]
 
@@ -466,7 +464,7 @@ class Machine:
         if not self.domains:
             table = self._table
             state = table.state_for(freq_mhz)
-            capacity = state.capacity_fraction(table.max_state.freq_mhz) * 100.0
+            capacity = self._capacity_at[freq_mhz]
             utilization = min(1.0, total_percent / capacity) if capacity > 0 else 0.0
             if full_util:
                 utilization = 1.0

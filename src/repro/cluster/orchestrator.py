@@ -179,6 +179,7 @@ class Orchestrator:
         self.machines = [
             Machine(f"m{i:03d}", spec) for i, spec in enumerate(expanded)
         ]
+        self._machines_by_name = {machine.name: machine for machine in self.machines}
         self.vms = list(vms)
         self.policy = policy
         self.dvfs = dvfs
@@ -258,19 +259,24 @@ class Orchestrator:
         are evictions of VMs gone from the population; only
         previously-placed VMs changing hosts are counted and priced.
         """
-        machines = {machine.name: machine for machine in self.machines}
+        machines = self._machines_by_name
         vms = {vm.name: vm for vm in self.vms}
-        unknown_vms = sorted(desired.keys() - vms.keys())
-        if unknown_vms:
-            raise ConfigurationError(
-                f"policy assigned unknown VM(s): {', '.join(unknown_vms)}"
-            )
-        missing = sorted(vms.keys() - desired.keys())
-        if missing:
+        if desired.keys() != vms.keys():
+            unknown_vms = sorted(desired.keys() - vms.keys())
+            if unknown_vms:
+                raise ConfigurationError(
+                    f"policy assigned unknown VM(s): {', '.join(unknown_vms)}"
+                )
+            missing = sorted(vms.keys() - desired.keys())
             raise ConfigurationError(
                 f"policy assignment leaves VM(s) unplaced: {', '.join(missing)}"
             )
-        unknown_machines = sorted(set(desired.values()) - machines.keys())
+        moves = sorted(
+            (name, dest) for name, dest in desired.items() if current.get(name) != dest
+        )
+        # A VM that stays put stays on a known machine: only movers can name
+        # an unknown one.
+        unknown_machines = sorted({dest for _, dest in moves} - machines.keys())
         if unknown_machines:
             raise ConfigurationError(
                 f"policy assigned unknown machine(s): {', '.join(unknown_machines)}"
@@ -278,9 +284,6 @@ class Orchestrator:
         for name in sorted(current.keys() - vms.keys()):
             host = machines[current[name]]
             host.evict(next(vm for vm in host.vms if vm.name == name))
-        moves = sorted(
-            (name, dest) for name, dest in desired.items() if current.get(name) != dest
-        )
         # Evict every mover first so swaps never transiently overflow memory.
         for name, _ in moves:
             source = current.get(name)
@@ -317,14 +320,17 @@ class Orchestrator:
         energy_before = self.fleet_energy_joules
         demand_total = 0.0
         served_total = 0.0
+        epoch_s, dvfs = self.epoch_s, self.dvfs
+        floors, ceilings = plan.freq_floors, plan.freq_ceilings
         for machine in self.machines:
+            name = machine.name
             demand, served = machine.run_epoch(
                 demands,
-                self.epoch_s,
-                dvfs=self.dvfs,
-                extra_demand_percent=extra.get(machine.name, 0.0),
-                freq_floor_mhz=plan.freq_floors.get(machine.name),
-                freq_ceiling_mhz=plan.freq_ceilings.get(machine.name),
+                epoch_s,
+                dvfs=dvfs,
+                extra_demand_percent=extra.get(name, 0.0),
+                freq_floor_mhz=floors.get(name),
+                freq_ceiling_mhz=ceilings.get(name),
             )
             demand_total += demand
             served_total += served
@@ -355,10 +361,12 @@ class Orchestrator:
         epoch_energy = self.fleet_energy_joules - energy_before
         self._time += self.epoch_s
         self._epoch_index += 1
+        now = self._time
+        record_host = self._host_stats.append
         for machine in self.machines:
-            self._host_stats.append(
+            record_host(
                 (
-                    self._time,
+                    now,
                     machine.name,
                     machine.powered_on,
                     machine.vm_count,

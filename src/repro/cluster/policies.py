@@ -53,9 +53,11 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import attrgetter, is_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import ConfigurationError, ReproError
+from ..obs import hooks as _obs
 from ..units import check_positive
 from .machine import Machine
 from .vm import ClusterVM
@@ -191,38 +193,43 @@ def pack_first_fit(
     heterogeneous packing.  A machine that can take no further VM is no
     longer visited: its free memory dropped below the smallest VM's
     footprint, or it holds load and even the smallest weight (the last to
-    be placed) would no longer fit its budget.
+    be placed) would no longer fit its budget.  Hosts are scanned by
+    position in plain lists, not looked up by name.
     """
-    loads: dict[str, float] = {machine.name: 0.0 for machine in machines}
-    free_mb: dict[str, int] = {machine.name: machine.spec.memory_mb for machine in machines}
-    budgets: dict[str, float] = {
-        machine.name: limit_percent * (machine.capacity_percent / 100.0)
+    names = [machine.name for machine in machines]
+    loads = [0.0] * len(names)
+    free_mb = [machine.spec.memory_mb for machine in machines]
+    budgets = [
+        limit_percent * (machine.capacity_percent / 100.0)
         - machine.spec.overhead_percent
         for machine in machines
-    }
+    ]
     smallest_mb = min((vm.memory_mb for vm in vms), default=0)
-    ordered = sorted(vms, key=lambda v: (-weight(v), v.name))
-    smallest_share = weight(ordered[-1]) if ordered else 0.0
-    open_names = [machine.name for machine in machines]
+    # Each weight is read once; names are unique, so no VM is compared.
+    ordered = sorted([(-weight(vm), vm.name, vm) for vm in vms])
+    smallest_share = -ordered[-1][0] if ordered else 0.0
+    open_hosts = list(range(len(names)))
     assignment: dict[str, str] = {}
-    for vm in ordered:
-        share = weight(vm)
-        for position, name in enumerate(open_names):
-            if vm.memory_mb > free_mb[name]:
+    for negated, vm_name, vm in ordered:
+        share = -negated
+        memory_mb = vm.memory_mb
+        for position, host in enumerate(open_hosts):
+            if memory_mb > free_mb[host]:
                 continue
-            if loads[name] + share > budgets[name] and loads[name] > 0.0:
+            load = loads[host]
+            if load + share > budgets[host] and load > 0.0:
                 continue
-            assignment[vm.name] = name
-            loads[name] += share
-            free_mb[name] -= vm.memory_mb
-            if free_mb[name] < smallest_mb or (
-                loads[name] > 0.0 and loads[name] + smallest_share > budgets[name]
+            assignment[vm_name] = names[host]
+            load = loads[host] = load + share
+            free = free_mb[host] = free_mb[host] - memory_mb
+            if free < smallest_mb or (
+                load > 0.0 and load + smallest_share > budgets[host]
             ):
-                del open_names[position]
+                del open_hosts[position]
             break
         else:
             raise PlacementError(
-                f"VM {vm.name!r} ({vm.memory_mb} MB) fits no machine"
+                f"VM {vm_name!r} ({memory_mb} MB) fits no machine"
             )
     return assignment
 
@@ -283,45 +290,92 @@ class _FleetState:
     orchestrator (which executes only the diff).  *order* is the host
     preference used when shopping for headroom (default: name order, which
     every placement order degenerates to on a homogeneous fleet).
+
+    A policy keeps one state across epochs.  The constructor builds the
+    parts fixed by the fleet and the population (machine and memory maps,
+    capacity scales, host order); :meth:`refresh` reloads one epoch's
+    loads, free memory and host → VMs index from its demands and live
+    placement.  :meth:`describes` tells whether the kept state still
+    matches the fleet and population a plan is handed.
     """
 
     def __init__(
         self,
         machines: Sequence[Machine],
         vms: Sequence[ClusterVM],
-        demands: Mapping[str, float],
-        current: Assignment,
         *,
         order: Sequence[Machine] | None = None,
     ) -> None:
+        self._fleet = list(machines)
+        self._population = list(vms)
         self._machines = {machine.name: machine for machine in machines}
         self._memory_mb = {vm.name: vm.memory_mb for vm in vms}
-        self._demands = demands
-        self._order = (
-            [machine.name for machine in order]
+        #: The host preference as machines (what ``pack_first_fit`` takes).
+        self.order: list[Machine] = (
+            list(order)
             if order is not None
-            else sorted(machine.name for machine in machines)
+            else sorted(machines, key=attrgetter("name"))
         )
+        self._order = [machine.name for machine in self.order]
+        self._names = sorted(self._machines)
+        self._capacity_scale: dict[str, float] = {
+            name: machine.capacity_percent / 100.0
+            for name, machine in self._machines.items()
+        }
+        self._overhead: dict[str, float] = {
+            name: machine.spec.overhead_percent
+            for name, machine in self._machines.items()
+        }
+        self._memory_total: dict[str, int] = {
+            name: machine.spec.memory_mb for name, machine in self._machines.items()
+        }
+        self._demands: Mapping[str, float] = {}
+        self.assignment: dict[str, str] = {}
+        self._position: dict[str, int] | None = None
+        self._hosted: dict[str, list[str]] = {name: [] for name in self._machines}
+        self._loads: dict[str, float] = dict.fromkeys(self._machines, 0.0)
+        self._free_mb: dict[str, int] = dict(self._memory_total)
+
+    def describes(self, machines: Sequence[Machine], vms: Sequence[ClusterVM]) -> bool:
+        """True while *machines* and *vms* are the objects this state was built on."""
+        fleet, population = self._fleet, self._population
+        return (
+            len(machines) == len(fleet)
+            and all(map(is_, machines, fleet))
+            and len(vms) == len(population)
+            and all(map(is_, vms, population))
+        )
+
+    def refresh(self, demands: Mapping[str, float], current: Assignment) -> None:
+        """Load one epoch: *demands* and the live *current* placement.
+
+        Each host's load is summed from 0.0 in *current* order, as a fresh
+        state would, so a kept state plans bit for bit like a rebuilt one.
+        """
+        self._demands = demands
         self.assignment = dict(current)
         # Host → VMs index, each list in assignment order (a VM's position
         # in ``assignment`` never changes, since ``move`` rebinds in place),
         # so ``vms_on`` answers without scanning the whole fleet.  The
         # positions are indexed on the first move.
-        self._position: dict[str, int] | None = None
-        self._hosted: dict[str, list[str]] = {name: [] for name in self._machines}
-        self._loads: dict[str, float] = dict.fromkeys(self._machines, 0.0)
-        self._capacity_scale: dict[str, float] = {
-            name: machine.capacity_percent / 100.0
-            for name, machine in self._machines.items()
-        }
-        self._free_mb: dict[str, int] = {
-            name: machine.spec.memory_mb for name, machine in self._machines.items()
-        }
-        hosted, loads, free_mb = self._hosted, self._loads, self._free_mb
+        self._position = None
+        hosted = self._hosted = {name: [] for name in self._machines}
+        loads = self._loads = dict.fromkeys(self._machines, 0.0)
+        free_mb = self._free_mb = dict(self._memory_total)
+        memory_mb = self._memory_mb
         for vm_name, machine_name in self.assignment.items():
             hosted[machine_name].append(vm_name)
             loads[machine_name] += demands[vm_name]
-            free_mb[machine_name] -= self._memory_mb[vm_name]
+            free_mb[machine_name] -= memory_mb[vm_name]
+
+    @property
+    def by_name(self) -> Mapping[str, Machine]:
+        """The fleet's machines by name."""
+        return self._machines
+
+    def names(self) -> list[str]:
+        """Host names in sorted order (kept, so callers must not mutate it)."""
+        return self._names
 
     def hosts(self) -> list[str]:
         return list(self._machines)
@@ -348,12 +402,24 @@ class _FleetState:
         """Load as a fraction of the old 100 %-host scale (hetero-aware)."""
         return self._loads[machine_name] / self._capacity_scale[machine_name]
 
+    def relative_loads(self) -> list[tuple[float, str]]:
+        """``(relative load, name)`` of every host, in fleet order."""
+        loads, scales = self._loads, self._capacity_scale
+        return [(loads[name] / scales[name], name) for name in self._machines]
+
+    def above(self, machine_name: str, limit_percent: float) -> bool:
+        """True when load plus overhead exceeds *limit_percent* (capacity-scaled)."""
+        return (
+            self._loads[machine_name] + self._overhead[machine_name]
+            > limit_percent * self._capacity_scale[machine_name]
+        )
+
     def capacity_scale(self, machine_name: str) -> float:
         """``capacity_percent / 100`` — exactly 1.0 on legacy hosts."""
         return self._capacity_scale[machine_name]
 
     def overhead(self, machine_name: str) -> float:
-        return self._machines[machine_name].spec.overhead_percent
+        return self._overhead[machine_name]
 
     def fits(self, vm_name: str, machine_name: str) -> bool:
         return self._memory_mb[vm_name] <= self._free_mb[machine_name]
@@ -393,10 +459,27 @@ class _FleetState:
             for name in self._order:
                 if name == exclude or bool(hosted[name]) != used:
                     continue
-                budget = limit_percent * self._capacity_scale[name] - self.overhead(name)
+                budget = limit_percent * self._capacity_scale[name] - self._overhead[name]
                 if memory_mb <= free_mb[name] and loads[name] + share <= budget:
                     return name
         return None
+
+
+def _kept_state(
+    state: _FleetState | None,
+    machines: Sequence[Machine],
+    vms: Sequence[ClusterVM],
+    order: Callable[[Sequence[Machine]], list[Machine]] | None = None,
+) -> _FleetState:
+    """*state* while it describes *machines* and *vms*, else a fresh one.
+
+    A policy keeps its state, placement order included, across epochs;
+    a new fleet or population (a list replaced, a VM swapped for another
+    object) rebuilds it through the constructor.
+    """
+    if state is not None and state.describes(machines, vms):
+        return state
+    return _FleetState(machines, vms, order=None if order is None else order(machines))
 
 
 # ----------------------------------------------------------------- policies
@@ -480,29 +563,31 @@ class ConsolidatePolicy(OrchestrationPolicy):
             )
         self.hysteresis_epochs = hysteresis_epochs
         self._shrink_streak = 0
+        self._state: _FleetState | None = None
 
     def plan(
         self, machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs
     ) -> EpochPlan:
+        state = self._state = _kept_state(self._state, machines, vms, self._order)
         if current.keys() != demands.keys():
             # First epoch, or the VM population changed: pack from scratch.
             self._shrink_streak = 0
             return EpochPlan(
                 assignment=pack_first_fit(
-                    self._order(machines),
+                    state.order,
                     vms,
                     lambda vm: demands[vm.name],
                     limit_percent=self.target_percent,
                 )
             )
-        state = _FleetState(machines, vms, demands, current, order=self._order(machines))
+        state.refresh(demands, current)
         moved = self._spill(state)
         if moved:
             self._shrink_streak = 0
             return EpochPlan(assignment=state.assignment)
         desired_hosts = _hosts_used(
             pack_first_fit(
-                self._order(machines),
+                state.order,
                 vms,
                 lambda vm: demands[vm.name],
                 limit_percent=self.target_percent,
@@ -520,12 +605,8 @@ class ConsolidatePolicy(OrchestrationPolicy):
     def _spill(self, state: "_FleetState") -> bool:
         """Shed load from every host above its (capacity-scaled) threshold."""
         moved = False
-        for name in sorted(state.hosts()):
-            while (
-                state.load(name) + state.overhead(name)
-                > self.spill_percent * state.capacity_scale(name)
-                and state.vm_count(name) > 1
-            ):
+        for name in state.names():
+            while state.above(name, self.spill_percent) and state.vm_count(name) > 1:
                 vm = max(state.vms_on(name), key=lambda v: (state.demand(v), v))
                 dest = state.host_with_headroom(
                     vm, self.target_percent, exclude=name
@@ -577,6 +658,7 @@ class LoadBalancePolicy(OrchestrationPolicy):
                 f"max_moves_per_epoch must be >= 1, got {max_moves_per_epoch}"
             )
         self.max_moves_per_epoch = max_moves_per_epoch
+        self._state: _FleetState | None = None
 
     def plan(
         self, machines, vms, demands, current, *, time, epoch_index, epoch_s, dvfs
@@ -585,13 +667,14 @@ class LoadBalancePolicy(OrchestrationPolicy):
             return EpochPlan(
                 assignment=pack_balanced(machines, vms, lambda vm: demands[vm.name])
             )
-        state = _FleetState(machines, vms, demands, current)
+        state = self._state = _kept_state(self._state, machines, vms)
+        state.refresh(demands, current)
         moved = False
         for _ in range(self.max_moves_per_epoch):
             # Capacity-relative load, so a mixed fleet balances fill level
             # rather than absolute percent (identical on legacy fleets);
             # host names break ties.
-            ranked = [(state.relative_load(name), name) for name in state.hosts()]
+            ranked = state.relative_loads()
             hot_load, hottest = max(ranked)
             cold_load, coldest = min(ranked)
             gap = hot_load - cold_load
@@ -679,12 +762,16 @@ class PowerBudgetPolicy(ConsolidatePolicy):
         )
         # Hosts a migration touches this epoch carry copy overhead the
         # demand numbers do not show; budget them at full utilisation.
-        migrating = {
-            host
-            for vm_name, dest in assignment.items()
-            if current.get(vm_name) not in (None, dest)
-            for host in (current[vm_name], dest)
-        }
+        migrating = (
+            set()
+            if placement.assignment is None
+            else {
+                host
+                for vm_name, dest in assignment.items()
+                if current.get(vm_name) not in (None, dest)
+                for host in (current[vm_name], dest)
+            }
+        )
         hosted: dict[str, float] = {}
         for vm_name, machine_name in assignment.items():
             hosted[machine_name] = hosted.get(machine_name, 0.0) + demands[vm_name]
@@ -693,7 +780,7 @@ class PowerBudgetPolicy(ConsolidatePolicy):
         # dirty pages: it must be budgeted (and pinned) like the rest.
         for machine_name in migrating:
             hosted.setdefault(machine_name, 0.0)
-        by_name = {machine.name: machine for machine in machines}
+        by_name = self._state.by_name
         chosen: dict[str, int] = {}
         for machine_name, demand in sorted(hosted.items()):
             machine = by_name[machine_name]
@@ -724,7 +811,6 @@ class PowerBudgetPolicy(ConsolidatePolicy):
             if chosen[name] > by_name[name].min_freq_mhz
         ]
         heapify(heap)
-        # An empty heap: the cap is infeasible even at the floor.
         while heap and sum(watts.values()) > self.budget_w:
             _, rank, hottest = heappop(heap)
             machine = by_name[hottest]
@@ -732,6 +818,12 @@ class PowerBudgetPolicy(ConsolidatePolicy):
             watts[hottest] = predicted(hottest)
             if chosen[hottest] > machine.min_freq_mhz:
                 heappush(heap, (-watts[hottest], rank, hottest))
+        # An empty heap over budget: the cap is infeasible even with every
+        # host at its floor, so the fleet serves over it this epoch.
+        if not heap and sum(watts.values()) > self.budget_w:
+            metrics = _obs.METRICS
+            if metrics is not None:
+                metrics.inc("cluster.cap_infeasible_epochs")
         return EpochPlan(
             assignment=placement.assignment,
             freq_floors=dict(chosen),

@@ -165,7 +165,8 @@ def _headroom_by_scan(state, order, vm, limit, *, exclude, powered_only):
 def test_fleet_state_index_matches_assignment_scan(walk):
     machines, vms, order, moves, limit = walk
     demands = {vm.name: vm.demand_at(0.0) for vm in vms}
-    state = _FleetState(machines, vms, demands, current_assignment(machines), order=order)
+    state = _FleetState(machines, vms, order=order)
+    state.refresh(demands, current_assignment(machines))
     names = [machine.name for machine in machines]
 
     def check():
